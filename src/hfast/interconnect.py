@@ -396,7 +396,9 @@ def slice_traffic(
 
 @profiled("interconnect_temporal")
 def evaluate_temporal(
-    cm: CommMatrix, config: InterconnectConfig | None = None
+    cm: CommMatrix,
+    config: InterconnectConfig | None = None,
+    static: HybridEvaluation | None = None,
 ) -> TemporalEvaluation:
     """Per-timestep max-weight circuit assignment with reconfiguration cost.
 
@@ -418,6 +420,10 @@ def evaluate_temporal(
     traffic resuming after a gap is not charged for circuits it already
     held — and the first slice that establishes any circuits is the free
     initial configuration, whether or not it is literally step 0.
+
+    ``static`` is the static-greedy baseline (``evaluate_hybrid(cm,
+    config)``) when the caller already has it; without it, it is computed
+    here.
     """
     config = config or InterconnectConfig()
     _check_matcher(config)
@@ -427,7 +433,10 @@ def evaluate_temporal(
     if total == 0:
         return ev
 
-    static = evaluate_hybrid(cm, config, strategy="greedy")
+    if static is None:
+        static = evaluate_hybrid(cm, config, strategy="greedy")
+    elif static.strategy != "greedy":
+        raise ValueError(f"static baseline must be greedy, got {static.strategy!r}")
     ev.static_coverage = static.coverage
     ev.static_speedup = static.speedup
 

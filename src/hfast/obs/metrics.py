@@ -15,6 +15,8 @@ import json
 import os
 from typing import Any
 
+import numpy as np
+
 
 def log2_bucket(value: int | float) -> int:
     """Upper edge of the power-of-two bucket containing value.
@@ -31,6 +33,24 @@ def log2_bucket(value: int | float) -> int:
     while edge < value:
         edge <<= 1
     return edge
+
+
+def log2_bucket_array(values: np.ndarray) -> np.ndarray:
+    """:func:`log2_bucket` over an array, as int64 bucket edges.
+
+    ``np.frexp`` splits ``v = m * 2**e`` with ``m`` in ``[0.5, 1)``, so the
+    edge is ``2**e`` — or ``2**(e - 1)`` when ``m`` is exactly 0.5, i.e.
+    ``v`` is itself a power of two. Values in ``(0, 1]`` map to 1 and 0 to
+    0, as in the scalar function. Integers must be below 2**53 (exact in
+    float64) and edges below 2**63.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if v.size and v.min() < 0:
+        raise ValueError("histogram values must be non-negative")
+    mant, exp = np.frexp(v)
+    exp = np.where(mant == 0.5, exp - 1, exp)
+    edges = np.left_shift(1, np.maximum(exp, 0).astype(np.int64))
+    return np.where(v == 0, 0, edges)
 
 
 class Counter:

@@ -52,7 +52,7 @@ from hfast.obs import stream
 from hfast.obs.anomaly import AnomalyDetector
 from hfast.obs.logs import get_logger
 from hfast.obs.manifest import build_manifest
-from hfast.obs.metrics import log2_bucket
+from hfast.obs.metrics import log2_bucket, log2_bucket_array
 from hfast.obs.profile import Observability, get_obs, using
 from hfast.obs.slo import SloEngine, cells_for_slo
 from hfast.records import SEND_CALLS, Trace
@@ -116,6 +116,19 @@ def discover_scales(cache: ReproCache, apps: list[str]) -> dict[str, list[int]]:
     return scales
 
 
+def _bucket_table(uniq: np.ndarray, weights: np.ndarray) -> dict[int, int]:
+    """Log2-bucket table of ascending distinct values and their weights.
+
+    Each value's weight is truncated to an int, then summed per bucket,
+    exactly as the per-value ``observe`` path would; buckets of ascending
+    values are contiguous, so the per-bucket sums are one ``reduceat``.
+    """
+    edges = log2_bucket_array(uniq)
+    first = np.flatnonzero(np.concatenate(([True], edges[1:] != edges[:-1])))
+    totals = np.add.reduceat(weights.astype(np.int64), first)
+    return dict(zip(edges[first].tolist(), totals.tolist()))
+
+
 def _observe_sizes(
     trace: Trace, app: str, obs: Observability
 ) -> dict[int, int]:
@@ -123,7 +136,8 @@ def _observe_sizes(
 
     Uses the columnar batch when the trace has one (unique sizes only, with
     aggregated weights), so a million-record trace costs a handful of
-    ``observe`` calls instead of one per record.
+    ``observe`` calls instead of one per record — and none with obs off,
+    since the table itself is array work.
     """
     local_buckets: dict[int, int] = {}
     size_hist = obs.metrics.histogram("msg_size_bytes") if obs.enabled else None
@@ -135,13 +149,11 @@ def _observe_sizes(
             sizes = b.size[mask]
             uniq, inv = np.unique(sizes, return_inverse=True)
             weights = np.bincount(inv, weights=b.count[mask].astype(np.float64))
-            for s, w in zip(uniq.tolist(), weights.tolist()):
-                w = int(w)
-                edge = log2_bucket(s)
-                local_buckets[edge] = local_buckets.get(edge, 0) + w
-                if size_hist is not None:
-                    size_hist.observe(s, weight=w)
-                    app_hist.observe(s, weight=w)
+            local_buckets = _bucket_table(uniq, weights)
+            if size_hist is not None:
+                for s, w in zip(uniq.tolist(), weights.tolist()):
+                    size_hist.observe(s, weight=int(w))
+                    app_hist.observe(s, weight=int(w))
         return local_buckets
     for rec in trace.records:
         if rec.is_send and rec.size > 0:
@@ -173,13 +185,11 @@ def _observe_latencies(
             mean_usec = (b.total_time[mask] / b.count[mask]) * 1e6
             uniq, inv = np.unique(mean_usec, return_inverse=True)
             weights = np.bincount(inv, weights=b.count[mask].astype(np.float64))
-            for v, w in zip(uniq.tolist(), weights.tolist()):
-                w = int(w)
-                edge = log2_bucket(v)
-                local_buckets[edge] = local_buckets.get(edge, 0) + w
-                if lat_hist is not None:
-                    lat_hist.observe(v, weight=w)
-                    app_hist.observe(v, weight=w)
+            local_buckets = _bucket_table(uniq, weights)
+            if lat_hist is not None:
+                for v, w in zip(uniq.tolist(), weights.tolist()):
+                    lat_hist.observe(v, weight=int(w))
+                    app_hist.observe(v, weight=int(w))
         return local_buckets
     for rec in trace.records:
         if rec.count > 0 and rec.total_time > 0.0:
@@ -245,7 +255,7 @@ def analyze_app(
         )
         topo = analyze_topology(cm)
         ev = evaluate_hybrid(cm, config)
-        ev_temporal = evaluate_temporal(cm, config)
+        ev_temporal = evaluate_temporal(cm, config, static=ev)
 
         local_buckets = _observe_sizes(trace, app, obs)
         latency_buckets = _observe_latencies(trace, app, obs)

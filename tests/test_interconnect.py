@@ -189,6 +189,29 @@ def test_temporal_coverage_at_least_static_greedy(app, nranks):
     assert temporal.per_step[0]["changes"] == 0  # initial configuration is free
 
 
+@pytest.mark.parametrize("app,nranks", GOLDEN_CASES)
+def test_temporal_reuses_a_passed_static_baseline(app, nranks, monkeypatch):
+    """A caller's greedy evaluation stands in for the temporal evaluator's
+    own: same document, and the static evaluation is not run again."""
+    cm = golden_matrix(app, nranks)
+    config = InterconnectConfig(timesteps=4)
+    want = evaluate_temporal(cm, config).to_dict()
+    static = evaluate_hybrid(cm, config)
+
+    def fail(*args, **kwargs):
+        raise AssertionError("static baseline evaluated twice")
+
+    monkeypatch.setattr("hfast.interconnect.evaluate_hybrid", fail)
+    assert evaluate_temporal(cm, config, static=static).to_dict() == want
+
+
+def test_temporal_rejects_a_matching_baseline():
+    cm = golden_matrix("gtc", 8)
+    matching = evaluate_hybrid(cm, InterconnectConfig(), strategy="matching")
+    with pytest.raises(ValueError, match="greedy"):
+        evaluate_temporal(cm, InterconnectConfig(), static=matching)
+
+
 def test_reconfig_cost_discourages_switching():
     """An expensive switch-over must never increase the reconfig count."""
     cm = golden_matrix("paratec", 16)

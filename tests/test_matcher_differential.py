@@ -117,6 +117,27 @@ def test_identity_on_seeded_random_matrices():
         assert hdocs[0] == hdocs[1] == hdocs[2], f"trial {trial}"
 
 
+def test_identity_on_seeded_float_weights():
+    """Non-integer weights over 19 orders of magnitude, and weights near
+    2**53 where adding 1.0 rounds away — float regimes integer traffic
+    never reaches. After a greedy seed an augment attempt rarely sums
+    more than two picks, so ``tests/test_matcher_augment.py`` pins the
+    summation order itself, from unsaturated states."""
+    rng = np.random.default_rng(43)
+    near_2_53 = np.array([2.0**53 + 2, 2.0**53, 1.0, 1e-3])
+    for trial in range(40):
+        n = int(rng.integers(4, 24))
+        present = rng.random((n, n)) < float(rng.uniform(0.3, 1.0))
+        if trial % 2:
+            w = 10.0 ** rng.uniform(-3, 16, size=(n, n))
+        else:
+            w = rng.choice(near_2_53, p=[0.15, 0.15, 0.6, 0.1], size=(n, n))
+        w = w * present
+        budget = int(rng.integers(1, 5))
+        outs = [assign_circuits_matching(w, budget, backend=b) for b in MATCHERS]
+        assert outs[0] == outs[1] == outs[2], f"trial {trial}"
+
+
 def test_identity_on_tie_heavy_matrices():
     """Uniform weights maximize tie-breaking pressure — the regime where
     backend order equivalence is most fragile."""

@@ -1,8 +1,9 @@
 import json
 
+import numpy as np
 import pytest
 
-from hfast.obs.metrics import MetricsRegistry, log2_bucket
+from hfast.obs.metrics import MetricsRegistry, log2_bucket, log2_bucket_array
 
 
 class TestLog2Bucket:
@@ -27,6 +28,49 @@ class TestLog2Bucket:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             log2_bucket(-1)
+
+
+class TestLog2BucketArray:
+    """The array form must equal the scalar one value for value."""
+
+    @staticmethod
+    def powers_of_two_and_neighbours() -> np.ndarray:
+        p = np.ldexp(1.0, np.arange(-30, 62))
+        return np.concatenate((p, np.nextafter(p, 0.0), np.nextafter(p, np.inf)))
+
+    def test_matches_scalar_on_floats(self):
+        rng = np.random.default_rng(7)
+        values = np.concatenate(
+            (
+                10.0 ** rng.uniform(-6, 15, size=20000),
+                rng.uniform(0, 4, size=2000),
+                self.powers_of_two_and_neighbours(),
+                [0.0, 0.5, 1.0, 1.5, 2.0, 3.0],
+            )
+        )
+        got = log2_bucket_array(values)
+        assert got.dtype == np.int64
+        assert got.tolist() == [log2_bucket(v) for v in values.tolist()]
+
+    def test_matches_scalar_on_ints(self):
+        rng = np.random.default_rng(8)
+        values = np.concatenate(
+            (
+                np.arange(0, 5000),
+                rng.integers(0, 2**52, size=5000),
+                (1 << np.arange(0, 52)) + np.array([[-1], [0], [1]]),
+            ),
+            axis=None,
+        ).astype(np.int64)
+        values = values[values >= 0]
+        assert log2_bucket_array(values).tolist() == [
+            log2_bucket(v) for v in values.tolist()
+        ]
+
+    def test_empty_and_negative(self):
+        assert log2_bucket_array(np.array([])).tolist() == []
+        with pytest.raises(ValueError):
+            log2_bucket_array(np.array([1.0, -2.0]))
 
 
 class TestInstruments:
