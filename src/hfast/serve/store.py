@@ -9,8 +9,8 @@ serve directory so an operator can inspect them with ``cat``:
   serialization the repro-cache and report writers use — and
   ``GET /v1/results/<key>`` serves them verbatim, which is what makes
   the byte-identity contract with a direct ``hfast analyze`` run
-  testable. Writes are atomic (tmp file + ``os.replace``), matching the
-  repro-cache's crash-safety idiom.
+  testable. Writes are atomic (:func:`hfast.atomic.atomic_write`, which
+  the repro-cache uses too).
 - :class:`JobLedger` — one JSON document per job under
   ``jobs/<job_id>.json`` recording the submission, its canonical key,
   and the job's lifecycle state. The ledger is what daemon restart
@@ -26,9 +26,10 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
 from pathlib import Path
 from typing import Any
+
+from hfast.atomic import atomic_write
 
 RESULT_KEY_RE = re.compile(r"^[0-9a-f]{64}$")
 JOB_ID_RE = re.compile(r"^[0-9A-Za-z._-]{1,64}$")
@@ -78,17 +79,7 @@ class ResultStore:
         """Atomically store a result summary; idempotent per key."""
         path = self._path(key)
         payload = json.dumps(summary, sort_keys=True) + "\n"
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp_", suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, lambda fh: fh.write(payload))
         if self.max_bytes is not None:
             self._evict(keep=path.name)
         return path
@@ -167,17 +158,8 @@ class JobLedger:
     def write(self, record: dict[str, Any]) -> None:
         """Atomically persist one job record (keyed by ``record['job_id']``)."""
         path = self._path(record["job_id"])
-        fd, tmp = tempfile.mkstemp(dir=self.root, prefix=".tmp_", suffix=".json")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        payload = json.dumps(record, sort_keys=True) + "\n"
+        atomic_write(path, lambda fh: fh.write(payload))
 
     def read(self, job_id: str) -> dict[str, Any] | None:
         try:

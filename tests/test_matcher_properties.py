@@ -205,6 +205,17 @@ def test_incremental_rejects_wrong_shape():
         inc.rematch(np.ones(3))
 
 
+def test_incremental_rejects_repeated_pair():
+    with pytest.raises(ValueError, match="repeats"):
+        IncrementalMatcher(np.array([0, 1, 0]), np.array([1, 0, 1]), 2, 1)
+
+
+def test_match_rejects_repeated_pair():
+    for backend in MATCHERS:
+        with pytest.raises(ValueError, match="repeats"):
+            match_edges(np.array([0, 0]), np.array([1, 1]), np.array([2.0, 3.0]), 2, 1, backend)
+
+
 def test_unknown_backend_raises():
     with pytest.raises(ValueError):
         match_edges(np.array([0]), np.array([1]), np.array([1.0]), 2, 1, backend="nope")
