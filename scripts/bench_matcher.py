@@ -1,28 +1,33 @@
 #!/usr/bin/env python
-"""Benchmark the matcher backends at ultra-scale and emit BENCH docs.
+"""Benchmark from-scratch against incremental re-matching at ultra-scale.
 
 Runs a multi-timestep re-matching workload — the temporal evaluator's
 access pattern — over the paper apps' sparse link structures at 32K
-ranks (paratec's all-to-all is capped; see ``--paratec-cap``) for each
-backend, and writes one ``BENCH_matcher_<backend>.json`` per backend
-into ``--out`` (default ``benchmarks/``; never the repo root, which
-would poison the pipeline's cost-model calibration and the tier-1 perf
-guard's newest-snapshot glob).
+ranks (paratec's all-to-all is capped; see ``--paratec-cap``) two ways:
 
-The docs share stage names across backends, so the standard comparer
-turns any pair into a speedup table::
+- ``vector`` — one from-scratch :func:`hfast.matcher.match_edges` call
+  per step, which is what the temporal evaluator runs;
+- ``incremental`` — one persistent
+  :class:`hfast.matcher.IncrementalMatcher` re-matching every step.
+
+It writes ``BENCH_matcher_vector.json`` and
+``BENCH_matcher_incremental.json`` into ``--out`` (default
+``benchmarks/``; never the repo root, which would poison the pipeline's
+cost-model calibration and the tier-1 perf guard's newest-snapshot glob).
+The docs share stage names, so the standard comparer turns the pair into
+a speedup table::
 
     python scripts/bench_matcher.py --out benchmarks
     python scripts/bench_compare.py \
-        benchmarks/BENCH_matcher_scalar.json \
+        benchmarks/BENCH_matcher_vector.json \
         benchmarks/BENCH_matcher_incremental.json \
         --max-regress 100000 --record benchmarks/matcher_speedup.json
 
 Per app the workload is ``--steps`` weight vectors: a hashed base, a ~1%
 sparse delta, an unchanged repeat, then an order-preserving rescale —
-chosen so the incremental backend's cache tiers (unchanged hit, order
-reuse, full resort) all get exercised. Every backend is asserted to
-produce identical circuits on every step before any timing is reported.
+chosen so the incremental matcher's cache tiers (unchanged hit, order
+reuse, full resort) all get exercised. Both ways are asserted to produce
+identical circuits on every step before any timing is written.
 """
 
 from __future__ import annotations
@@ -37,8 +42,10 @@ from pathlib import Path
 import numpy as np
 
 from hfast.apps import _LBMHD_OFFSETS, _factor2, _factor3, _ghost_pairs_vec
-from hfast.matcher import MATCHERS, IncrementalMatcher, match_edges
+from hfast.matcher import IncrementalMatcher, match_edges
 
+#: The two ways of re-matching a step sequence, in the order they run.
+MODES = ("vector", "incremental")
 DEFAULT_NRANKS = 32768
 DEFAULT_STEPS = 4
 DEFAULT_PARATEC_CAP = 768
@@ -115,8 +122,8 @@ def step_weights(src: np.ndarray, dst: np.ndarray, n: int, steps: int) -> list[n
     return out
 
 
-def run_backend(
-    backend: str,
+def run_mode(
+    mode: str,
     universes: dict[str, tuple[np.ndarray, np.ndarray, int, list[np.ndarray]]],
     budget: int,
 ) -> tuple[list[dict], dict[str, list]]:
@@ -124,11 +131,7 @@ def run_backend(
     stages: list[dict] = []
     outputs: dict[str, list] = {}
     for app, (src, dst, n, weight_steps) in universes.items():
-        inc = (
-            IncrementalMatcher(src, dst, n, bound=budget)
-            if backend == "incremental"
-            else None
-        )
+        inc = IncrementalMatcher(src, dst, n, bound=budget) if mode == "incremental" else None
         results = []
         start = time.perf_counter()
         for w in weight_steps:
@@ -137,7 +140,7 @@ def run_backend(
                 # weights in that same order.
                 results.append(inc.rematch(w[inc.input_order]))
             else:
-                results.append(match_edges(src, dst, w, n, bound=budget, backend=backend))
+                results.append(match_edges(src, dst, w, n, bound=budget))
         wall = time.perf_counter() - start
         stages.append(
             {
@@ -170,7 +173,8 @@ def git_sha() -> str | None:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="benchmark matcher backends over ultra-scale app topologies"
+        description="benchmark from-scratch vs incremental re-matching over "
+                    "ultra-scale app topologies"
     )
     parser.add_argument("--nranks", type=int, default=DEFAULT_NRANKS)
     parser.add_argument("--steps", type=int, default=DEFAULT_STEPS,
@@ -180,16 +184,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--paratec-cap", type=int, default=DEFAULT_PARATEC_CAP,
                         help="rank cap for paratec's O(n^2) all-to-all")
     parser.add_argument("--apps", default="cactus,gtc,lbmhd,paratec")
-    parser.add_argument("--backends", default=",".join(MATCHERS))
     parser.add_argument("--out", type=Path, default=Path("benchmarks"),
-                        help="directory for BENCH_matcher_<backend>.json")
+                        help="directory for BENCH_matcher_{vector,incremental}.json")
     args = parser.parse_args(argv)
 
     apps = [a.strip() for a in args.apps.split(",") if a.strip()]
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-    for b in backends:
-        if b not in MATCHERS:
-            parser.error(f"unknown backend {b!r} (expected one of {MATCHERS})")
 
     universes = {}
     for app in apps:
@@ -200,26 +199,22 @@ def main(argv: list[str] | None = None) -> int:
         universes[app] = (src, dst, n, step_weights(src, dst, n, args.steps))
         print(f"bench_matcher: {app}: nranks={n} edges={len(src)} steps={args.steps}")
 
+    runs = {mode: run_mode(mode, universes, args.budget) for mode in MODES}
+    reference = runs[MODES[0]][1]
+    for mode in MODES[1:]:
+        for app, results in runs[mode][1].items():
+            assert results == reference[app], f"{mode} diverged from {MODES[0]} on {app}"
+
     args.out.mkdir(parents=True, exist_ok=True)
     sha = git_sha()
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
-    reference: dict[str, list] | None = None
-    ref_backend = ""
-    for backend in backends:
-        stages, outputs = run_backend(backend, universes, args.budget)
-        if reference is None:
-            reference, ref_backend = outputs, backend
-        else:
-            for app, results in outputs.items():
-                assert results == reference[app], (
-                    f"{backend} diverged from {ref_backend} on {app}"
-                )
+    for mode, (stages, _) in runs.items():
         total = sum(st["wall_s"] for st in stages)
         doc = {
             "git_sha": sha,
             "timestamp": stamp,
             "workers": 1,
-            "backend": backend,
+            "matcher": mode,
             "workload": {
                 "nranks": args.nranks,
                 "steps": args.steps,
@@ -233,9 +228,9 @@ def main(argv: list[str] | None = None) -> int:
                 "peak_rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
             },
         }
-        path = args.out / f"BENCH_matcher_{backend}.json"
+        path = args.out / f"BENCH_matcher_{mode}.json"
         path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        print(f"bench_matcher: {backend}: total {total:.2f}s -> {path}")
+        print(f"bench_matcher: {mode}: total {total:.2f}s -> {path}")
     return 0
 
 

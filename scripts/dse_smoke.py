@@ -36,12 +36,11 @@ if str(SRC) not in sys.path:
 
 from hfast import cli  # noqa: E402
 
-#: 2 x 2 x 1 x 2 = 8 candidates — small enough to stay under a second on
-#: a warm cache while still exercising every searched dimension.
+#: 2 x 2 x 2 = 8 candidates — small enough to stay under a second on a
+#: warm cache while still exercising every searched dimension.
 SPACE_ARGS = [
     "--circuits", "1,4",
     "--reconfig-costs", "0.0,0.001",
-    "--matchers", "vector",
     "--timesteps", "2,4",
     "--strategy", "grid",
     "--seed", "0",

@@ -13,12 +13,12 @@ SC'05 study measured:
 - ``paratec`` — 3D FFT transpose: dense personalized all-to-all via
   non-blocking point-to-point, the paper's worst case for degree.
 
-Every app has two backends. The ``vector`` backend (the default) builds
-record fields as numpy arrays — paratec's all-to-all comes from a
-rank-pair grid instead of an O(nranks^2) Python loop — and is what makes
-1K–4K-rank synthesis feasible. The ``scalar`` backend is the original
-per-record reference implementation, kept because the test suite asserts
-both produce byte-identical cache documents.
+Each app registers one generator that builds record fields as numpy
+columns (a :class:`~hfast.records.RecordBatch`) — paratec's all-to-all
+comes from a rank-pair grid instead of an O(nranks^2) Python loop — which
+is what makes 1K–4K-rank synthesis feasible. The per-record reference
+generators live in ``tests/oracles.py``; the invariant and golden suites
+assert both produce byte-identical cache documents.
 """
 
 from __future__ import annotations
@@ -29,14 +29,10 @@ from typing import Any, Callable
 import numpy as np
 
 from hfast.obs.profile import profiled
-from hfast.records import CommRecord, RecordBatch, Trace, aggregate
+from hfast.records import RecordBatch, Trace
 from hfast.timing import DEFAULT_TIMING_SEED, apply_timing
 
-GeneratorFn = Callable[[int, dict[str, Any]], list[CommRecord]]
-VectorFn = Callable[[int, dict[str, Any]], RecordBatch]
-
-BACKENDS = ("vector", "scalar")
-DEFAULT_BACKEND = "vector"
+GeneratorFn = Callable[[int, dict[str, Any]], RecordBatch]
 
 APPS: dict[str, "AppSpec"] = {}
 
@@ -45,23 +41,12 @@ class AppSpec:
     def __init__(self, name: str, generator: GeneratorFn, description: str):
         self.name = name
         self.generator = generator
-        self.vector_generator: VectorFn | None = None
         self.description = description
 
 
 def register(name: str, description: str) -> Callable[[GeneratorFn], GeneratorFn]:
     def deco(fn: GeneratorFn) -> GeneratorFn:
         APPS[name] = AppSpec(name, fn, description)
-        return fn
-
-    return deco
-
-
-def vectorized(name: str) -> Callable[[VectorFn], VectorFn]:
-    """Attach the vector backend to an already-registered app."""
-
-    def deco(fn: VectorFn) -> VectorFn:
-        APPS[name].vector_generator = fn
         return fn
 
     return deco
@@ -76,30 +61,21 @@ def synthesize(
     app: str,
     nranks: int,
     overrides: dict[str, Any] | None = None,
-    backend: str = DEFAULT_BACKEND,
     timing_seed: int | None = DEFAULT_TIMING_SEED,
 ) -> Trace:
     """Generate the aggregated trace for one app at one scale.
 
     Unless ``timing_seed`` is None, the LogGP timing model synthesizes
     ``total_time``/``min_time``/``max_time`` onto the aggregated records;
-    the result is deterministic in (app, nranks, overrides, seed) and
-    byte-identical across backends.
+    the result is deterministic in (app, nranks, overrides, seed).
     """
     if app not in APPS:
         raise KeyError(f"unknown app '{app}' (available: {', '.join(available_apps())})")
     if nranks <= 0:
         raise ValueError(f"nranks must be positive, got {nranks}")
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend '{backend}' (expected one of {BACKENDS})")
     overrides = dict(overrides or {})
-    spec = APPS[app]
-    if backend == "vector" and spec.vector_generator is not None:
-        batch = spec.vector_generator(nranks, overrides).aggregate()
-        trace = Trace(app=app, nranks=nranks, batch=batch, overrides=overrides)
-    else:
-        records = spec.generator(nranks, overrides)
-        trace = Trace(app=app, nranks=nranks, records=aggregate(records), overrides=overrides)
+    batch = APPS[app].generator(nranks, overrides).aggregate()
+    trace = Trace(app=app, nranks=nranks, batch=batch, overrides=overrides)
     if timing_seed is not None:
         apply_timing(trace, seed=timing_seed)
     return trace
@@ -131,36 +107,10 @@ def _factor2(n: int) -> tuple[int, int]:
     return (x, n // x)
 
 
-def _ghost_pairs(nranks: int, dims: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(rank, neighbour) pairs for a periodic Cartesian grid, both directions."""
-    ndim = len(dims)
-    strides = [1] * ndim
-    for i in range(ndim - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-
-    def coords(r: int) -> list[int]:
-        return [(r // strides[i]) % dims[i] for i in range(ndim)]
-
-    def to_rank(c: list[int]) -> int:
-        return sum((c[i] % dims[i]) * strides[i] for i in range(ndim))
-
-    pairs = []
-    for r in range(nranks):
-        c = coords(r)
-        for axis in range(ndim):
-            if dims[axis] == 1:
-                continue
-            for step in (-1, 1):
-                cc = list(c)
-                cc[axis] += step
-                peer = to_rank(cc)
-                if peer != r:
-                    pairs.append((r, peer))
-    return pairs
-
-
 def _ghost_pairs_vec(nranks: int, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``_ghost_pairs``: (ranks, peers) arrays, same multiset."""
+    """(ranks, peers) arrays of a periodic Cartesian grid's neighbour
+    pairs, both directions: per axis with extent > 1, every rank's -1 and
+    +1 neighbour, self-pairs dropped."""
     ndim = len(dims)
     strides = [1] * ndim
     for i in range(ndim - 2, -1, -1):
@@ -185,27 +135,6 @@ def _ghost_pairs_vec(nranks: int, dims: tuple[int, ...]) -> tuple[np.ndarray, np
 
 
 @register("cactus", "3D grid ghost-zone exchange (Einstein-equation solver)")
-def _gen_cactus(nranks: int, ov: dict[str, Any]) -> list[CommRecord]:
-    steps = int(ov.get("steps", 12))
-    ghost_bytes = int(ov.get("ghost_bytes", 294912))
-    recs: list[CommRecord] = []
-    dims = _factor3(nranks)
-    pairs = _ghost_pairs(nranks, dims)
-    for r, peer in pairs:
-        recs.append(CommRecord(r, "MPI_Isend", ghost_bytes, peer, count=steps))
-        recs.append(CommRecord(r, "MPI_Irecv", ghost_bytes, peer, count=steps))
-        recs.append(CommRecord(r, "MPI_Wait", 0, r, count=steps))
-    nneigh = {r: 0 for r in range(nranks)}
-    for r, _ in pairs:
-        nneigh[r] += 1
-    for r in range(nranks):
-        recs.append(CommRecord(r, "MPI_Waitall", 0, r, count=max(1, steps // 2)))
-        if steps >= 6:
-            recs.append(CommRecord(r, "MPI_Allreduce", 8, 0, count=max(1, steps // 12)))
-    return recs
-
-
-@vectorized("cactus")
 def _vec_cactus(nranks: int, ov: dict[str, Any]) -> RecordBatch:
     steps = int(ov.get("steps", 12))
     ghost_bytes = int(ov.get("ghost_bytes", 294912))
@@ -223,22 +152,6 @@ def _vec_cactus(nranks: int, ov: dict[str, Any]) -> RecordBatch:
 
 
 @register("gtc", "gyrokinetic toroidal particle-in-cell (1D shift)")
-def _gen_gtc(nranks: int, ov: dict[str, Any]) -> list[CommRecord]:
-    steps = int(ov.get("steps", 10))
-    particle_bytes = int(ov.get("particle_bytes", 524288))
-    recs: list[CommRecord] = []
-    for r in range(nranks):
-        up = (r + 1) % nranks
-        down = (r - 1) % nranks
-        if up != r:
-            recs.append(CommRecord(r, "MPI_Isend", particle_bytes, up, count=steps))
-            recs.append(CommRecord(r, "MPI_Irecv", particle_bytes, down, count=steps))
-            recs.append(CommRecord(r, "MPI_Wait", 0, r, count=2 * steps))
-        recs.append(CommRecord(r, "MPI_Allreduce", 4096, 0, count=max(1, steps // 2)))
-    return recs
-
-
-@vectorized("gtc")
 def _vec_gtc(nranks: int, ov: dict[str, Any]) -> RecordBatch:
     steps = int(ov.get("steps", 10))
     particle_bytes = int(ov.get("particle_bytes", 524288))
@@ -256,53 +169,22 @@ def _vec_gtc(nranks: int, ov: dict[str, Any]) -> RecordBatch:
     )
 
 
-@register("lbmhd", "lattice Boltzmann magnetohydrodynamics (skewed 2D stencil)")
-def _gen_lbmhd(nranks: int, ov: dict[str, Any]) -> list[CommRecord]:
-    steps = int(ov.get("steps", 8))
-    lattice_bytes = int(ov.get("lattice_bytes", 131072))
-    recs: list[CommRecord] = []
-    px, py = _factor2(nranks)
-
-    def to_rank(ix: int, iy: int) -> int:
-        return (ix % px) * py + (iy % py)
-
-    # Interpenetrating-lattice streaming: axis neighbours plus skewed
-    # diagonals, the structure behind lbmhd's degree ~12 in the paper.
-    # The first four offsets are the axis (full-lattice) exchanges; the
-    # payload class must follow the offset, not the peer's position in the
-    # dedup order, or byte conservation breaks on non-square grids (rank A
-    # would send a quarter lattice that rank B receives as a full one).
-    offsets = [(-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1), (-1, 1), (1, -1)]
-    for r in range(nranks):
-        ix, iy = r // py, r % py
-        peers: list[tuple[int, int]] = []
-        for j, (dx, dy) in enumerate(offsets):
-            peer = to_rank(ix + dx, iy + dy)
-            if peer != r and peer not in [p for p, _ in peers]:
-                peers.append((peer, j))
-        for peer, j in peers:
-            size = lattice_bytes if j < 4 else lattice_bytes // 4
-            recs.append(CommRecord(r, "MPI_Isend", size, peer, count=steps))
-            recs.append(CommRecord(r, "MPI_Irecv", size, peer, count=steps))
-        recs.append(CommRecord(r, "MPI_Waitall", 0, r, count=steps))
-        recs.append(CommRecord(r, "MPI_Allreduce", 64, 0, count=max(1, steps // 4)))
-    return recs
-
-
+# Interpenetrating-lattice streaming: the four axis neighbours, then the
+# skewed diagonals — the structure behind lbmhd's degree ~12 in the paper.
 _LBMHD_OFFSETS = np.array(
     [(-1, 0), (1, 0), (0, -1), (0, 1), (-1, -1), (1, 1), (-1, 1), (1, -1)],
     dtype=np.int64,
 )
 
 
-@vectorized("lbmhd")
+@register("lbmhd", "lattice Boltzmann magnetohydrodynamics (skewed 2D stencil)")
 def _vec_lbmhd(nranks: int, ov: dict[str, Any]) -> RecordBatch:
     steps = int(ov.get("steps", 8))
     lattice_bytes = int(ov.get("lattice_bytes", 131072))
     px, py = _factor2(nranks)
     r = np.arange(nranks, dtype=np.int64)
     ix, iy = r // py, r % py
-    # peers[rank, j]: the j-th offset's target, mirroring the scalar loop.
+    # peers[rank, j]: the j-th offset's target.
     peers = ((ix[:, None] + _LBMHD_OFFSETS[:, 0]) % px) * py + (
         (iy[:, None] + _LBMHD_OFFSETS[:, 1]) % py
     )
@@ -313,10 +195,11 @@ def _vec_lbmhd(nranks: int, ov: dict[str, Any]) -> RecordBatch:
     for j in range(1, noffsets):
         for k in range(j):
             keep[:, j] &= peers[:, j] != peers[:, k]
-    # Payload class follows the offset that produced the surviving pair:
-    # the first four (axis) offsets move a full lattice, diagonals a
-    # quarter — symmetric under (dx, dy) -> (-dx, -dy), so send and recv
-    # sizes always agree (see the scalar generator's note).
+    # Payload class follows the offset that produced the surviving pair,
+    # not the peer's position in the dedup order: the first four (axis)
+    # offsets move a full lattice, diagonals a quarter — symmetric under
+    # (dx, dy) -> (-dx, -dy), so send and recv sizes always agree, and
+    # bytes are conserved on non-square grids.
     size = np.where(np.arange(noffsets) < 4, lattice_bytes, lattice_bytes // 4)
     size = np.broadcast_to(size, peers.shape)
     ranks_rep = np.broadcast_to(r[:, None], peers.shape)[keep]
@@ -333,22 +216,6 @@ def _vec_lbmhd(nranks: int, ov: dict[str, Any]) -> RecordBatch:
 
 
 @register("paratec", "plane-wave DFT with 3D FFT transpose (all-to-all)")
-def _gen_paratec(nranks: int, ov: dict[str, Any]) -> list[CommRecord]:
-    fft_cycles = int(ov.get("fft_cycles", 3))
-    grid_bytes = int(ov.get("grid_bytes", 16384))
-    recs: list[CommRecord] = []
-    for r in range(nranks):
-        for peer in range(nranks):
-            if peer == r:
-                continue
-            recs.append(CommRecord(r, "MPI_Isend", grid_bytes, peer, count=fft_cycles))
-            recs.append(CommRecord(r, "MPI_Irecv", grid_bytes, peer, count=fft_cycles))
-        recs.append(CommRecord(r, "MPI_Waitall", 0, r, count=2 * fft_cycles))
-        recs.append(CommRecord(r, "MPI_Allreduce", 8, 0, count=fft_cycles))
-    return recs
-
-
-@vectorized("paratec")
 def _vec_paratec(nranks: int, ov: dict[str, Any]) -> RecordBatch:
     fft_cycles = int(ov.get("fft_cycles", 3))
     grid_bytes = int(ov.get("grid_bytes", 16384))

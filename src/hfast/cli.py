@@ -5,7 +5,6 @@ Subcommands::
     python -m hfast analyze [--apps a,b] [--scales 16,64] [--profile]
                             [--workers N] [--shard i/m] [--strict]
                             [--timing-seed N] [--timesteps N] [--reconfig-cost S]
-                            [--matcher {scalar,vector,incremental}]
                             [--trace-out T.jsonl] [--metrics-out M.json]
                             [--report-dir DIR] [--bench-dir DIR] ...
     python -m hfast report  --trace T.jsonl [--report-dir DIR] [--bench-dir DIR]
@@ -59,26 +58,27 @@ backend-invariant), ``flame`` (folded stacks or speedscope JSON),
 between two runs).
 
 ``hfast serve`` runs the analysis-as-a-service daemon: an HTTP API
-(``POST /v1/jobs``) over the (app, scale, seed, timing/interconnect/
-matcher config) space, with a content-addressed result cache,
+(``POST /v1/jobs``) over the (app, scale, seed, timing/interconnect
+config) space, with a content-addressed result cache,
 single-flight dedupe of identical in-flight submissions, bounded
 admission with ``429`` backpressure, Prometheus ``/metrics``, and a
 graceful SIGTERM drain. Served results are byte-identical to a direct
 ``hfast analyze`` run of the same spec.
 
 ``hfast search`` explores the interconnect design space (circuit
-counts, reconfiguration cost, matcher backend, traffic-slice
-granularity) against one (app, scale) workload and reports the Pareto
-frontier over (coverage, packet-fallback bytes, reconfiguration cost,
-analytic evaluation cost). Candidate evaluations dispatch through the
-same serial/pool/work-stealing backends as analysis cells, so searches
-shard, retry, journal, and ``--resume`` — and the ``--out`` frontier
-artifact is byte-identical across all of them for a fixed spec.
+counts, reconfiguration cost, traffic-slice granularity) against one
+(app, scale) workload and reports the Pareto frontier over (coverage,
+packet-fallback bytes, reconfiguration cost, analytic evaluation cost).
+Candidate evaluations dispatch through the same serial/pool/work-stealing
+backends as analysis cells, so searches shard, retry, journal, and
+``--resume`` — and the ``--out`` frontier artifact is byte-identical
+across all of them for a fixed spec.
 
 ``hfast calibrate`` fits each app's LogGP ``compute_step_s`` against
 the paper's %comm tables and writes a provenance-stamped params
-artifact; ``hfast apps --params`` overlays it and shows per-app
-provenance (default vs calibrated).
+artifact; ``hfast apps --params`` reads it and prints each app's params
+with their provenance (default vs calibrated). Analysis runs always use
+the built-in params.
 
 ``hfast obs`` queries persistent telemetry post-mortem: ``history``
 lists/compacts a ``--history-dir`` written by analyze runs or the serve
@@ -96,10 +96,9 @@ import argparse
 import json
 import sys
 
-from hfast.apps import APPS, BACKENDS, DEFAULT_BACKEND, available_apps
+from hfast.apps import APPS, available_apps
 from hfast.cache import DEFAULT_CACHE_DIR, CacheValidationError, ReproCache
 from hfast.interconnect import InterconnectConfig
-from hfast.matcher import DEFAULT_MATCHER, MATCHERS
 from hfast.obs import analytics
 from hfast.obs.anomaly import AnomalyDetector
 from hfast.obs.flame import folded_stacks, speedscope_doc
@@ -177,12 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds charged per circuit reconfiguration in the temporal evaluator",
     )
     p_an.add_argument(
-        "--matcher", choices=MATCHERS, default=DEFAULT_MATCHER,
-        help="circuit-matching backend: pure-Python reference (scalar), "
-             "vectorized edge arrays (vector), or step-delta re-matching in "
-             "the temporal evaluator (incremental); all byte-identical",
-    )
-    p_an.add_argument(
         "--workers", type=int, default=1,
         help="process-pool size for parallel cell execution (default: serial)",
     )
@@ -213,10 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--journal-dir", default=None,
         help="stealing scheduler: run-journal directory (default: <cache-dir>/.sched_journal)",
-    )
-    p_an.add_argument(
-        "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-        help="trace-synthesis backend (vector is the fast default)",
     )
     p_an.add_argument("--profile", action="store_true", help="enable the observability layer")
     p_an.add_argument("--trace-out", default=None, help="JSONL span/event trace path (implies --profile)")
@@ -381,10 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated reconfiguration costs (seconds) to search",
     )
     p_se.add_argument(
-        "--matchers", type=_csv, default=None,
-        help="comma-separated matcher backends to search",
-    )
-    p_se.add_argument(
         "--timesteps", type=_csv_ints, default=None,
         help="comma-separated traffic-slice counts to search (1 = static)",
     )
@@ -399,10 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_se.add_argument("--generations", type=int, default=3, help="evolution: generation count")
     p_se.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     p_se.add_argument("--no-store", action="store_true", help="do not write cache misses back")
-    p_se.add_argument(
-        "--backend", choices=BACKENDS, default=DEFAULT_BACKEND,
-        help="trace-synthesis backend for candidate evaluations",
-    )
     p_se.add_argument(
         "--timing-seed", type=int, default=DEFAULT_TIMING_SEED,
         help="seed for the deterministic LogGP timing model",
@@ -475,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_apps.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     p_apps.add_argument(
         "--params", default=None, metavar="PARAMS.json",
-        help="overlay a calibrated LogGP params artifact (from `hfast calibrate`); "
+        help="show the fitted LogGP params of an artifact from `hfast calibrate`; "
              "each app's provenance shows default vs calibrated",
     )
 
@@ -530,6 +511,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
+    try:
+        config = InterconnectConfig(
+            circuits_per_node=args.circuits,
+            timesteps=args.timesteps,
+            reconfig_cost=args.reconfig_cost,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     profiling = bool(
         args.profile or args.trace_out or args.metrics_out or args.report_dir
         or args.bench_dir or args.live or args.metrics_port is not None
@@ -567,12 +557,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     if args.scales:
         scales = {app: list(args.scales) for app in apps}
 
-    config = InterconnectConfig(
-        circuits_per_node=args.circuits,
-        timesteps=args.timesteps,
-        reconfig_cost=args.reconfig_cost,
-        matcher=args.matcher,
-    )
     scheduler = "stealing" if (args.resume or args.mitigate) else args.scheduler
 
     # Live telemetry side-channels: an event bus feeding the status view,
@@ -605,7 +589,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
             argv=argv,
             workers=args.workers,
             shard=args.shard,
-            backend=args.backend,
             timing_seed=args.timing_seed,
             scheduler=scheduler,
             max_retries=args.max_retries,
@@ -883,8 +866,6 @@ def _cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
         space_kwargs["circuits"] = tuple(args.circuits)
     if args.reconfig_costs is not None:
         space_kwargs["reconfig_costs"] = tuple(args.reconfig_costs)
-    if args.matchers is not None:
-        space_kwargs["matchers"] = tuple(args.matchers)
     if args.timesteps is not None:
         space_kwargs["timesteps"] = tuple(args.timesteps)
     try:
@@ -896,7 +877,6 @@ def _cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
             seed=args.seed,
             population=args.population,
             generations=args.generations,
-            backend=args.backend,
             timing_seed=args.timing_seed,
         )
     except (SpaceValidationError, SearchSpecError) as exc:
@@ -938,7 +918,7 @@ def _cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
         cand, objs = p["candidate"], p["objectives"]
         print(
             f"  {p['id']} circuits={cand['circuits_per_node']:<3d} "
-            f"reconfig={cand['reconfig_cost']:<8g} matcher={cand['matcher']:<11s} "
+            f"reconfig={cand['reconfig_cost']:<8g} "
             f"steps={cand['timesteps']:<3d} "
             f"coverage={objs['coverage']:.3f} packet={objs['packet_bytes']:,d}B "
             f"reconf_s={objs['reconfig_s']:g} cost={objs['eval_cost']:.1f}"
@@ -1001,42 +981,32 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def _cmd_apps(args: argparse.Namespace) -> int:
-    from hfast.timing import (
-        ParamsArtifactError,
-        activate_params,
-        active_params,
-        deactivate_params,
-        load_params_artifact,
-        params_provenance,
-    )
+    from hfast.timing import APP_PARAMS, LogGPParams, ParamsArtifactError, load_params_artifact
 
+    fitted = {}
     if args.params:
         try:
-            activate_params(load_params_artifact(args.params), args.params)
+            fitted = load_params_artifact(args.params)
         except ParamsArtifactError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    try:
-        cache = ReproCache(args.cache_dir, readonly=True)
-        scales = discover_scales(cache, available_apps())
-        listing = {
-            app: {
-                "description": APPS[app].description,
-                "cached_scales": scales[app],
-                # Per-app LogGP timing params with their provenance:
-                # "default" (built-in APP_PARAMS) or "calibrated:<artifact>"
-                # when --params overlays a `hfast calibrate` fit.
-                "loggp": {
-                    **active_params(app).to_dict(),
-                    "provenance": params_provenance(app),
-                },
-            }
-            for app in available_apps()
+    cache = ReproCache(args.cache_dir, readonly=True)
+    scales = discover_scales(cache, available_apps())
+    listing = {
+        app: {
+            "description": APPS[app].description,
+            "cached_scales": scales[app],
+            # Per-app LogGP timing params with their provenance: the
+            # artifact's fit ("calibrated:<artifact>") for apps it has,
+            # else the built-in APP_PARAMS ("default").
+            "loggp": {
+                **(fitted.get(app) or APP_PARAMS.get(app, LogGPParams())).to_dict(),
+                "provenance": f"calibrated:{args.params}" if app in fitted else "default",
+            },
         }
-        print(json.dumps(listing, indent=2))
-    finally:
-        if args.params:
-            deactivate_params()
+        for app in available_apps()
+    }
+    print(json.dumps(listing, indent=2))
     return 0
 
 

@@ -1,7 +1,7 @@
 """Design-space exploration over the temporal interconnect evaluator.
 
 The subsystem treats the interconnect configuration knobs (circuits per
-node, reconfiguration cost, matcher backend, traffic-slice granularity)
+node, reconfiguration cost, traffic-slice granularity)
 as search variables and the temporal evaluator as a fitness function:
 
 - :mod:`hfast.dse.space` — declarative, validated parameter space with
@@ -14,7 +14,7 @@ as search variables and the temporal evaluator as a fitness function:
   shard, retry, journal, and resume exactly like analysis sweeps.
 - :mod:`hfast.dse.calibrate` — fits the LogGP ``APP_PARAMS`` compute
   constants against the paper's %comm tables and emits a
-  provenance-stamped params artifact :mod:`hfast.timing` can consume.
+  provenance-stamped params artifact ``hfast apps --params`` reads.
 
 The repo throughline holds here too: the frontier artifact is a function
 of (workload, space, seed, strategy) alone — same inputs on any

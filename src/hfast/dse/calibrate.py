@@ -17,10 +17,10 @@ scales the per-scale solutions are averaged, and the leftover per-scale
 error is reported as residuals in the artifact.
 
 The artifact (``kind: hfast-loggp-params``) is provenance-stamped (git
-SHA, timestamp, tool, targets) and consumed by
-:func:`hfast.timing.load_params_artifact` / ``activate_params``, which
-``hfast apps --params`` uses to overlay the calibrated values onto the
-defaults (with a per-app provenance column naming the artifact).
+SHA, timestamp, tool, targets) and read back by
+:func:`hfast.timing.load_params_artifact`, which ``hfast apps --params``
+uses to print the calibrated values next to the defaults (with a per-app
+provenance column naming the artifact). No analysis run reads it.
 """
 
 from __future__ import annotations

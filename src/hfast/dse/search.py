@@ -1,9 +1,9 @@
 """Design-space search over the temporal interconnect evaluator.
 
-A :class:`SearchSpec` fixes one workload (app, nranks, synthesis
-backend, timing seed), a :class:`~hfast.dse.space.SearchSpace`, and a
-strategy; :func:`run_search` evaluates candidates and returns the
-Pareto frontier over four objectives:
+A :class:`SearchSpec` fixes one workload (app, nranks, timing seed), a
+:class:`~hfast.dse.space.SearchSpace`, and a strategy; :func:`run_search`
+evaluates candidates and returns the Pareto frontier over four
+objectives:
 
 - ``coverage`` (max) — fraction of traffic carried on circuits;
 - ``packet_bytes`` (min) — bytes falling back to the packet fabric;
@@ -42,7 +42,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
-from hfast.apps import APPS, BACKENDS, DEFAULT_BACKEND
+from hfast.apps import APPS
 from hfast.cache import DEFAULT_CACHE_DIR
 from hfast.dse.pareto import Objective, pareto_frontier, pareto_rank, sort_key
 from hfast.dse.space import Candidate, SearchSpace
@@ -60,7 +60,9 @@ from hfast.sched.journal import (
 from hfast.sched.scheduler import SchedulerConfig, run_stealing
 from hfast.timing import DEFAULT_TIMING_SEED, mix64
 
-FRONTIER_FORMAT = 1
+#: Search/frontier document schema version; it participates in the
+#: search key, so bump it on any change to the canonical layout.
+FRONTIER_FORMAT = 2
 FRONTIER_KIND = "hfast-dse-frontier"
 STRATEGIES = ("grid", "evolution")
 MAX_NRANKS = 1 << 20
@@ -112,7 +114,6 @@ class SearchSpec:
     seed: int = 0
     population: int = 8
     generations: int = 3
-    backend: str = DEFAULT_BACKEND
     timing_seed: int = DEFAULT_TIMING_SEED
 
     def __post_init__(self) -> None:
@@ -123,8 +124,6 @@ class SearchSpec:
             errors.append(f"nranks: expected an integer in [1, {MAX_NRANKS}], got {self.nranks!r}")
         if self.strategy not in STRATEGIES:
             errors.append(f"strategy: expected one of {STRATEGIES}, got {self.strategy!r}")
-        if self.backend not in BACKENDS:
-            errors.append(f"backend: expected one of {BACKENDS}, got {self.backend!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             errors.append(f"seed: expected an integer, got {self.seed!r}")
         if not isinstance(self.population, int) or not 1 <= self.population <= MAX_POPULATION:
@@ -145,7 +144,6 @@ class SearchSpec:
             "format": FRONTIER_FORMAT,
             "app": self.app,
             "nranks": self.nranks,
-            "backend": self.backend,
             "timing_seed": self.timing_seed,
             "space": self.space.to_doc(),
             "strategy": self.strategy,
@@ -190,7 +188,7 @@ def objectives_for(
         "packet_bytes": tmp["packet_bytes"],
         "reconfig_s": round(tmp["n_reconfigs"] * cand.reconfig_cost, 9),
         "eval_cost": round(
-            estimate_candidate_cost(app, nranks, cand.matcher, cand.timesteps), 6
+            estimate_candidate_cost(app, nranks, cand.timesteps), 6
         ),
     }
 
@@ -253,7 +251,6 @@ def run_search(
             [spec.app],
             {spec.app: [spec.nranks]},
             cache_dir,
-            spec.backend,
             spec.timing_seed,
             store,
             {"dse_search": spec.key},
@@ -306,7 +303,6 @@ def run_search(
             "cache_dir": cache_dir,
             "config": cell.cand.config(base_config),
             "store": store,
-            "backend": spec.backend,
             "timing_seed": spec.timing_seed,
             "profiled": obs.enabled,
             "live": False,
@@ -440,7 +436,6 @@ def run_search(
         "workload": {
             "app": spec.app,
             "nranks": spec.nranks,
-            "backend": spec.backend,
             "timing_seed": spec.timing_seed,
         },
         "space": spec.space.to_doc(),

@@ -7,8 +7,6 @@ of :class:`hfast.interconnect.InterconnectConfig`:
   the matcher enforces);
 - ``reconfig_costs`` — seconds charged per circuit established after the
   initial configuration;
-- ``matchers`` — matching backend (byte-identical results; the dimension
-  trades evaluation cost, which is itself a search objective);
 - ``timesteps`` — traffic-slice granularity for the temporal evaluator.
 
 Validation follows the serve jobspec idiom: every problem is collected
@@ -32,7 +30,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from hfast.interconnect import InterconnectConfig
-from hfast.matcher import DEFAULT_MATCHER, MATCHERS
 from hfast.timing import mix64
 
 SPACE_FORMAT = 1
@@ -42,7 +39,7 @@ MAX_TIMESTEPS = 4096
 MAX_GRID = 100_000
 
 #: Canonical dimension order for enumeration and candidate documents.
-DIMENSIONS = ("circuits", "reconfig_costs", "matchers", "timesteps")
+DIMENSIONS = ("circuits", "reconfig_costs", "timesteps")
 
 # Distinct hash stream per dimension so a sampled candidate's coordinates
 # are independent draws.
@@ -71,14 +68,12 @@ class Candidate:
 
     circuits_per_node: int
     reconfig_cost: float
-    matcher: str
     timesteps: int
 
     def to_doc(self) -> dict[str, Any]:
         return {
             "circuits_per_node": self.circuits_per_node,
             "reconfig_cost": float(self.reconfig_cost),
-            "matcher": self.matcher,
             "timesteps": self.timesteps,
         }
 
@@ -100,7 +95,6 @@ class Candidate:
             timesteps=self.timesteps,
             reconfig_cost=self.reconfig_cost,
             slice_seed=base.slice_seed,
-            matcher=self.matcher,
         )
 
     @classmethod
@@ -108,7 +102,6 @@ class Candidate:
         return cls(
             circuits_per_node=int(doc["circuits_per_node"]),
             reconfig_cost=float(doc["reconfig_cost"]),
-            matcher=str(doc["matcher"]),
             timesteps=int(doc["timesteps"]),
         )
 
@@ -119,7 +112,6 @@ class SearchSpace:
 
     circuits: tuple[int, ...] = (1, 2, 4, 8)
     reconfig_costs: tuple[float, ...] = (0.0, 1e-3)
-    matchers: tuple[str, ...] = (DEFAULT_MATCHER,)
     timesteps: tuple[int, ...] = (1, 4)
 
     def __post_init__(self) -> None:
@@ -133,10 +125,6 @@ class SearchSpace:
             _dim(self.reconfig_costs, "reconfig_costs", errors, _check_reconfig),
         )
         object.__setattr__(
-            self, "matchers",
-            _dim(self.matchers, "matchers", errors, _check_matcher),
-        )
-        object.__setattr__(
             self, "timesteps",
             _dim(self.timesteps, "timesteps", errors, _check_timesteps),
         )
@@ -147,20 +135,14 @@ class SearchSpace:
 
     @property
     def size(self) -> int:
-        return (
-            len(self.circuits)
-            * len(self.reconfig_costs)
-            * len(self.matchers)
-            * len(self.timesteps)
-        )
+        return len(self.circuits) * len(self.reconfig_costs) * len(self.timesteps)
 
     def grid(self) -> list[Candidate]:
         """Every candidate, in canonical dimension order."""
         return [
-            Candidate(c, rc, m, t)
+            Candidate(c, rc, t)
             for c in self.circuits
             for rc in self.reconfig_costs
-            for m in self.matchers
             for t in self.timesteps
         ]
 
@@ -183,13 +165,10 @@ class SearchSpace:
             rc = self.reconfig_costs[
                 mix64(base ^ _DIM_STREAMS["reconfig_costs"] ^ i) % len(self.reconfig_costs)
             ]
-            m = self.matchers[
-                mix64(base ^ _DIM_STREAMS["matchers"] ^ i) % len(self.matchers)
-            ]
             t = self.timesteps[
                 mix64(base ^ _DIM_STREAMS["timesteps"] ^ i) % len(self.timesteps)
             ]
-            out.append(Candidate(c, rc, m, t))
+            out.append(Candidate(c, rc, t))
         return out
 
     def mutate(self, cand: Candidate, seed: int, stream: int) -> Candidate:
@@ -203,7 +182,6 @@ class SearchSpace:
         dims = [
             ("circuits", self.circuits),
             ("reconfig_costs", self.reconfig_costs),
-            ("matchers", self.matchers),
             ("timesteps", self.timesteps),
         ]
         name, values = dims[h % len(dims)]
@@ -212,7 +190,6 @@ class SearchSpace:
         doc[{
             "circuits": "circuits_per_node",
             "reconfig_costs": "reconfig_cost",
-            "matchers": "matcher",
             "timesteps": "timesteps",
         }[name]] = value
         return Candidate.from_doc(doc)
@@ -222,7 +199,6 @@ class SearchSpace:
             "format": SPACE_FORMAT,
             "circuits": list(self.circuits),
             "reconfig_costs": [float(v) for v in self.reconfig_costs],
-            "matchers": list(self.matchers),
             "timesteps": list(self.timesteps),
         }
 
@@ -290,13 +266,6 @@ def _check_reconfig(v: Any, name: str, errors: list[str]) -> float | None:
         errors.append(f"{name}: expected a non-negative finite number, got {v!r}")
         return None
     return float(v)
-
-
-def _check_matcher(v: Any, name: str, errors: list[str]) -> str | None:
-    if not isinstance(v, str) or v not in MATCHERS:
-        errors.append(f"{name}: expected one of {MATCHERS}, got {v!r}")
-        return None
-    return v
 
 
 def _check_timesteps(v: Any, name: str, errors: list[str]) -> int | None:

@@ -5,38 +5,28 @@ dict/set algorithm over a dense weight matrix — fine at 8–256 ranks,
 but the temporal evaluator re-matches every timestep, which made the
 pure-Python pass structure the wall-clock bottleneck long before the
 paper's ultra-scale rank counts. This module is the matcher extracted
-onto a structure-of-arrays edge list (``src``/``dst``/``w`` columns) with
-three interchangeable backends:
+onto a structure-of-arrays edge list (``src``/``dst``/``w`` columns).
 
-- ``scalar`` — the pure-Python reference. Sequential greedy seed, then
-  improvement passes driven by Python loops. Slow, obviously correct,
-  and the identity baseline every other backend is pinned against.
-- ``vector`` — the numpy backend. The greedy seed runs as b-Suitor-style
-  rounds (accept every edge that is within the remaining capacity at
-  *both* endpoints among surviving edges, drop edges touching saturated
-  nodes, repeat), which produces exactly the sequential greedy result
-  under the canonical total order; swap candidates are computed with
-  vectorized lower-bound filters, and the augment pass evaluates every
-  attempt from per-node tables (:func:`_augment_pass_vector`) instead of
-  walking candidates edge by edge.
-- ``incremental`` — :class:`IncrementalMatcher`: a persistent edge
-  universe for re-matching evolving weights (the temporal evaluator's
-  per-timestep traffic). Only edges whose weight changed are re-seeded:
-  an unchanged step returns the cached assignment outright, an
-  order-preserving change skips the canonical re-sort, and everything
-  else falls back to a full vector match — so the result is *always*
-  byte-identical to matching from scratch.
+:func:`match_edges` is the one matching path. The greedy seed runs as
+b-Suitor-style rounds (accept every edge that is within the remaining
+capacity at *both* endpoints among surviving edges, drop edges touching
+saturated nodes, repeat), which produces exactly the sequential greedy
+result under the canonical total order. Improvement passes follow: a
+1-for-k swap pass whose candidates come from vectorized lower-bound
+filters, and a 2-for-1 augment pass that evaluates every attempt from
+per-node tables (:func:`_augment_pass_vector`) instead of walking
+candidates edge by edge. :class:`IncrementalMatcher` keeps a persistent
+edge universe for re-matching evolving weights; its result is always
+byte-identical to matching from scratch.
 
-All backends share one canonical edge order — descending weight, ties
-in *stripe* order ``((dst - src) mod n, src, dst)`` — and one swap pass.
-The augment pass has two implementations: the scalar loop
-(:func:`_augment_pass`) and the array pass the other backends run
-(:func:`_augment_pass_vector`), which reproduces the loop's picks, its
-sequential float sums and its commit order exactly.
-``tests/test_matcher_augment.py`` pins the two passes against each other
-from identical states; ``tests/test_matcher_properties.py`` and
-``tests/test_matcher_differential.py`` pin whole matches across the
-backends. Edge lists hold each ``(src, dst)`` pair at most once;
+Every pass works in one canonical edge order — descending weight, ties
+in *stripe* order ``((dst - src) mod n, src, dst)``. The pure-Python
+reference matcher (sequential greedy seed, dict swap filter, loop
+augment pass) lives in ``tests/oracles.py``;
+``tests/test_matcher_augment.py`` pins the augment pass against the
+loop from identical states, and ``tests/test_matcher_properties.py``
+and ``tests/test_matcher_differential.py`` pin whole matches against the
+reference. Edge lists hold each ``(src, dst)`` pair at most once;
 :func:`sort_edges` and :class:`IncrementalMatcher` reject a repeat.
 The stripe tie-break is a Latin-square round-robin: on tie-heavy
 traffic (a uniform all-to-all) each stripe is a perfect permutation, so
@@ -53,8 +43,8 @@ from __future__ import annotations
 
 import numpy as np
 
-MATCHERS = ("scalar", "vector", "incremental")
-DEFAULT_MATCHER = "vector"
+#: Improvement rounds (one swap pass plus one augment pass each) a match
+#: runs before it stops, unless a round improves nothing first.
 DEFAULT_MAX_PASSES = 8
 
 
@@ -76,7 +66,7 @@ def canonical_edges(
 
     Keeps strictly-positive off-diagonal entries and sorts them by
     weight descending, ties by stripe order — the total order every
-    backend processes edges in. Returns ``(src, dst, w)`` columns
+    pass processes edges in. Returns ``(src, dst, w)`` columns
     (int64, int64, float64).
     """
     src, dst = np.nonzero(weights > 0)
@@ -105,34 +95,14 @@ def sort_edges(
 
 
 def _reject_repeated_pairs(sorted_pairs: np.ndarray) -> None:
-    """The backends agree only on edge lists that hold each ``(src, dst)``
-    pair at most once; raise ``ValueError`` on a sorted pair key that
-    repeats."""
+    """The augment pass is exact only on edge lists that hold each
+    ``(src, dst)`` pair at most once; raise ``ValueError`` on a sorted
+    pair key that repeats."""
     if np.any(sorted_pairs[1:] == sorted_pairs[:-1]):
         raise ValueError("edge list repeats a (src, dst) pair; each pair may appear at most once")
 
 
 # -- greedy seed --------------------------------------------------------------
-
-
-def greedy_seed_scalar(
-    src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int
-) -> list[int]:
-    """Sequential greedy over canonical-ordered edges: the seed reference.
-
-    Accepts each edge in order whenever both endpoints still have
-    capacity. Returns accepted edge indexes in canonical order.
-    """
-    cap_out = [bound] * nranks
-    cap_in = [bound] * nranks
-    chosen: list[int] = []
-    for ei in range(len(w)):
-        s, d = int(src[ei]), int(dst[ei])
-        if cap_out[s] > 0 and cap_in[d] > 0:
-            cap_out[s] -= 1
-            cap_in[d] -= 1
-            chosen.append(ei)
-    return chosen
 
 
 def _group_rank(values: np.ndarray) -> np.ndarray:
@@ -158,7 +128,7 @@ def _group_rank(values: np.ndarray) -> np.ndarray:
 def greedy_seed_vector(
     src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int
 ) -> list[int]:
-    """b-Suitor-style rounds; identical output to :func:`greedy_seed_scalar`.
+    """Greedy seed as b-Suitor-style rounds over canonical-ordered edges.
 
     Each round accepts every surviving edge whose rank among surviving
     edges at *both* endpoints fits the remaining capacity there — a
@@ -166,7 +136,8 @@ def greedy_seed_vector(
     discards edges touching saturated endpoints. Under a strict total
     order this converges to exactly the sequential greedy matching
     (Khan et al., the b-Suitor equivalence); the property suite pins the
-    equality against :func:`greedy_seed_scalar` anyway.
+    equality against the sequential scan in ``tests/oracles.py`` anyway.
+    Returns accepted edge indexes in canonical order.
     """
     if bound <= 0 or len(w) == 0:
         return []
@@ -195,44 +166,34 @@ def greedy_seed_vector(
 
 
 class _MatchState:
-    """Edge-index-keyed selection state shared by every backend.
+    """Edge-index-keyed selection state of one match.
 
     Edges are referenced by their canonical index, so the per-node
-    bookkeeping is sets of ints and weight lookups are array reads — the
-    same state drives the scalar and vector backends, which is what makes
-    their swap passes identical by construction.
+    bookkeeping is sets of ints and weight lookups are array reads. The
+    reference matcher in ``tests/oracles.py`` drives the same state, so
+    its swap pass is this module's by construction.
     """
 
-    __slots__ = ("src", "dst", "w", "bound", "sel", "out_sel", "in_sel", "versions")
+    __slots__ = ("src", "dst", "w", "bound", "sel", "out_sel", "in_sel")
 
-    def __init__(
-        self, src: np.ndarray, dst: np.ndarray, w: np.ndarray, bound: int, nranks: int = 0
-    ):
+    def __init__(self, src: np.ndarray, dst: np.ndarray, w: np.ndarray, bound: int):
         self.src, self.dst, self.w = src, dst, w
         self.bound = bound
         self.sel: set[int] = set()
         self.out_sel: dict[int, set[int]] = {}
         self.in_sel: dict[int, set[int]] = {}
-        # Monotonic per-node change counters: bumped on every add/remove
-        # touching the node, so a stamp over a neighbourhood detects "any
-        # selection change here since I last looked" with one sum.
-        self.versions: list[int] = [0] * nranks
 
     def add(self, ei: int) -> None:
         self.sel.add(ei)
         s, d = int(self.src[ei]), int(self.dst[ei])
         self.out_sel.setdefault(s, set()).add(ei)
         self.in_sel.setdefault(d, set()).add(ei)
-        self.versions[s] += 1
-        self.versions[d] += 1
 
     def remove(self, ei: int) -> None:
         self.sel.discard(ei)
         s, d = int(self.src[ei]), int(self.dst[ei])
         self.out_sel[s].discard(ei)
         self.in_sel[d].discard(ei)
-        self.versions[s] += 1
-        self.versions[d] += 1
 
     def out_degree(self, node: int) -> int:
         return len(self.out_sel.get(node, ()))
@@ -249,74 +210,47 @@ class _MatchState:
         return min(self.in_sel[node], key=lambda ei: (self.w[ei], self.src[ei]))
 
 
-def _swap_bounds(
-    state: _MatchState, nranks: int, vector: bool
-) -> tuple[np.ndarray, np.ndarray] | tuple[dict[int, float], dict[int, float]]:
+def _swap_bounds(state: _MatchState, nranks: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-node lower bounds a would-be swap-in edge must beat.
 
     A saturated endpoint charges its lightest selected edge's weight;
-    an unsaturated endpoint charges nothing. Snapshot semantics: both
-    backends evaluate the bound against the state at pass start, so the
-    candidate lists they iterate are identical.
+    an unsaturated endpoint charges nothing. Snapshot semantics: the
+    bound is evaluated against the state at pass start.
     """
-    if vector:
-        lb_out = np.zeros(nranks, dtype=np.float64)
-        lb_in = np.zeros(nranks, dtype=np.float64)
-        for node, edges in state.out_sel.items():
-            if len(edges) >= state.bound:
-                lb_out[node] = state.w[state.min_out(node)]
-        for node, edges in state.in_sel.items():
-            if len(edges) >= state.bound:
-                lb_in[node] = state.w[state.min_in(node)]
-        return lb_out, lb_in
-    lb_out_d: dict[int, float] = {}
-    lb_in_d: dict[int, float] = {}
+    lb_out = np.zeros(nranks, dtype=np.float64)
+    lb_in = np.zeros(nranks, dtype=np.float64)
     for node, edges in state.out_sel.items():
         if len(edges) >= state.bound:
-            lb_out_d[node] = float(state.w[state.min_out(node)])
+            lb_out[node] = state.w[state.min_out(node)]
     for node, edges in state.in_sel.items():
         if len(edges) >= state.bound:
-            lb_in_d[node] = float(state.w[state.min_in(node)])
-    return lb_out_d, lb_in_d
+            lb_in[node] = state.w[state.min_in(node)]
+    return lb_out, lb_in
 
 
-def _swap_candidates(state: _MatchState, nranks: int, vector: bool) -> list[int]:
+def _swap_candidates(state: _MatchState, nranks: int) -> list[int]:
     """Canonically-ordered edges worth visiting in a 1-for-k swap pass.
 
     An unselected edge can only displace blockers if its weight beats the
-    sum of the lightest selected edge at each saturated endpoint. The
-    vector backend evaluates that filter with one array expression; the
-    scalar backend applies the same snapshot filter edge by edge. The
-    filter is exact at pass start, so skipped edges cannot improve the
-    matching unless an earlier swap in the same pass changes the state —
-    and any such late-blooming candidate is picked up by the next pass
-    (``improved`` stays True), identically in both backends.
+    sum of the lightest selected edge at each saturated endpoint; one
+    array expression evaluates that filter. The filter is exact at pass
+    start, so skipped edges cannot improve the matching unless an earlier
+    swap in the same pass changes the state — and any such late-blooming
+    candidate is picked up by the next pass (``improved`` stays True).
     """
-    if vector:
-        lb_out, lb_in = _swap_bounds(state, nranks, vector=True)
-        mask = state.w > lb_out[state.src] + lb_in[state.dst]
-        if state.sel:
-            mask[list(state.sel)] = False
-        return np.flatnonzero(mask).tolist()
-    lb_out_d, lb_in_d = _swap_bounds(state, nranks, vector=False)
-    cands: list[int] = []
-    for ei in range(len(state.w)):
-        if ei in state.sel:
-            continue
-        bound = lb_out_d.get(int(state.src[ei]), 0.0) + lb_in_d.get(
-            int(state.dst[ei]), 0.0
-        )
-        if float(state.w[ei]) > bound:
-            cands.append(ei)
-    return cands
+    lb_out, lb_in = _swap_bounds(state, nranks)
+    mask = state.w > lb_out[state.src] + lb_in[state.dst]
+    if state.sel:
+        mask[list(state.sel)] = False
+    return np.flatnonzero(mask).tolist()
 
 
 def _swap_pass(state: _MatchState, candidates: list[int]) -> bool:
     """1-for-k swaps: evict the lightest blockers when one edge pays for them.
 
-    Shared sequential apply loop — eligibility is re-checked against the
-    live state, so both backends make the same sequence of moves given
-    the same candidate list.
+    Sequential apply loop — eligibility is re-checked against the live
+    state, so any caller that passes the same candidate list makes the
+    same sequence of moves.
     """
     improved = False
     bound = state.bound
@@ -335,127 +269,6 @@ def _swap_pass(state: _MatchState, candidates: list[int]) -> bool:
             state.add(ei)
             improved = True
     return improved
-
-
-class _AugmentMemo:
-    """Per-match cache for the augment pass.
-
-    ``cands``/``nbrs`` are static for a given edge universe (adjacency
-    never changes within one match), so they are built lazily on an
-    edge's first attempt and reused for every later pass. ``stamps``
-    records, per edge, the neighbourhood version-sum at its last *failed*
-    attempt: an attempt's outcome depends only on the selection state of
-    edges incident to its endpoints and the degrees of their far nodes,
-    all of which bump a version in ``nbrs`` when they change — so an
-    unchanged sum proves the retry would fail identically and is skipped.
-    """
-
-    __slots__ = ("cands", "nbrs", "stamps", "order_key")
-
-    def __init__(self, order_key: list[int] | None = None):
-        self.cands: dict[int, list[int]] = {}
-        self.nbrs: dict[int, list[int]] = {}
-        self.stamps: dict[int, int] = {}
-        #: (src, dst)-pair key per edge: the augment visit order.
-        self.order_key = order_key or []
-
-
-def _augment_pass(
-    state: _MatchState,
-    out_adj: dict[int, list[int]],
-    in_adj: dict[int, list[int]],
-    memo: _AugmentMemo,
-) -> bool:
-    """2-for-1 augments: drop one circuit when the freed endpoints can host
-    a heavier *set* of replacements. The scalar reference implementation.
-
-    Candidates are the edges incident to the dropped circuit's endpoints,
-    visited in ascending canonical order — heaviest-first with the
-    canonical tie-break for free. The scan simulates the replacement set
-    against local degree deltas and commits only on improvement, so a
-    failed attempt (the overwhelmingly common case) mutates nothing; the
-    version stamps in ``memo`` then let later passes skip attempts whose
-    neighbourhood has not changed since the failure.
-    """
-    improved = False
-    bound = state.bound
-    src, dst, w = state.src, state.dst, state.w
-    versions = state.versions
-    for ei in sorted(state.sel, key=memo.order_key.__getitem__):
-        s, d = int(src[ei]), int(dst[ei])
-        cands = memo.cands.get(ei)
-        if cands is None:
-            out_list, in_list = out_adj[s], in_adj[d]
-            merged = set(out_list)
-            merged.update(in_list)
-            merged.discard(ei)
-            memo.cands[ei] = cands = sorted(merged)
-            nbr = {s, d}
-            nbr.update(int(dst[c]) for c in out_list)
-            nbr.update(int(src[c]) for c in in_list)
-            memo.nbrs[ei] = sorted(nbr)
-        vsum = 0
-        for node in memo.nbrs[ei]:
-            vsum += versions[node]
-        if memo.stamps.get(ei) == vsum:
-            continue
-        wt = float(w[ei])
-        sel = state.sel
-        # Degrees as if ei were removed; candidate picks accumulate in
-        # local deltas so nothing touches the real state until commit.
-        s_out = state.out_degree(s) - 1
-        d_in = state.in_degree(d) - 1
-        out_delta: dict[int, int] = {}
-        in_delta: dict[int, int] = {}
-        picked: list[int] = []
-        gained = 0.0
-        for cand in cands:
-            if cand in sel or cand in picked:
-                continue
-            if s_out >= bound and d_in >= bound:
-                break
-            cs, cd = int(src[cand]), int(dst[cand])
-            out_ok = (
-                s_out < bound
-                if cs == s
-                else state.out_degree(cs) + out_delta.get(cs, 0) < bound
-            )
-            in_ok = (
-                d_in < bound
-                if cd == d
-                else state.in_degree(cd) + in_delta.get(cd, 0) < bound
-            )
-            if out_ok and in_ok:
-                if cs == s:
-                    s_out += 1
-                else:
-                    out_delta[cs] = out_delta.get(cs, 0) + 1
-                if cd == d:
-                    d_in += 1
-                else:
-                    in_delta[cd] = in_delta.get(cd, 0) + 1
-                picked.append(cand)
-                gained += float(w[cand])
-        if gained > wt:
-            state.remove(ei)
-            for cand in picked:
-                state.add(cand)
-            improved = True
-        else:
-            memo.stamps[ei] = vsum
-    return improved
-
-
-def _adjacency_scalar(
-    src: np.ndarray, dst: np.ndarray, nranks: int
-) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-    """Pure-Python per-node incident edge lists, in canonical order."""
-    out_adj: dict[int, list[int]] = {n: [] for n in range(nranks)}
-    in_adj: dict[int, list[int]] = {n: [] for n in range(nranks)}
-    for ei in range(len(src)):
-        out_adj[int(src[ei])].append(ei)
-        in_adj[int(dst[ei])].append(ei)
-    return out_adj, in_adj
 
 
 def _csr(keys: np.ndarray, nranks: int) -> tuple[np.ndarray, np.ndarray]:
@@ -512,20 +325,24 @@ _ATTEMPT_CELLS = 1 << 16
 
 
 def _augment_pass_vector(state: _MatchState, index: _EdgeIndex) -> bool:
-    """The augment pass as array work; same commits as :func:`_augment_pass`.
+    """2-for-1 augments: drop one circuit when the freed endpoints can host
+    a heavier *set* of replacements.
 
-    An attempt on a selected ``(s, d)`` never mixes its two sides (edge
-    pairs are unique): it takes the first ``bound - outdeg(s) + 1`` edges
+    The pass visits selected edges in ``(src, dst)`` order. An attempt
+    on a selected ``(s, d)`` never mixes its two sides (edge pairs are
+    unique): it takes the first ``bound - outdeg(s) + 1`` edges
     ``(s, x)`` that are unselected with ``indeg(x) < bound``, and the
     first ``bound - indeg(d) + 1`` edges ``(y, d)`` that are unselected
-    with ``outdeg(y) < bound``. So each node keeps an *out-row* and an
-    *in-row* (its first ``bound`` such edges in canonical order), and an
-    attempt is two row lookups plus a sum. The sum runs over the picks
-    in ascending canonical index with ``cumsum`` — sequential, like the
-    loop's ``+=`` — never ``sum``, whose pairwise order differs. A row
-    never holds more edges than its node has, so the tables are no wider
-    than the largest degree however large ``bound`` is, and attempts are
-    evaluated in batches of at most ``_ATTEMPT_CELLS`` table cells.
+    with ``outdeg(y) < bound``, and commits when their weights sum past
+    ``w(s, d)``. So each node keeps an *out-row* and an *in-row* (its
+    first ``bound`` such edges in canonical order), and an attempt is
+    two row lookups plus a sum. The sum runs over the picks in ascending
+    canonical index with ``cumsum`` — sequential, like the reference
+    loop's ``+=`` in ``tests/oracles.py`` — never ``sum``, whose
+    pairwise order differs. A row never holds more edges than its node
+    has, so the tables are no wider than the largest degree however
+    large ``bound`` is, and attempts are evaluated in batches of at most
+    ``_ATTEMPT_CELLS`` table cells.
 
     Every attempt is evaluated against the pass-start state; commits are
     then applied in visit order, and each commit refreshes only the rows
@@ -636,93 +453,49 @@ def _augment_pass_vector(state: _MatchState, index: _EdgeIndex) -> bool:
             ok[later] = commits(later)
 
 
-def _augmenter(
-    src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, vector: bool
-):
-    """The augment pass over one edge universe, as ``state -> improved``.
-
-    Its per-universe structures are built once here and reused by every
-    pass of the match.
-    """
-    if vector:
-        index = _EdgeIndex(src, dst, w, nranks)
-        return lambda state: _augment_pass_vector(state, index)
-    out_adj, in_adj = _adjacency_scalar(src, dst, nranks)
-    memo = _AugmentMemo((src * np.int64(max(1, nranks)) + dst).tolist())
-    return lambda state: _augment_pass(state, out_adj, in_adj, memo)
-
-
 def _match_sorted(
-    src: np.ndarray,
-    dst: np.ndarray,
-    w: np.ndarray,
-    nranks: int,
-    bound: int,
-    vector: bool,
-    max_passes: int,
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int
 ) -> list[tuple[int, int]]:
-    """Match canonically-sorted edge columns; shared by every backend."""
+    """Match canonically-sorted edge columns."""
     if bound <= 0 or len(w) == 0:
         return []
-    state = _MatchState(src, dst, w, bound, nranks)
-    seed = (greedy_seed_vector if vector else greedy_seed_scalar)(
-        src, dst, w, nranks, bound
-    )
-    for ei in seed:
+    state = _MatchState(src, dst, w, bound)
+    for ei in greedy_seed_vector(src, dst, w, nranks, bound):
         state.add(ei)
-    augment = _augmenter(src, dst, w, nranks, vector)
-    for _ in range(max_passes):
-        improved = _swap_pass(state, _swap_candidates(state, nranks, vector))
-        improved |= augment(state)
+    index = _EdgeIndex(src, dst, w, nranks)
+    for _ in range(DEFAULT_MAX_PASSES):
+        improved = _swap_pass(state, _swap_candidates(state, nranks))
+        improved |= _augment_pass_vector(state, index)
         if not improved:
             break
     return sorted((int(src[ei]), int(dst[ei])) for ei in state.sel)
 
 
 def match_edges(
-    src: np.ndarray,
-    dst: np.ndarray,
-    w: np.ndarray,
-    nranks: int,
-    bound: int,
-    backend: str = DEFAULT_MATCHER,
-    max_passes: int = DEFAULT_MAX_PASSES,
-    presorted: bool = False,
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int
 ) -> list[tuple[int, int]]:
     """Degree-constrained max-weight matching over edge columns.
 
     Returns the selected circuits as a ``(src, dst)``-sorted list of
-    tuples — the exact shape the interconnect evaluators consume. The
-    ``incremental`` backend is stateless here and matches like
-    ``vector``; use :class:`IncrementalMatcher` to exploit step-to-step
-    deltas. Each ``(src, dst)`` pair may appear at most once: the
-    backends are identical only on such lists, so a repeat raises
-    ``ValueError`` (with ``presorted`` the caller vouches for it).
+    tuples — the exact shape the interconnect evaluators consume. Use
+    :class:`IncrementalMatcher` to re-match one edge universe step after
+    step. Each ``(src, dst)`` pair may appear at most once: the augment
+    pass is exact only on such lists, so a repeat raises ``ValueError``.
     """
-    if backend not in MATCHERS:
-        raise ValueError(f"unknown matcher backend {backend!r} (expected one of {MATCHERS})")
-    if not presorted:
-        src, dst, w = sort_edges(src, dst, w, nranks)
-    return _match_sorted(
-        src, dst, w, nranks, bound, vector=(backend != "scalar"), max_passes=max_passes
-    )
+    return _match_sorted(*sort_edges(src, dst, w, nranks), nranks, bound)
 
 
-def greedy_circuits(
-    weights: np.ndarray, nranks: int, bound: int, vector: bool = True
-) -> list[tuple[int, int]]:
+def greedy_circuits(weights: np.ndarray, nranks: int, bound: int) -> list[tuple[int, int]]:
     """Canonical-order greedy assignment over a dense matrix.
 
-    The baseline the matching backends are measured against — and,
-    because every backend seeds with exactly this solution, the floor
-    they can never fall below.
+    The baseline the matching is measured against — and, because every
+    match seeds with exactly this solution, the floor it can never fall
+    below.
     """
     if bound <= 0:
         return []
     src, dst, w = canonical_edges(weights)
-    seed = (greedy_seed_vector if vector else greedy_seed_scalar)(
-        src, dst, w, nranks, bound
-    )
+    seed = greedy_seed_vector(src, dst, w, nranks, bound)
     return sorted((int(src[ei]), int(dst[ei])) for ei in seed)
 
 
@@ -742,21 +515,14 @@ class IncrementalMatcher:
     - no changes → the cached assignment is returned outright;
     - changes that preserve the canonical order → the cached sort is
       reused and only the match itself re-runs;
-    - anything else → full canonical re-sort + vector match.
+    - anything else → full canonical re-sort + match.
 
     Every path produces a result byte-identical to matching the same
     weights from scratch; the delta bookkeeping is observable through
     :attr:`stats` for benchmarks and reports.
     """
 
-    def __init__(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        nranks: int,
-        bound: int,
-        max_passes: int = DEFAULT_MAX_PASSES,
-    ):
+    def __init__(self, src: np.ndarray, dst: np.ndarray, nranks: int, bound: int):
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         order = np.lexsort((dst, src))  # storage order: (src, dst) ascending
@@ -767,7 +533,6 @@ class IncrementalMatcher:
         self.input_order = order
         self.nranks = int(nranks)
         self.bound = int(bound)
-        self.max_passes = int(max_passes)
         self._pair = self.src * np.int64(max(1, self.nranks)) + self.dst
         _reject_repeated_pairs(self._pair)
         self._ckey = canon_key(self.src, self.dst, self.nranks)
@@ -783,13 +548,11 @@ class IncrementalMatcher:
         }
 
     @classmethod
-    def from_dense(
-        cls, weights: np.ndarray, bound: int, max_passes: int = DEFAULT_MAX_PASSES
-    ) -> "IncrementalMatcher":
+    def from_dense(cls, weights: np.ndarray, bound: int) -> "IncrementalMatcher":
         """Build the edge universe from a dense matrix's off-diagonal support."""
         src, dst = np.nonzero(weights)
         keep = src != dst
-        return cls(src[keep], dst[keep], weights.shape[0], bound, max_passes=max_passes)
+        return cls(src[keep], dst[keep], weights.shape[0], bound)
 
     def _canonical_active(self, w: np.ndarray) -> np.ndarray:
         """Active (w>0) edge ids in canonical order, reusing the cached
@@ -840,13 +603,7 @@ class IncrementalMatcher:
             self.stats["edges_reseeded"] += int(np.count_nonzero(w > 0))
         active = self._canonical_active(w)
         result = _match_sorted(
-            self.src[active],
-            self.dst[active],
-            w[active],
-            self.nranks,
-            self.bound,
-            vector=True,
-            max_passes=self.max_passes,
+            self.src[active], self.dst[active], w[active], self.nranks, self.bound
         )
         self._prev_w = w.copy()
         self._active = active

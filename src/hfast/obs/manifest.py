@@ -39,7 +39,6 @@ def build_manifest(
     workers: int = 1,
     shard: tuple[int, int] | None = None,
     scheduler: dict[str, Any] | None = None,
-    matcher: str | None = None,
     service: dict[str, Any] | None = None,
     dse: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
@@ -53,10 +52,6 @@ def build_manifest(
         "scales": {app: list(ns) for app, ns in scales.items()},
         "workers": workers,
         "shard": {"index": shard[0], "count": shard[1]} if shard else None,
-        # Interconnect matching backend in effect for the run (scalar /
-        # vector / incremental) — all three are byte-identical, so this is
-        # provenance, not a determinism input.
-        "matcher": matcher,
         # Scheduler section: backend (+ run id) up front; the work-stealing
         # backend folds its steal/retry/re-dispatch counters in at the end.
         "scheduler": dict(scheduler) if scheduler else {"backend": "static"},

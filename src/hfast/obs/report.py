@@ -272,17 +272,17 @@ def render_markdown(report: dict[str, Any]) -> str:
         points = fr.get("frontier") or []
         if points:
             lines.append(
-                "| id | circuits | reconfig cost (s) | matcher | steps "
+                "| id | circuits | reconfig cost (s) | steps "
                 "| coverage | packet bytes | reconfig (s) | eval cost |"
             )
-            lines.append("|---:|---:|---:|---|---:|---:|---:|---:|---:|")
+            lines.append("|---:|---:|---:|---:|---:|---:|---:|---:|")
             for p in points:
                 cand = p.get("candidate") or {}
                 objs = p.get("objectives") or {}
                 lines.append(
                     f"| {p.get('id', '?')} | {cand.get('circuits_per_node', '?')} "
                     f"| {cand.get('reconfig_cost', 0):g} "
-                    f"| {cand.get('matcher', '?')} | {cand.get('timesteps', '?')} "
+                    f"| {cand.get('timesteps', '?')} "
                     f"| {100 * objs.get('coverage', 0):.1f}% "
                     f"| {_fmt_bytes(objs.get('packet_bytes', 0))} "
                     f"| {objs.get('reconfig_s', 0):g} "

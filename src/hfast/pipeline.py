@@ -43,10 +43,9 @@ from typing import Any
 
 import numpy as np
 
-from hfast.apps import DEFAULT_BACKEND, available_apps, synthesize
+from hfast.apps import available_apps, synthesize
 from hfast.cache import DEFAULT_CACHE_DIR, CacheStats, ReproCache
 from hfast.interconnect import InterconnectConfig, evaluate_hybrid, evaluate_temporal
-from hfast.matcher import DEFAULT_MATCHER
 from hfast.matrix import reduce_matrix
 from hfast.obs import stream
 from hfast.obs.anomaly import AnomalyDetector
@@ -237,14 +236,13 @@ def analyze_app(
     config: InterconnectConfig | None = None,
     overrides: dict[str, Any] | None = None,
     store: bool = True,
-    backend: str = DEFAULT_BACKEND,
     timing_seed: int = DEFAULT_TIMING_SEED,
 ) -> dict[str, Any]:
     """Analyze one (app, nranks) cell and emit its app_summary event."""
     with using(obs), obs.tracer.span("analyze_app", app=app, nranks=nranks) as sp:
         trace: Trace | None = cache.load(app, nranks, overrides, timing_seed=timing_seed)
         if trace is None:
-            trace = synthesize(app, nranks, overrides, backend=backend, timing_seed=timing_seed)
+            trace = synthesize(app, nranks, overrides, timing_seed=timing_seed)
             if store:
                 cache.store(trace)
         # Columnarize loaded record lists so warm (cache-hit) and cold runs
@@ -327,7 +325,6 @@ def _execute_cell(payload: dict[str, Any]) -> dict[str, Any]:
             config=payload["config"],
             overrides=payload.get("overrides"),
             store=payload["store"],
-            backend=payload["backend"],
             timing_seed=payload.get("timing_seed", DEFAULT_TIMING_SEED),
         )
     except Exception as exc:  # surfaced per-cell, never aborts the sweep
@@ -455,7 +452,6 @@ def run_pipeline(
     argv: list[str] | None = None,
     workers: int = 1,
     shard: tuple[int, int] | None = None,
-    backend: str = DEFAULT_BACKEND,
     timing_seed: int = DEFAULT_TIMING_SEED,
     scheduler: str = "static",
     max_retries: int = 2,
@@ -545,7 +541,7 @@ def run_pipeline(
         run_id = None
     if scheduler == "stealing":
         fingerprint = build_fingerprint(
-            apps, scales, cache_dir, backend, timing_seed, store,
+            apps, scales, cache_dir, timing_seed, store,
             config.to_dict() if config is not None else None, shard,
         )
         jdir = journal_dir_for(cache_dir, journal_dir)
@@ -563,10 +559,9 @@ def run_pipeline(
         # so live mode cannot perturb the deterministic artifacts.
         run_id = new_run_id()
 
-    matcher = config.matcher if config is not None else DEFAULT_MATCHER
     manifest = build_manifest(
         apps, scales, argv=argv, workers=workers, shard=shard, scheduler=sched_info,
-        matcher=matcher, service=service,
+        service=service,
     )
     obs.tracer.emit_event("manifest", manifest)
 
@@ -580,7 +575,7 @@ def run_pipeline(
 
     cost_model: CostModel | None = None
     if scheduler == "stealing" or bus is not None:
-        cost_model = CostModel.from_bench_dir(bench_dir, matcher=matcher)
+        cost_model = CostModel.from_bench_dir(bench_dir)
 
     detector = anomaly
     if detector is None and (obs.enabled or bus is not None):
@@ -612,7 +607,6 @@ def run_pipeline(
             "cache_dir": cache_dir,
             "config": config,
             "store": store,
-            "backend": backend,
             "timing_seed": timing_seed,
             "profiled": obs.enabled,
             "live": bus is not None,

@@ -9,13 +9,15 @@ Two representations coexist:
 
 - :class:`CommRecord` — one Python object per aggregated record; the
   format the repro-cache documents round-trip through.
-- :class:`RecordBatch` — a columnar struct-of-arrays view used by the
-  vectorized synthesizers, where a 1K–4K-rank all-to-all would otherwise
-  mean tens of millions of Python objects.
+- :class:`RecordBatch` — a columnar struct-of-arrays view, what the
+  synthesizers build, where a 1K–4K-rank all-to-all would otherwise mean
+  tens of millions of Python objects.
 
-Both aggregate to the same canonical record order (sorted by
-(rank, call, size, peer, region)), so a trace serializes to byte-identical
-cache documents regardless of which path produced it.
+Records are kept in one canonical order (sorted by
+(rank, call, size, peer, region)): :meth:`RecordBatch.aggregate` sorts a
+batch into it, and a cache document loaded back as records is
+columnarized in it (:meth:`RecordBatch.from_records`), so a trace
+serializes to the same bytes either way.
 """
 
 from __future__ import annotations
@@ -499,28 +501,3 @@ class Trace:
             records=[CommRecord.from_dict(r) for r in doc["records"]],
             timing=meta.get("timing"),
         )
-
-
-def record_sort_key(r: CommRecord) -> tuple[int, str, int, int, str]:
-    """Canonical record ordering shared by the scalar and vector paths."""
-    return (r.rank, r.call, r.size, r.peer, r.region)
-
-
-def aggregate(records: Iterable[CommRecord]) -> list[CommRecord]:
-    """Merge records sharing (rank, call, size, peer, region).
-
-    Output is in canonical order (sorted by that key), so documents built
-    from the scalar path are byte-identical to the vectorized path.
-    """
-    merged: dict[tuple, CommRecord] = {}
-    for r in records:
-        key = record_sort_key(r)
-        cur = merged.get(key)
-        if cur is None:
-            merged[key] = CommRecord(**r.to_dict())
-        else:
-            cur.count += r.count
-            cur.total_time += r.total_time
-            cur.min_time = min(cur.min_time, r.min_time) if cur.count else r.min_time
-            cur.max_time = max(cur.max_time, r.max_time)
-    return [merged[key] for key in sorted(merged)]

@@ -20,14 +20,6 @@ import math
 from pathlib import Path
 from typing import Any
 
-from hfast.matcher import DEFAULT_MATCHER
-
-# Relative matching work per backend: the pure-Python scalar matcher
-# pays Python-loop overhead on every edge visit, the vectorized backend
-# is the unit reference, and the incremental backend skips re-seeding
-# unchanged edges across temporal steps. Only ratios matter.
-MATCHER_COST_FACTORS = {"scalar": 25.0, "vector": 1.0, "incremental": 0.6}
-
 
 def estimate_cell_records(app: str, nranks: int) -> float:
     """Analytic record-count estimate mirroring the apps.py generators."""
@@ -48,30 +40,25 @@ def estimate_cell_records(app: str, nranks: int) -> float:
     return 8.0 * n
 
 
-def estimate_cell_cost(app: str, nranks: int, matcher: str = DEFAULT_MATCHER) -> float:
+def estimate_cell_cost(app: str, nranks: int) -> float:
     """Analytic cost estimate in arbitrary units.
 
     Record synthesis/aggregation is linear in the record count; the
     matrix reduction, topology pass, and circuit matching touch dense
     nranks^2 planes; the matching loop adds an E log E-ish term over the
-    cell's edge population, scaled by the selected matcher backend
-    (``MATCHER_COST_FACTORS`` — the scalar reference is far more
-    expensive per edge than the vectorized backends). Constants are
-    unitless — only the ordering across cells matters.
+    cell's edge population. Constants are unitless — only the ordering
+    across cells matters.
     """
     n = max(1, nranks)
     records = estimate_cell_records(app, nranks)
     dense = float(n) * n
     # Edge count tracks the record count (each link contributes a bounded
     # number of aggregated records), so records stand in for E here.
-    factor = MATCHER_COST_FACTORS.get(matcher, 1.0)
-    matching = 0.05 * factor * records * math.log2(n + 1)
+    matching = 0.05 * records * math.log2(n + 1)
     return records + 0.5 * dense * (1.0 + 0.1 * math.log2(n + 1)) + matching
 
 
-def estimate_candidate_cost(
-    app: str, nranks: int, matcher: str = DEFAULT_MATCHER, timesteps: int = 1
-) -> float:
+def estimate_candidate_cost(app: str, nranks: int, timesteps: int = 1) -> float:
     """Analytic evaluation cost of one design-space candidate.
 
     Extends :func:`estimate_cell_cost` with the temporal dimension: the
@@ -85,9 +72,8 @@ def estimate_candidate_cost(
     """
     n = max(1, nranks)
     records = estimate_cell_records(app, nranks)
-    factor = MATCHER_COST_FACTORS.get(matcher, 1.0)
-    per_match = 0.05 * factor * records * math.log2(n + 1)
-    return estimate_cell_cost(app, nranks, matcher) + per_match * max(0, timesteps - 1)
+    per_match = 0.05 * records * math.log2(n + 1)
+    return estimate_cell_cost(app, nranks) + per_match * max(0, timesteps - 1)
 
 
 def _bench_sort_key(path: Path) -> tuple:
@@ -101,20 +87,15 @@ def _bench_sort_key(path: Path) -> tuple:
 class CostModel:
     """Cost estimates for (app, nranks) cells, optionally BENCH-calibrated."""
 
-    def __init__(
-        self,
-        measured: dict[tuple[str, int], float] | None = None,
-        matcher: str = DEFAULT_MATCHER,
-    ):
+    def __init__(self, measured: dict[tuple[str, int], float] | None = None):
         self.measured = dict(measured or {})
-        self.matcher = matcher
         self._scale = self._fit_scale()
 
     def _fit_scale(self) -> float:
         """Median measured/analytic ratio over calibrated cells (else 1)."""
         ratios = []
         for (app, nranks), wall in self.measured.items():
-            est = estimate_cell_cost(app, nranks, self.matcher)
+            est = estimate_cell_cost(app, nranks)
             if wall > 0 and est > 0:
                 ratios.append(wall / est)
         if not ratios:
@@ -126,18 +107,16 @@ class CostModel:
         wall = self.measured.get((app, nranks))
         if wall is not None and wall > 0:
             return wall
-        return estimate_cell_cost(app, nranks, self.matcher) * self._scale
+        return estimate_cell_cost(app, nranks) * self._scale
 
     @classmethod
-    def from_bench_dir(
-        cls, bench_dir: str | Path | None, matcher: str = DEFAULT_MATCHER
-    ) -> "CostModel":
+    def from_bench_dir(cls, bench_dir: str | Path | None) -> "CostModel":
         """Calibrate from the newest ``BENCH_*.json`` under ``bench_dir``.
 
         Any read/parse problem degrades to the uncalibrated analytic
         model — prior-run telemetry must never block a new run.
         """
-        return cls(measured=load_bench_measurements(bench_dir), matcher=matcher)
+        return cls(measured=load_bench_measurements(bench_dir))
 
 
 def load_bench_measurements(bench_dir: str | Path | None) -> dict[tuple[str, int], float]:

@@ -10,7 +10,7 @@ Each scheduler run appends JSONL records to
 - a final ``run_complete`` marker.
 
 Resuming loads the journal, verifies the fingerprint matches the new
-invocation (same matrix, backend, seed, config — resuming a different
+invocation (same matrix, seed, config — resuming a different
 sweep is an error, not a silent skip), and replays completed cells from
 their journaled results instead of re-running them. Only successful
 cells are journaled, so a failed or interrupted cell re-runs on resume;
@@ -183,7 +183,6 @@ def build_fingerprint(
     apps: list[str],
     scales: dict[str, list[int]],
     cache_dir: str,
-    backend: str,
     timing_seed: int,
     store: bool,
     config_dict: dict[str, Any] | None,
@@ -194,7 +193,6 @@ def build_fingerprint(
         "apps": list(apps),
         "scales": {app: list(ns) for app, ns in scales.items()},
         "cache_dir": str(cache_dir),
-        "backend": backend,
         "timing_seed": timing_seed,
         "store": store,
         "config": dict(config_dict) if config_dict else None,

@@ -2,7 +2,7 @@
 
 A long-running asyncio HTTP service in front of the pipeline. Clients
 submit one analysis cell at a time over the full
-(app, scale, seed, timing/interconnect/matcher config) space and get a
+(app, scale, seed, timing/interconnect config) space and get a
 content-addressed result back:
 
 - ``POST /v1/jobs`` — validate + canonicalize the submission
@@ -38,7 +38,10 @@ daemon's unified trace under a ``serve_job`` root.
 The daemon is crash-tolerant: every job is journaled in a ledger and
 (with the default stealing scheduler) in the run journal keyed by the
 job's pinned ``run_id``. On restart, unfinished ledger entries are
-re-admitted, resuming from their journal when one survived. ``SIGTERM``
+re-admitted, resuming from their journal when one survived; an entry
+whose spec no longer validates — one an older daemon wrote naming the
+removed ``backend`` or ``matcher`` fields, say — is marked failed as an
+unrecoverable spec. ``SIGTERM``
 triggers a graceful drain: new submissions get ``503`` while in-flight
 jobs run to completion and their results become servable before exit.
 """
@@ -554,7 +557,6 @@ class AnalysisService:
                 store=self.config.store,
                 argv=["hfast-serve", job.job_id],
                 workers=self.config.workers,
-                backend=spec.backend,
                 timing_seed=spec.timing_seed,
                 scheduler=self.config.scheduler,
                 journal_dir=str(self.journal_dir),

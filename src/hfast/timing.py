@@ -16,9 +16,16 @@ fully deterministic jitter:
 - with ``count > 1`` repeats, ``min_time``/``max_time`` spread around the
   mean using two more hash streams; with ``count == 1`` they equal it.
 
-Both the scalar (per-record) and vectorized (columnar) paths evaluate the
-exact same IEEE-754 double expressions, so the two backends serialize to
-byte-identical cache documents, timing fields included.
+The per-record path (:meth:`TimingModel.time_record`, taken by traces
+loaded back from record-list cache documents) and the columnar path
+(:meth:`TimingModel.time_batch`) evaluate the exact same IEEE-754 double
+expressions, so a trace gets bit-identical times whichever representation
+it holds.
+
+Every model uses the built-in ``APP_PARAMS`` unless its caller passes
+params explicitly. A ``hfast calibrate`` artifact is only ever read and
+printed (``hfast apps --params``); nothing installs it process-wide, so
+no cache key, result key or journal fingerprint can miss it.
 """
 
 from __future__ import annotations
@@ -69,7 +76,7 @@ def mix64_vec(x: np.ndarray) -> np.ndarray:
         return x ^ (x >> np.uint64(31))
 
 
-# Stable small integer per MPI call, shared by both backends. Unknown
+# Stable small integer per MPI call, shared by both paths. Unknown
 # calls collapse onto one reserved id — they still get deterministic
 # jitter, just a shared stream.
 _CALL_IDS: dict[str, int] = {
@@ -145,18 +152,12 @@ _STEP_KNOBS: dict[str, tuple[str, int]] = {
 #
 # ``hfast calibrate`` (:mod:`hfast.dse.calibrate`) fits per-app params
 # against the paper's %comm tables and writes a provenance-stamped JSON
-# artifact. This module can load that artifact and *activate* it as an
-# overlay over ``APP_PARAMS``: activation is always explicit (an API
-# call or a CLI flag) — there is no ambient environment hook — so two
-# runs of the same command can never silently disagree.
+# artifact; :func:`load_params_artifact` reads and validates it.
 
 PARAMS_ARTIFACT_FORMAT = 1
 PARAMS_ARTIFACT_KIND = "hfast-loggp-params"
 
 _PARAM_FIELDS = ("L", "o", "g", "G", "jitter", "compute_step_s")
-
-_ACTIVE_PARAMS: dict[str, LogGPParams] = {}
-_ACTIVE_SOURCE: str | None = None
 
 
 class ParamsArtifactError(ValueError):
@@ -207,36 +208,6 @@ def load_params_artifact(path: Any) -> dict[str, LogGPParams]:
     return out
 
 
-def activate_params(params: dict[str, LogGPParams], source: str) -> None:
-    """Install a calibrated overlay; apps not in it keep their defaults."""
-    global _ACTIVE_SOURCE
-    _ACTIVE_PARAMS.clear()
-    _ACTIVE_PARAMS.update(params)
-    _ACTIVE_SOURCE = source
-
-
-def deactivate_params() -> None:
-    """Drop the calibrated overlay; everything reverts to ``APP_PARAMS``."""
-    global _ACTIVE_SOURCE
-    _ACTIVE_PARAMS.clear()
-    _ACTIVE_SOURCE = None
-
-
-def active_params(app: str) -> LogGPParams:
-    """The effective params for an app: overlay, else defaults."""
-    overlay = _ACTIVE_PARAMS.get(app)
-    if overlay is not None:
-        return overlay
-    return APP_PARAMS.get(app, LogGPParams())
-
-
-def params_provenance(app: str) -> str:
-    """``default`` or ``calibrated:<source>`` for the app's active params."""
-    if app in _ACTIVE_PARAMS and _ACTIVE_SOURCE is not None:
-        return f"calibrated:{_ACTIVE_SOURCE}"
-    return "default"
-
-
 def _app_tag(app: str) -> int:
     tag = 0
     for ch in app.encode("utf-8"):
@@ -259,7 +230,7 @@ class TimingModel:
         self.app = app
         self.nranks = int(nranks)
         self.seed = int(seed)
-        self.params = params if params is not None else active_params(app)
+        self.params = params if params is not None else APP_PARAMS.get(app, LogGPParams())
         if not 0.0 <= self.params.jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {self.params.jitter}")
         self._seed_base = mix64((self.seed & _MASK64) ^ _app_tag(app))

@@ -67,6 +67,30 @@ def test_analyze_rejects_unknown_app(seed_cache, capsys):
     assert "unknown app" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags,fields",
+    [
+        (["--reconfig-cost", "-1"], ["reconfig_cost"]),
+        (["--reconfig-cost", "nan"], ["reconfig_cost"]),
+        (["--circuits", "-2", "--timesteps", "0"], ["circuits_per_node", "timesteps"]),
+    ],
+)
+def test_analyze_rejects_out_of_range_interconnect_params(
+    tmp_path, seed_cache, capsys, flags, fields
+):
+    trace_out = tmp_path / "trace.jsonl"
+    rc = main(
+        ["analyze", "--cache-dir", seed_cache, "--no-store", "--apps", "cactus",
+         "--scales", "16", "--trace-out", str(trace_out), *flags]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    for field in fields:
+        assert field in captured.err
+    assert not trace_out.exists()  # refused before any output opened
+
+
 def test_report_from_existing_trace(tmp_path, seed_cache):
     trace_out = tmp_path / "trace.jsonl"
     assert (

@@ -1,4 +1,4 @@
-"""LogGP calibration: fit quality, artifact round-trip, overlay wiring."""
+"""LogGP calibration: fit quality, artifact round-trip, ``hfast apps --params``."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from hfast import timing
+from hfast.cli import main
 from hfast.dse.calibrate import (
     PAPER_PCT_COMM,
     calibrate,
@@ -19,17 +19,8 @@ from hfast.timing import (
     LogGPParams,
     ParamsArtifactError,
     TimingModel,
-    activate_params,
-    deactivate_params,
     load_params_artifact,
-    params_provenance,
 )
-
-
-@pytest.fixture(autouse=True)
-def _reset_overlay():
-    yield
-    deactivate_params()
 
 
 @pytest.fixture(scope="module")
@@ -129,40 +120,32 @@ def test_loader_rejects_unreadable_file(tmp_path):
         load_params_artifact(bad)
 
 
-# -- overlay ----------------------------------------------------------------
+# -- hfast apps --params ---------------------------------------------------
 
 
-def test_overlay_changes_timing_model_and_provenance(artifact_doc, tmp_path):
-    path = write_artifact(artifact_doc, tmp_path / "params.json")
-    assert params_provenance("gtc") == "default"
-    default_step = TimingModel("gtc", 64).params.compute_step_s
+def test_cli_apps_params_shows_both_provenances_and_installs_nothing(
+    artifact_doc, tmp_path, capsys
+):
+    doc = json.loads(json.dumps(artifact_doc))
+    doc["params"] = {"gtc": doc["params"]["gtc"]}  # an artifact fitting one app
+    path = str(write_artifact(doc, tmp_path / "params.json"))
 
-    activate_params(load_params_artifact(path), "params.json")
-    assert params_provenance("gtc") == "calibrated:params.json"
-    assert params_provenance("unknown-app") == "default"
-    fitted_step = TimingModel("gtc", 64).params.compute_step_s
-    assert fitted_step == artifact_doc["params"]["gtc"]["compute_step_s"]
-    assert fitted_step != default_step
-    # Explicit params still beat the overlay.
-    explicit = LogGPParams(compute_step_s=123.0)
-    assert TimingModel("gtc", 64, params=explicit).params.compute_step_s == 123.0
-
-    deactivate_params()
-    assert params_provenance("gtc") == "default"
-    assert TimingModel("gtc", 64).params.compute_step_s == default_step
+    assert main(["apps", "--params", path, "--cache-dir", str(tmp_path / "cache")]) == 0
+    listing = json.loads(capsys.readouterr().out)
+    gtc, cactus = listing["gtc"]["loggp"], listing["cactus"]["loggp"]
+    assert gtc["provenance"] == f"calibrated:{path}"
+    assert gtc["compute_step_s"] == doc["params"]["gtc"]["compute_step_s"]
+    assert gtc["compute_step_s"] != APP_PARAMS["gtc"].compute_step_s
+    assert cactus == {**APP_PARAMS["cactus"].to_dict(), "provenance": "default"}
+    # Printing the fit installs nothing: later models use the defaults.
+    assert TimingModel("gtc", 64).params == APP_PARAMS["gtc"]
 
 
-def test_overlay_leaves_wire_times_untouched(artifact_doc, tmp_path):
-    # The calibrated overlay must only move %comm's denominator: the
-    # per-record wire times that live in cached documents are functions
-    # of (L, o, g, G, jitter), which calibration never changes.
-    from hfast.records import CommRecord
-
-    rec = CommRecord(rank=0, call="mpi_isend", size=4096, peer=1, count=3)
-    before = TimingModel("gtc", 64).time_record(rec)
-    activate_params(load_params_artifact(write_artifact(artifact_doc, tmp_path / "p.json")), "p")
-    after = TimingModel("gtc", 64).time_record(rec)
-    assert before == after
+def test_cli_apps_params_rejects_malformed_artifact(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    assert main(["apps", "--params", str(bad)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_calibration_is_deterministic(repo_cache_dir):

@@ -23,9 +23,7 @@ from hfast.dse.search import (
 from hfast.dse.space import SearchSpace
 from hfast.obs.profile import Observability
 
-SPACE = SearchSpace(
-    circuits=(1, 4), reconfig_costs=(0.0, 1e-3), matchers=("vector",), timesteps=(1, 4)
-)
+SPACE = SearchSpace(circuits=(1, 4), reconfig_costs=(0.0, 1e-3), timesteps=(1, 4))
 
 
 def _spec(**overrides):

@@ -12,11 +12,8 @@ from hfast.dse.space import (
     SpaceValidationError,
 )
 from hfast.interconnect import InterconnectConfig
-from hfast.matcher import DEFAULT_MATCHER
 
-SPACE = SearchSpace(
-    circuits=(1, 4), reconfig_costs=(0.0, 1e-3), matchers=("vector",), timesteps=(1, 4)
-)
+SPACE = SearchSpace(circuits=(1, 4), reconfig_costs=(0.0, 1e-3), timesteps=(1, 4))
 
 
 # -- validation -------------------------------------------------------------
@@ -25,14 +22,14 @@ SPACE = SearchSpace(
 def test_dimensions_are_canonical_and_sorted():
     s = SearchSpace(circuits=(8, 1, 1, 4))
     assert s.circuits == (1, 4, 8)  # deduped + sorted
-    assert s.size == 3 * len(s.reconfig_costs) * len(s.matchers) * len(s.timesteps)
+    assert s.size == 3 * len(s.reconfig_costs) * len(s.timesteps)
 
 
 def test_validation_collects_every_error():
     with pytest.raises(SpaceValidationError) as exc:
-        SearchSpace(circuits=(-1,), matchers=("nope",), timesteps=())
+        SearchSpace(circuits=(-1,), reconfig_costs=(-1.0,), timesteps=())
     msgs = "\n".join(exc.value.errors)
-    assert "circuits" in msgs and "matchers" in msgs and "timesteps" in msgs
+    assert "circuits" in msgs and "reconfig_costs" in msgs and "timesteps" in msgs
     assert len(exc.value.errors) >= 3
 
 
@@ -48,10 +45,16 @@ def test_from_doc_rejects_unknown_fields_and_bad_format():
     assert "bogus" in msgs and "format" in msgs
 
 
+def test_from_doc_rejects_the_removed_matchers_dimension():
+    with pytest.raises(SpaceValidationError) as exc:
+        SearchSpace.from_doc({"circuits": [1], "matchers": ["vector"]})
+    assert exc.value.errors == ["space: unknown field(s): matchers"]
+
+
 def test_from_doc_fills_defaults():
     s = SearchSpace.from_doc({"circuits": [2]})
     assert s.circuits == (2,)
-    assert s.matchers == SearchSpace().matchers
+    assert s.timesteps == SearchSpace().timesteps
 
 
 # -- enumeration and sampling ----------------------------------------------
@@ -83,7 +86,6 @@ def test_mutate_changes_exactly_one_dimension():
             for d in (
                 "circuits_per_node",
                 "reconfig_cost",
-                "matcher",
                 "timesteps",
             )
             if getattr(mut, d) != getattr(cand, d)
@@ -106,27 +108,25 @@ def test_space_key_pinned():
     # The key feeds every frontier artifact; an accidental layout change
     # must fail loudly.
     assert SPACE.key == SearchSpace(
-        circuits=(4, 1), reconfig_costs=(1e-3, 0.0), matchers=("vector",), timesteps=(4, 1)
+        circuits=(4, 1), reconfig_costs=(1e-3, 0.0), timesteps=(4, 1)
     ).key
     assert SPACE.key != SearchSpace().key
 
 
 def test_candidate_round_trip_and_config():
-    cand = Candidate(
-        circuits_per_node=2, reconfig_cost=5e-4, matcher=DEFAULT_MATCHER, timesteps=4
-    )
+    cand = Candidate(circuits_per_node=2, reconfig_cost=5e-4, timesteps=4)
     assert Candidate.from_doc(cand.to_doc()) == cand
     base = InterconnectConfig(circuit_bandwidth=123.0, slice_seed=9)
     cfg = cand.config(base)
     # Searched dimensions come from the candidate...
     assert cfg.circuits_per_node == 2 and cfg.timesteps == 4
-    assert cfg.reconfig_cost == 5e-4 and cfg.matcher == DEFAULT_MATCHER
+    assert cfg.reconfig_cost == 5e-4
     # ...everything else from the base config.
     assert cfg.circuit_bandwidth == 123.0 and cfg.slice_seed == 9
 
 
 def test_candidate_key_is_content_addressed():
-    a = Candidate(1, 0.0, "vector", 1)
-    assert a.key == Candidate(1, 0.0, "vector", 1).key
-    assert a.key != Candidate(1, 0.0, "vector", 4).key
-    assert DIMENSIONS == ("circuits", "reconfig_costs", "matchers", "timesteps")
+    a = Candidate(1, 0.0, 1)
+    assert a.key == Candidate(1, 0.0, 1).key
+    assert a.key != Candidate(1, 0.0, 4).key
+    assert DIMENSIONS == ("circuits", "reconfig_costs", "timesteps")

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from hfast.apps import available_apps, synthesize
 from hfast.cache import validate_document
 from hfast.matrix import reduce_matrix
@@ -54,9 +55,10 @@ def test_matrix_matches_golden(app, nranks):
 
 @pytest.mark.parametrize("app,nranks", CASES)
 def test_scalar_backend_matches_golden(app, nranks):
-    """The reference per-record path must agree with the committed numbers."""
+    """The per-record reference synthesizer must agree with the committed
+    numbers."""
     golden = load_fixture(app, nranks)
-    trace = synthesize(app, nranks, backend="scalar")
+    trace = oracles.synthesize(app, nranks)
     cm = reduce_matrix(trace.records, nranks)
     assert cm.bytes_matrix.tolist() == golden["bytes_matrix"]
     assert cm.total_bytes == golden["total_bytes"]

@@ -225,3 +225,40 @@ def test_temporal_empty_matrix():
     assert ev.coverage == 0.0
     assert ev.n_reconfigs == 0
     assert ev.per_step == []
+
+
+# -- config validation --------------------------------------------------------
+
+BAD_CONFIGS = [
+    ({"circuits_per_node": -2}, "circuits_per_node"),
+    ({"circuits_per_node": 2.5}, "circuits_per_node"),
+    ({"circuits_per_node": True}, "circuits_per_node"),
+    ({"circuit_bandwidth": 0.0}, "circuit_bandwidth"),
+    ({"packet_bandwidth": float("inf")}, "packet_bandwidth"),
+    ({"circuit_latency": -1e-6}, "circuit_latency"),
+    ({"packet_latency": float("nan")}, "packet_latency"),
+    ({"timesteps": 0}, "timesteps"),
+    ({"timesteps": 2.0}, "timesteps"),
+    ({"reconfig_cost": -1.0}, "reconfig_cost"),
+    ({"reconfig_cost": float("nan")}, "reconfig_cost"),
+    ({"reconfig_cost": "0.001"}, "reconfig_cost"),
+]
+
+
+@pytest.mark.parametrize("kwargs,field", BAD_CONFIGS, ids=[f for _, f in BAD_CONFIGS])
+def test_config_rejects_out_of_range_values(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        InterconnectConfig(**kwargs)
+
+
+def test_config_names_every_bad_field_at_once():
+    with pytest.raises(ValueError) as err:
+        InterconnectConfig(circuits_per_node=-2, timesteps=0, reconfig_cost=-1.0)
+    for field in ("circuits_per_node", "timesteps", "reconfig_cost"):
+        assert field in str(err.value)
+
+
+def test_config_accepts_boundary_values():
+    config = InterconnectConfig(circuits_per_node=0, timesteps=1, reconfig_cost=0.0)
+    ev = evaluate_temporal(ring_matrix(8), config)
+    assert ev.timesteps == 1 and ev.n_reconfigs == 0 and ev.coverage == 0.0

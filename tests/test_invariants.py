@@ -4,7 +4,8 @@ Seeded stdlib ``random`` drives (nranks, overrides) sampling — no new
 dependencies — and every sampled case must uphold the structural
 invariants the paper's analysis relies on:
 
-- vector and scalar backends serialize to byte-identical cache documents
+- the batch generators and the per-record reference generators in
+  ``tests/oracles.py`` serialize to byte-identical cache documents
   (timing fields included);
 - every byte sent is received (send/recv matrix agreement);
 - symmetric apps (cactus, lbmhd, paratec) produce symmetric matrices;
@@ -20,6 +21,7 @@ import random
 import numpy as np
 import pytest
 
+import oracles
 from hfast.apps import available_apps, synthesize
 from hfast.matrix import reduce_matrix
 from hfast.topology import analyze_topology
@@ -52,10 +54,10 @@ def sample_cases(app: str, n_cases: int = 8) -> list[tuple[int, dict]]:
 @pytest.mark.parametrize("app", ["cactus", "gtc", "lbmhd", "paratec"])
 def test_vector_scalar_documents_identical(app):
     for nranks, overrides in sample_cases(app):
-        vec = synthesize(app, nranks, dict(overrides), backend="vector")
-        sca = synthesize(app, nranks, dict(overrides), backend="scalar")
+        vec = synthesize(app, nranks, dict(overrides))
+        sca = oracles.synthesize(app, nranks, dict(overrides))
         assert json.dumps(vec.to_document()) == json.dumps(sca.to_document()), (
-            f"backend divergence for {app} p{nranks} {overrides}"
+            f"divergence from the reference for {app} p{nranks} {overrides}"
         )
 
 
@@ -188,10 +190,11 @@ def test_times_monotone_in_size_per_stream(app):
 
 @pytest.mark.parametrize("app", ["cactus", "gtc", "lbmhd", "paratec"])
 def test_backend_timing_identity(app):
-    """Scalar and vector backends synthesize bit-identical timing columns."""
+    """The batch generators and the per-record reference synthesize
+    bit-identical timing columns."""
     for nranks, overrides in sample_cases(app, n_cases=4):
-        vec = synthesize(app, nranks, dict(overrides), backend="vector").ensure_batch()
-        sca = synthesize(app, nranks, dict(overrides), backend="scalar").ensure_batch()
+        vec = synthesize(app, nranks, dict(overrides)).ensure_batch()
+        sca = oracles.synthesize(app, nranks, dict(overrides)).ensure_batch()
         assert np.array_equal(vec.total_time, sca.total_time)
         assert np.array_equal(vec.min_time, sca.min_time)
         assert np.array_equal(vec.max_time, sca.max_time)

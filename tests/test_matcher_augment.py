@@ -1,7 +1,8 @@
-"""Pass-level identity: the scalar augment loop vs the array augment pass.
+"""Pass-level identity: the reference augment loop vs the array augment pass.
 
-The ``scalar`` backend runs :func:`hfast.matcher._augment_pass`, a loop
-over candidate edges; ``vector`` and ``incremental`` run
+The reference matcher in ``tests/oracles.py`` runs
+:func:`oracles.augment_pass`, a loop over candidate edges;
+:func:`hfast.matcher.match_edges` runs
 :func:`hfast.matcher._augment_pass_vector`, which evaluates every attempt
 from per-node tables. Started from identical selection states, the two
 must leave identical selections and agree on whether anything improved —
@@ -17,11 +18,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from hfast import matcher
 from hfast.matcher import (
-    MATCHERS,
-    _augmenter,
-    _MatchState,
+    IncrementalMatcher,
+    _augment_pass_vector,
+    _EdgeIndex,
     _swap_candidates,
     _swap_pass,
     canon_key,
@@ -61,10 +63,15 @@ def random_selection(rng, src, dst, bound, n):
 
 
 def state_of(src, dst, w, bound, n, chosen):
-    state = _MatchState(src, dst, w, bound, n)
+    state = oracles.VersionedState(src, dst, w, bound, n)
     for ei in chosen:
         state.add(ei)
     return state
+
+
+def array_augmenter(src, dst, w, n):
+    index = _EdgeIndex(src, dst, w, n)
+    return lambda state: _augment_pass_vector(state, index)
 
 
 def assert_passes_agree(src, dst, w, n, bound, chosen, passes=3):
@@ -72,12 +79,12 @@ def assert_passes_agree(src, dst, w, n, bound, chosen, passes=3):
     Returns the selection the last augment pass left."""
     loop = state_of(src, dst, w, bound, n, chosen)
     array = state_of(src, dst, w, bound, n, chosen)
-    augment_loop = _augmenter(src, dst, w, n, vector=False)
-    augment_array = _augmenter(src, dst, w, n, vector=True)
+    augment_loop = oracles.augmenter(src, dst, n)
+    augment_array = array_augmenter(src, dst, w, n)
     for p in range(passes):
         if p:  # the shared swap pass moves both states on identically
-            _swap_pass(loop, _swap_candidates(loop, n, vector=False))
-            _swap_pass(array, _swap_candidates(array, n, vector=True))
+            _swap_pass(loop, oracles.swap_candidates(loop))
+            _swap_pass(array, _swap_candidates(array, n))
             assert array.sel == loop.sel
         improved = augment_loop(loop)
         assert augment_array(array) == improved, f"pass {p}: improved differs"
@@ -197,13 +204,18 @@ def test_attempts_evaluated_in_small_batches(monkeypatch):
 
 
 def test_huge_bound_matches_on_every_backend():
-    """A client may ask for 2**40 circuits a node; every backend still
-    matches, and they agree."""
+    """A client may ask for 2**40 circuits a node; the matcher, the
+    incremental matcher and the reference still match, and they agree."""
     rng = np.random.default_rng(402)
     n = 40
     src, dst = random_graph(rng, n, 0.5)
     w = rng.integers(1, 1000, size=len(src)).astype(np.float64)
-    outs = [match_edges(src, dst, w, n, 2**40, backend=b) for b in MATCHERS]
+    inc = IncrementalMatcher(src, dst, n, 2**40)
+    outs = [
+        match_edges(src, dst, w, n, 2**40),
+        inc.rematch(w[inc.input_order]),
+        oracles.match_edges(src, dst, w, n, 2**40),
+    ]
     assert outs[0] == outs[1] == outs[2]
     assert len(outs[0]) == len(src)  # no endpoint saturates: every edge
 
@@ -218,7 +230,7 @@ def test_pass_memory_stays_near_the_edge_count():
     w = np.ones(len(src))
     src, dst, w = canonical(src, dst, w, n)
     state = state_of(src, dst, w, 10**9, n, range(len(src)))
-    augment = _augmenter(src, dst, w, n, vector=True)
+    augment = array_augmenter(src, dst, w, n)
     tracemalloc.start()
     try:
         assert augment(state) is False

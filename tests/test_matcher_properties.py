@@ -1,26 +1,42 @@
-"""Property tests for the edge-columnar matcher backends.
+"""Property tests for the edge-columnar matcher.
 
 Seeded sweeps (plus hypothesis sweeps when the library is installed)
-asserting the invariants every backend must satisfy on arbitrary
-matrices: degree bounds, self-loop/zero-weight exclusion, matched weight
-never below the greedy seed, scalar/vector seed equality, and
-incremental == from-scratch over random edge-delta sequences.
+asserting the invariants every matching implementation must satisfy on
+arbitrary matrices: degree bounds, self-loop/zero-weight exclusion,
+matched weight never below the greedy seed, sequential/round-based seed
+equality, and incremental == from-scratch over random edge-delta
+sequences. The implementations are :func:`hfast.matcher.match_edges`
+(``vector``), a fresh :class:`hfast.matcher.IncrementalMatcher`
+(``incremental``) and the pure-Python reference in ``tests/oracles.py``
+(``scalar``).
 """
 
 import numpy as np
 import pytest
 
+import oracles
 from hfast.interconnect import InterconnectConfig, evaluate_temporal, slice_traffic
 from hfast.matcher import (
-    MATCHERS,
     IncrementalMatcher,
     canonical_edges,
     greedy_circuits,
-    greedy_seed_scalar,
     greedy_seed_vector,
     match_edges,
 )
 from hfast.matrix import CommMatrix
+
+
+def incremental_match(src, dst, w, n, bound):
+    inc = IncrementalMatcher(src, dst, n, bound)
+    return inc.rematch(np.asarray(w, dtype=np.float64)[inc.input_order])
+
+
+#: Every matching implementation, by the name the suites use for it.
+IMPLEMENTATIONS = {
+    "scalar": oracles.match_edges,
+    "vector": match_edges,
+    "incremental": incremental_match,
+}
 
 
 def random_weights(rng, n, density=0.5, max_w=50, with_diag=True):
@@ -51,15 +67,15 @@ def matched_weight(w, circuits):
     return sum(int(w[s, d]) for s, d in circuits)
 
 
-@pytest.mark.parametrize("backend", MATCHERS)
-def test_degree_bounds_random_sweep(backend):
+@pytest.mark.parametrize("impl", IMPLEMENTATIONS)
+def test_degree_bounds_random_sweep(impl):
     rng = np.random.default_rng(11)
     for _ in range(40):
         n = int(rng.integers(2, 20))
         bound = int(rng.integers(0, 5))
         w = random_weights(rng, n, density=float(rng.uniform(0.1, 1.0)))
         src, dst, wc = canonical_edges(w)
-        circuits = match_edges(src, dst, wc, n, bound, backend=backend, presorted=True)
+        circuits = IMPLEMENTATIONS[impl](src, dst, wc, n, bound)
         check_degrees(circuits, n, bound)
         if bound == 0:
             assert circuits == []
@@ -74,7 +90,7 @@ def test_seed_scalar_vector_equal_random_sweep():
         # order equivalence is actually at risk.
         w = random_weights(rng, n, density=float(rng.uniform(0.1, 1.0)), max_w=6)
         src, dst, wc = canonical_edges(w)
-        assert greedy_seed_scalar(src, dst, wc, n, bound) == greedy_seed_vector(
+        assert oracles.greedy_seed(src, dst, wc, n, bound) == greedy_seed_vector(
             src, dst, wc, n, bound
         )
 
@@ -86,8 +102,8 @@ def test_matched_weight_never_below_greedy():
         bound = int(rng.integers(1, 4))
         w = random_weights(rng, n, density=float(rng.uniform(0.2, 1.0)))
         greedy = greedy_circuits(w, n, bound)
-        for backend in MATCHERS:
-            circuits = match_edges(*canonical_edges(w), n, bound, backend=backend, presorted=True)
+        for match in IMPLEMENTATIONS.values():
+            circuits = match(*canonical_edges(w), n, bound)
             assert matched_weight(w, circuits) >= matched_weight(w, greedy)
 
 
@@ -97,8 +113,8 @@ def test_zero_weight_edges_never_matched():
     w[0, 1] = 0  # explicit zero-weight edge
     w[1, 2] = 7
     w[2, 2] = 99  # heavy self-loop
-    for backend in MATCHERS:
-        circuits = match_edges(*canonical_edges(w), n, 4, backend=backend, presorted=True)
+    for match in IMPLEMENTATIONS.values():
+        circuits = match(*canonical_edges(w), n, 4)
         assert circuits == [(1, 2)]
 
 
@@ -112,10 +128,8 @@ def test_uniform_all_to_all_saturates_every_endpoint():
         for bound in (1, 2, 3):
             greedy = greedy_circuits(w, n, bound)
             assert len(greedy) == n * min(bound, n - 1)
-            for backend in MATCHERS:
-                circuits = match_edges(
-                    *canonical_edges(w), n, bound, backend=backend, presorted=True
-                )
+            for match in IMPLEMENTATIONS.values():
+                circuits = match(*canonical_edges(w), n, bound)
                 assert len(circuits) == n * min(bound, n - 1)
                 check_degrees(circuits, n, bound)
 
@@ -131,7 +145,7 @@ def test_symmetric_matrix_keeps_per_direction_budgets_independent():
         half = random_weights(rng, n, density=0.6, with_diag=False)
         w = half + half.T  # symmetric, zero diagonal
         for bound in (1, 2):
-            circuits = match_edges(*canonical_edges(w), n, bound, presorted=True)
+            circuits = match_edges(*canonical_edges(w), n, bound)
             check_degrees(circuits, n, bound)
             cset = set(circuits)
             # With enough budget for both directions of every selected
@@ -153,7 +167,7 @@ def test_incremental_equals_from_scratch_over_delta_sequences():
         w = random_weights(rng, n, density=0.6, with_diag=False).astype(np.float64)
         for _ in range(10):
             got = inc.rematch_dense(w)
-            want = match_edges(*canonical_edges(w), n, bound, presorted=True)
+            want = match_edges(*canonical_edges(w), n, bound)
             assert got == want
             # Arbitrary delta: zero edges, single edge, or a burst; also
             # sometimes no change at all (the cached-result fast path).
@@ -194,9 +208,7 @@ def test_incremental_order_preserving_delta_skips_resort():
     inc.rematch_dense(w)
     inc.rematch_dense(w * 2.0)
     assert inc.stats["order_reuses"] == 1
-    assert inc.rematch_dense(w * 2.0) == match_edges(
-        *canonical_edges(w * 2.0), n, bound, presorted=True
-    )
+    assert inc.rematch_dense(w * 2.0) == match_edges(*canonical_edges(w * 2.0), n, bound)
 
 
 def test_incremental_rejects_wrong_shape():
@@ -211,14 +223,9 @@ def test_incremental_rejects_repeated_pair():
 
 
 def test_match_rejects_repeated_pair():
-    for backend in MATCHERS:
+    for match in IMPLEMENTATIONS.values():
         with pytest.raises(ValueError, match="repeats"):
-            match_edges(np.array([0, 0]), np.array([1, 1]), np.array([2.0, 3.0]), 2, 1, backend)
-
-
-def test_unknown_backend_raises():
-    with pytest.raises(ValueError):
-        match_edges(np.array([0]), np.array([1]), np.array([1.0]), 2, 1, backend="nope")
+            match(np.array([0, 0]), np.array([1, 1]), np.array([2.0, 3.0]), 2, 1)
 
 
 def test_slice_traffic_conserves_message_only_links():
@@ -258,19 +265,6 @@ def test_temporal_empty_step_keeps_configuration_standing():
     assert all(s["changes"] == 0 for s in ev.per_step)
 
 
-def test_temporal_matcher_backends_share_stats_field():
-    rng = np.random.default_rng(37)
-    w = random_weights(rng, 8, density=0.5, with_diag=False)
-    cm = CommMatrix(nranks=8, bytes_matrix=w, msg_matrix=(w > 0).astype(np.int64))
-    for backend in MATCHERS:
-        ev = evaluate_temporal(cm, InterconnectConfig(timesteps=4, matcher=backend))
-        if backend == "incremental":
-            assert ev.matcher_stats is not None
-            assert ev.matcher_stats["steps"] == 4
-        else:
-            assert ev.matcher_stats is None
-
-
 # -- hypothesis sweeps (skipped when the library is unavailable) --------------
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -288,9 +282,7 @@ def test_hypothesis_backend_identity_and_degrees(n, bound, seed, max_w):
     rng = np.random.default_rng(seed)
     w = random_weights(rng, n, density=float(rng.uniform(0.05, 1.0)), max_w=max_w)
     src, dst, wc = canonical_edges(w)
-    outs = [
-        match_edges(src, dst, wc, n, bound, backend=b, presorted=True) for b in MATCHERS
-    ]
+    outs = [match(src, dst, wc, n, bound) for match in IMPLEMENTATIONS.values()]
     assert outs[0] == outs[1] == outs[2]
     check_degrees(outs[0], n, bound)
     greedy = greedy_circuits(w, n, bound)
@@ -311,9 +303,7 @@ def test_hypothesis_incremental_matches_scratch(n, bound, seed, steps):
     inc = IncrementalMatcher(src[keep], dst[keep], n, bound)
     w = random_weights(rng, n, density=0.5, with_diag=False).astype(np.float64)
     for _ in range(steps):
-        assert inc.rematch_dense(w) == match_edges(
-            *canonical_edges(w), n, bound, presorted=True
-        )
+        assert inc.rematch_dense(w) == match_edges(*canonical_edges(w), n, bound)
         for _ in range(int(rng.integers(0, 4))):
             w[int(rng.integers(0, n)), int(rng.integers(0, n))] = float(
                 rng.integers(0, 20)

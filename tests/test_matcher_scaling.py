@@ -8,10 +8,11 @@ coverage is matcher-level over synthetic sparse topologies plus the
 paper apps' real link structures (cactus 3D ghost exchange, gtc 1D
 shift) built from the vectorized pair generators in :mod:`hfast.apps`.
 
-The scalar backend is O(E) Python per pass and would dominate the job's
-wall time at 32K, so the from-scratch baseline at full scale is the
-vector backend (itself pinned against scalar at mid-scale here and
-exhaustively at small scale in the differential suite).
+The pure-Python reference matcher in ``tests/oracles.py`` is O(E) Python
+per pass and would dominate the job's wall time at 32K, so the
+from-scratch baseline at full scale is :func:`hfast.matcher.match_edges`
+(itself pinned against the reference at mid-scale here and exhaustively
+at small scale in the differential suite).
 """
 
 import time
@@ -19,14 +20,9 @@ import time
 import numpy as np
 import pytest
 
+import oracles
 from hfast.apps import _factor3, _ghost_pairs_vec
-from hfast.matcher import (
-    IncrementalMatcher,
-    greedy_seed_scalar,
-    greedy_seed_vector,
-    match_edges,
-    sort_edges,
-)
+from hfast.matcher import IncrementalMatcher, greedy_seed_vector, match_edges, sort_edges
 
 pytestmark = pytest.mark.slow
 
@@ -94,7 +90,7 @@ def test_greedy_seed_equality_at_32k():
     src, dst = sparse_topology(n)
     w = hashed_weights(src, dst, n, salt=1)
     src, dst, w = sort_edges(src, dst, w, n)
-    assert greedy_seed_vector(src, dst, w, n, 2) == greedy_seed_scalar(src, dst, w, n, 2)
+    assert greedy_seed_vector(src, dst, w, n, 2) == oracles.greedy_seed(src, dst, w, n, 2)
 
 
 def test_vector_match_degree_and_weight_floor_at_32k():
@@ -104,14 +100,14 @@ def test_vector_match_degree_and_weight_floor_at_32k():
     ss, sd, sw = sort_edges(src, dst, w, n)
     seed = greedy_seed_vector(ss, sd, sw, n, 2)
     seed_weight = float(sw[np.asarray(seed, dtype=np.int64)].sum()) if seed else 0.0
-    circuits = match_edges(src, dst, w, n, bound=2, backend="vector")
+    circuits = match_edges(src, dst, w, n, bound=2)
     check_degrees(circuits, 2)
     assert matched_weight(circuits, src, dst, w, n) >= seed_weight
 
 
 def test_incremental_identity_at_32k():
     """Six steps of evolving weights: the incremental matcher must stay
-    byte-identical to from-scratch vector matching through sparse deltas,
+    byte-identical to from-scratch matching through sparse deltas,
     an unchanged step, and an order-preserving global rescale."""
     n = 32768
     src, dst = sparse_topology(n)
@@ -133,7 +129,7 @@ def test_incremental_identity_at_32k():
 
     for i, w in enumerate(steps):
         got = inc.rematch(w)
-        ref = match_edges(inc.src, inc.dst, w, n, bound=1, backend="vector")
+        ref = match_edges(inc.src, inc.dst, w, n, bound=1)
         assert got == ref, f"step {i} diverged from from-scratch"
         check_degrees(got, 1)
     assert inc.stats["steps"] == len(steps)
@@ -151,7 +147,7 @@ def test_cactus_ghost_topology_at_32k_is_tie_heavy_and_identical():
     n = 32768
     ranks, peers = _ghost_pairs_vec(n, _factor3(n))
     w = np.full(len(ranks), 294912.0)
-    vec = match_edges(ranks, peers, w, n, bound=2, backend="vector")
+    vec = match_edges(ranks, peers, w, n, bound=2)
     inc = IncrementalMatcher(ranks, peers, n, bound=2)
     got = inc.rematch(w[inc.input_order])
     assert got == vec
@@ -169,23 +165,25 @@ def test_gtc_shift_topology_at_32k_saturates_budget_1():
     src = np.concatenate([r, r])
     dst = np.concatenate([(r + 1) % n, (r - 1) % n])
     w = np.concatenate([np.full(n, 524288.0), np.full(n, 524288.0)])
-    circuits = match_edges(src, dst, w, n, bound=1, backend="vector")
+    circuits = match_edges(src, dst, w, n, bound=1)
     check_degrees(circuits, 1)
     assert len(circuits) == n
 
 
-# -- mid-scale: scalar joins the differential ---------------------------------
+# -- mid-scale: the reference joins the differential --------------------------
 
 
 def test_three_way_identity_at_2k():
-    """Full 3-way identity with the scalar backend in the loop at the
-    largest scale its Python passes stay affordable."""
+    """Reference, from-scratch and incremental matches agree at the
+    largest scale the reference's Python passes stay affordable."""
     n = 2048
     src, dst = sparse_topology(n, extra_per_rank=3, seed=13)
     w = hashed_weights(src, dst, n, salt=5)
+    inc = IncrementalMatcher(src, dst, n, bound=2)
     outs = [
-        match_edges(src, dst, w, n, bound=2, backend=b)
-        for b in ("scalar", "vector", "incremental")
+        oracles.match_edges(src, dst, w, n, bound=2),
+        match_edges(src, dst, w, n, bound=2),
+        inc.rematch(w[inc.input_order]),
     ]
     assert outs[0] == outs[1] == outs[2]
     check_degrees(outs[0], 2)

@@ -108,7 +108,7 @@ def _result(index):
 
 
 def test_journal_round_trip(tmp_path):
-    fp = build_fingerprint(["gtc"], {"gtc": [8]}, "c", "vector", 42, True, None, None)
+    fp = build_fingerprint(["gtc"], {"gtc": [8]}, "c", 42, True, None, None)
     run_id = new_run_id()
     journal = RunJournal.create(tmp_path, run_id, fp)
     journal.record_done(0, "gtc_p8", 2, _result(0))
@@ -142,12 +142,17 @@ def test_journal_missing_header_rejected(tmp_path):
 
 
 def test_fingerprint_mismatch_names_the_difference(tmp_path):
-    fp_a = build_fingerprint(["gtc"], {"gtc": [8]}, "c", "vector", 42, True, None, None)
-    fp_b = build_fingerprint(["gtc"], {"gtc": [16]}, "c", "scalar", 42, True, None, None)
+    fp_a = build_fingerprint(["gtc"], {"gtc": [8]}, "c", 42, True, None, None)
+    fp_b = build_fingerprint(["gtc"], {"gtc": [16]}, "c", 43, True, None, None)
     journal = RunJournal.create(tmp_path, "r1", fp_a)
     journal.check_fingerprint(fp_a)  # identical: fine
-    with pytest.raises(JournalError, match="backend, scales"):
+    with pytest.raises(JournalError, match="scales, timing_seed"):
         journal.check_fingerprint(fp_b)
+    # A journal written when fingerprints still named a synthesis backend
+    # does not resume.
+    legacy = RunJournal.create(tmp_path, "r2", {**fp_a, "backend": "vector"})
+    with pytest.raises(JournalError, match="differs on: backend"):
+        legacy.check_fingerprint(fp_a)
 
 
 # ---------------------------------------------------------------------------

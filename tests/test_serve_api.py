@@ -87,7 +87,7 @@ def test_finished_job_resubmission_is_cache_hit_without_reexecution(tmp_path):
         assert metrics_value(port, "hfast_serve_jobs_executed") == 1.0
 
         # Same spec, different field order and defaults spelled out.
-        resubmit = {"nranks": 8, "app": "cactus", "timing_seed": 0, "matcher": "vector"}
+        resubmit = {"nranks": 8, "app": "cactus", "timing_seed": 0, "timesteps": 4}
         status, _, raw = request(port, "POST", "/v1/jobs", resubmit)
         doc = json.loads(raw)
         assert status == 200
@@ -121,22 +121,26 @@ def test_inflight_resubmission_dedupes_onto_running_job(tmp_path, monkeypatch):
 
 
 MALFORMED = [
-    ("empty-body", None, b"", 400),
-    ("invalid-json", None, b"{not json", 400),
-    ("json-scalar", None, b"42", 400),
-    ("json-array", None, b"[1, 2]", 400),
-    ("missing-fields", {"app": "cactus"}, None, 400),
-    ("unknown-app", {"app": "nonesuch", "nranks": 8}, None, 400),
-    ("bad-nranks", {"app": "cactus", "nranks": "eight"}, None, 400),
-    ("unknown-field", {"app": "cactus", "nranks": 8, "frobnicate": 1}, None, 400),
-    ("bad-matcher", {"app": "cactus", "nranks": 8, "matcher": "magic"}, None, 400),
+    ("empty-body", None, b"", 400, None),
+    ("invalid-json", None, b"{not json", 400, None),
+    ("json-scalar", None, b"42", 400, None),
+    ("json-array", None, b"[1, 2]", 400, None),
+    ("missing-fields", {"app": "cactus"}, None, 400, None),
+    ("unknown-app", {"app": "nonesuch", "nranks": 8}, None, 400, None),
+    ("bad-nranks", {"app": "cactus", "nranks": "eight"}, None, 400, None),
+    ("unknown-field", {"app": "cactus", "nranks": 8, "frobnicate": 1}, None, 400, None),
+    # Fields removed in spec format 2 are unknown, whatever value they name.
+    ("bad-matcher", {"app": "cactus", "nranks": 8, "matcher": "vector"}, None, 400,
+     "unknown field(s): matcher"),
+    ("bad-backend", {"app": "cactus", "nranks": 8, "backend": "vector"}, None, 400,
+     "unknown field(s): backend"),
 ]
 
 
 @pytest.mark.parametrize(
-    "label,body,raw_body,expected", MALFORMED, ids=[m[0] for m in MALFORMED]
+    "label,body,raw_body,expected,needle", MALFORMED, ids=[m[0] for m in MALFORMED]
 )
-def test_malformed_submission_table(tmp_path, label, body, raw_body, expected):
+def test_malformed_submission_table(tmp_path, label, body, raw_body, expected, needle):
     config = make_config(tmp_path)
     with ServiceThread(config) as service:
         status, _, raw = request(
@@ -148,6 +152,8 @@ def test_malformed_submission_table(tmp_path, label, body, raw_body, expected):
         # Validation failures carry the full per-field error list.
         if body is not None:
             assert doc.get("errors"), doc
+        if needle is not None:
+            assert any(needle in e for e in doc["errors"]), doc
         # Nothing was admitted.
         assert metrics_value(service.port, "hfast_serve_jobs_executed") in (None, 0.0)
 

@@ -32,8 +32,6 @@ def test_minimal_spec_gets_all_defaults():
     spec = canonicalize(MINIMAL)
     assert spec.app == "cactus"
     assert spec.nranks == 8
-    assert spec.backend == "vector"
-    assert spec.matcher == "vector"
     assert spec.timesteps == 4
     assert spec.overrides == ()
 
@@ -45,8 +43,8 @@ def test_key_is_full_sha256_hex():
 
 
 def test_field_order_does_not_change_key():
-    a = canonicalize({"app": "gtc", "nranks": 16, "timing_seed": 3, "matcher": "scalar"})
-    b = canonicalize({"matcher": "scalar", "timing_seed": 3, "nranks": 16, "app": "gtc"})
+    a = canonicalize({"app": "gtc", "nranks": 16, "timing_seed": 3, "timesteps": 2})
+    b = canonicalize({"timesteps": 2, "timing_seed": 3, "nranks": 16, "app": "gtc"})
     assert a == b
     assert a.key == b.key
 
@@ -82,7 +80,6 @@ def test_every_field_change_changes_key():
     perturbed = {
         "app": "gtc",
         "nranks": 16,
-        "backend": "scalar",
         "timing_seed": 99,
         "overrides": {"w": 2},
         "circuits_per_node": 5,
@@ -93,7 +90,6 @@ def test_every_field_change_changes_key():
         "timesteps": 8,
         "reconfig_cost": 2e-3,
         "slice_seed": 1,
-        "matcher": "incremental",
     }
     keys = {base.key}
     for name, value in perturbed.items():
@@ -115,11 +111,11 @@ def test_seeded_sweep_distinct_specs_never_collide():
             "timing_seed": rng.randrange(4),
             "timesteps": rng.randrange(1, 5),
             "slice_seed": rng.randrange(3),
-            "matcher": rng.choice(("scalar", "vector", "incremental")),
+            "circuits_per_node": rng.randrange(1, 5),
         }
         spec = canonicalize(payload)
         ident = tuple(sorted(spec.canonical_doc()["interconnect"].items())) + (
-            spec.app, spec.nranks, spec.backend, spec.timing_seed, spec.overrides,
+            spec.app, spec.nranks, spec.timing_seed, spec.overrides,
         )
         if spec.key in seen:
             assert seen[spec.key] == ident, "distinct specs collided on one key"
@@ -132,13 +128,11 @@ def test_trace_cache_key_matches_repro_cache_contract():
 
 
 def test_interconnect_config_carries_every_knob():
-    spec = canonicalize(
-        {**MINIMAL, "timesteps": 9, "reconfig_cost": 0.5, "matcher": "incremental"}
-    )
+    spec = canonicalize({**MINIMAL, "timesteps": 9, "reconfig_cost": 0.5, "slice_seed": 2})
     cfg = spec.interconnect_config()
     assert cfg.timesteps == 9
     assert cfg.reconfig_cost == 0.5
-    assert cfg.matcher == "incremental"
+    assert cfg.slice_seed == 2
     assert cfg.circuits_per_node == 4
 
 
@@ -156,8 +150,9 @@ INVALID = [
     ("nranks-float", {"app": "cactus", "nranks": 8.0}, "nranks"),
     ("nranks-string", {"app": "cactus", "nranks": "8"}, "nranks"),
     ("nranks-huge", {"app": "cactus", "nranks": 1 << 21}, "nranks"),
-    ("bad-backend", {**MINIMAL, "backend": "cuda"}, "backend"),
-    ("bad-matcher", {**MINIMAL, "matcher": "quantum"}, "matcher"),
+    # Removed in spec format 2: even their former values are unknown fields.
+    ("bad-backend", {**MINIMAL, "backend": "vector"}, "unknown field(s): backend"),
+    ("bad-matcher", {**MINIMAL, "matcher": "vector"}, "unknown field(s): matcher"),
     ("seed-bool", {**MINIMAL, "timing_seed": False}, "timing_seed"),
     ("timesteps-zero", {**MINIMAL, "timesteps": 0}, "timesteps"),
     ("negative-circuits", {**MINIMAL, "circuits_per_node": -1}, "circuits_per_node"),
@@ -180,10 +175,10 @@ def test_invalid_payload_rejected(label, payload, needle):
 
 def test_all_errors_collected_in_one_pass():
     with pytest.raises(JobValidationError) as err:
-        canonicalize({"app": "nonesuch", "nranks": -1, "matcher": "bad", "extra": 1})
+        canonicalize({"app": "nonesuch", "nranks": -1, "timesteps": 0, "extra": 1})
     joined = " | ".join(err.value.errors)
     assert "app" in joined and "nranks" in joined
-    assert "matcher" in joined and "unknown field" in joined
+    assert "timesteps" in joined and "unknown field" in joined
     assert len(err.value.errors) >= 4
 
 
@@ -207,11 +202,9 @@ spec_payloads = st.fixed_dictionaries(
     {"app": st.sampled_from(("cactus", "gtc", "lbmhd", "paratec")),
      "nranks": st.integers(min_value=1, max_value=1024)},
     optional={
-        "backend": st.sampled_from(("vector", "scalar")),
         "timing_seed": st.integers(min_value=-10, max_value=10),
         "timesteps": st.integers(min_value=1, max_value=64),
         "slice_seed": st.integers(min_value=-5, max_value=5),
-        "matcher": st.sampled_from(("scalar", "vector", "incremental")),
         "reconfig_cost": st.floats(min_value=0, max_value=10, allow_nan=False),
         "circuit_bandwidth": st.floats(min_value=1, max_value=1e12, allow_nan=False),
     },

@@ -22,7 +22,6 @@ from serve_util import ServiceThread, make_config, request, wait_for_job
 SPACE_DOC = {
     "circuits": [1, 4],
     "reconfig_costs": [0.0],
-    "matchers": ["vector"],
     "timesteps": [2],
 }
 SWEEP = {"app": "gtc", "nranks": 8, "space": SPACE_DOC, "strategy": "grid", "seed": 0}
@@ -101,6 +100,23 @@ def test_sweep_validation_errors_merge_space_and_spec(tmp_path):
         assert "bogus" in msgs  # unknown field
         assert "nranks" in msgs  # missing required field
         assert "circuits" in msgs  # space-level validation
+
+
+@pytest.mark.parametrize(
+    "payload,needle",
+    [
+        ({**SWEEP, "space": {**SPACE_DOC, "matchers": ["vector"]}},
+         "space: unknown field(s): matchers"),
+        ({**SWEEP, "backend": "vector"}, "unknown field(s): backend"),
+    ],
+    ids=["space-matchers", "backend"],
+)
+def test_sweep_rejects_removed_fields(tmp_path, payload, needle):
+    config = make_config(tmp_path)
+    with ServiceThread(config) as service:
+        status, _, raw = request(service.port, "POST", "/v1/sweeps", payload)
+        assert status == 400
+        assert any(needle in e for e in json.loads(raw)["errors"]), raw
 
 
 # -- result-store LRU eviction ----------------------------------------------

@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from hfast.apps import available_apps, synthesize
 from hfast.records import COLLECTIVE_CALLS, CommRecord, RecordBatch
 from hfast.timing import (
@@ -112,7 +113,7 @@ def test_collectives_scale_with_log_tree_stages():
 def test_scalar_vector_batch_parity():
     """time_batch and time_record agree bit-for-bit on every record."""
     for app in ALL_APPS:
-        trace = synthesize(app, 16, backend="scalar", timing_seed=None)
+        trace = oracles.synthesize(app, 16, timing_seed=None)
         records = trace.records
         batch = RecordBatch.from_records(records)
         model = TimingModel(app, 16, seed=3)
