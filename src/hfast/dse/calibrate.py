@@ -74,11 +74,8 @@ def measured_comm_per_rank(
         trace = synthesize(app, nranks, None, timing_seed=timing_seed)
         if store:
             cache.store(trace)
-    trace.ensure_batch()
-    if trace.batch is not None and trace.batch.has_times:
-        comm_time_s = float(np.sum(trace.batch.total_time))
-    else:
-        comm_time_s = math.fsum(r.total_time for r in trace.records)
+    batch = trace.ensure_batch()
+    comm_time_s = float(np.sum(batch.total_time)) if batch.has_times else 0.0
     return comm_time_s / max(1, nranks)
 
 

@@ -59,24 +59,6 @@ def canon_key(src: np.ndarray, dst: np.ndarray, nranks: int) -> np.ndarray:
     return stripe * n * n + src * n + dst
 
 
-def canonical_edges(
-    weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Extract matchable edges from a dense matrix in canonical order.
-
-    Keeps strictly-positive off-diagonal entries and sorts them by
-    weight descending, ties by stripe order — the total order every
-    pass processes edges in. Returns ``(src, dst, w)`` columns
-    (int64, int64, float64).
-    """
-    src, dst = np.nonzero(weights > 0)
-    keep = src != dst
-    src, dst = src[keep].astype(np.int64), dst[keep].astype(np.int64)
-    w = np.asarray(weights, dtype=np.float64)[src, dst]
-    order = np.lexsort((canon_key(src, dst, weights.shape[0]), -w))
-    return src[order], dst[order], w[order]
-
-
 def sort_edges(
     src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -485,20 +467,6 @@ def match_edges(
     return _match_sorted(*sort_edges(src, dst, w, nranks), nranks, bound)
 
 
-def greedy_circuits(weights: np.ndarray, nranks: int, bound: int) -> list[tuple[int, int]]:
-    """Canonical-order greedy assignment over a dense matrix.
-
-    The baseline the matching is measured against — and, because every
-    match seeds with exactly this solution, the floor it can never fall
-    below.
-    """
-    if bound <= 0:
-        return []
-    src, dst, w = canonical_edges(weights)
-    seed = greedy_seed_vector(src, dst, w, nranks, bound)
-    return sorted((int(src[ei]), int(dst[ei])) for ei in seed)
-
-
 # -- incremental re-matching --------------------------------------------------
 
 
@@ -506,8 +474,8 @@ class IncrementalMatcher:
     """Re-match evolving weights over a persistent edge universe.
 
     Construct once with the fixed link structure (``src``/``dst``
-    columns, e.g. the nonzero links of an aggregate communication
-    matrix; a repeated pair raises ``ValueError``), then call
+    columns, e.g. the rows of a :class:`hfast.matrix.CommMatrix`; a
+    repeated pair raises ``ValueError``), then call
     :meth:`rematch` with a full weight vector per
     timestep. Only edges whose weight changed since the previous step
     are re-seeded:
@@ -546,13 +514,6 @@ class IncrementalMatcher:
             "full_resorts": 0,
             "edges_reseeded": 0,
         }
-
-    @classmethod
-    def from_dense(cls, weights: np.ndarray, bound: int) -> "IncrementalMatcher":
-        """Build the edge universe from a dense matrix's off-diagonal support."""
-        src, dst = np.nonzero(weights)
-        keep = src != dst
-        return cls(src[keep], dst[keep], weights.shape[0], bound)
 
     def _canonical_active(self, w: np.ndarray) -> np.ndarray:
         """Active (w>0) edge ids in canonical order, reusing the cached
@@ -609,8 +570,3 @@ class IncrementalMatcher:
         self._active = active
         self._result = result
         return list(result)
-
-    def rematch_dense(self, weights: np.ndarray) -> list[tuple[int, int]]:
-        """Convenience: gather this universe's weights from a dense matrix."""
-        w = np.asarray(weights, dtype=np.float64)[self.src, self.dst]
-        return self.rematch(w)

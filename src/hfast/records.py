@@ -442,20 +442,16 @@ class Trace:
             self._records = self.batch.to_records()
         return self._records
 
-    def ensure_batch(self) -> RecordBatch | None:
+    def ensure_batch(self) -> RecordBatch:
         """Columnarize the record list if no batch exists yet.
 
-        Returns the batch (building it from records when possible), so
-        analysis paths run vectorized — with identical float64 reductions
-        — whether the trace was freshly synthesized or loaded from cache.
-        Returns None only for multi-region record lists, which stay on
-        the scalar path.
+        Returns the batch, so analysis paths run vectorized — with
+        identical reductions — whether the trace was freshly synthesized
+        or loaded from cache. A multi-region record list raises
+        ``ValueError``; the cache validator rejects such documents.
         """
-        if self.batch is None and self._records is not None:
-            try:
-                self.batch = RecordBatch.from_records(self._records)
-            except ValueError:
-                return None
+        if self.batch is None:
+            self.batch = RecordBatch.from_records(self._records)
         return self.batch
 
     @property

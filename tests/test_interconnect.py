@@ -4,15 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from hfast.apps import synthesize
 from hfast.interconnect import (
     InterconnectConfig,
-    assign_circuits,
-    assign_circuits_matching,
     evaluate_hybrid,
     evaluate_temporal,
-    slice_traffic,
+    slice_edge_volumes,
 )
+from hfast.matcher import match_edges
 from hfast.matrix import CommMatrix, reduce_matrix
 from hfast.records import CommRecord
 
@@ -22,11 +22,12 @@ GOLDEN_CASES = [(app, n) for app in ("cactus", "gtc", "lbmhd", "paratec") for n 
 
 def golden_matrix(app: str, nranks: int) -> CommMatrix:
     fixture = json.loads((GOLDEN_DIR / f"{app}_p{nranks}.json").read_text())
-    return CommMatrix(
-        nranks=nranks,
-        bytes_matrix=np.array(fixture["bytes_matrix"], dtype=np.int64),
-        msg_matrix=np.array(fixture["msg_matrix"], dtype=np.int64),
-    )
+    return oracles.from_planes(fixture["bytes_matrix"], fixture["msg_matrix"])
+
+
+def circuits(cm: CommMatrix, budget: int, strategy: str = "greedy") -> list[tuple[int, int]]:
+    config = InterconnectConfig(circuits_per_node=budget)
+    return evaluate_hybrid(cm, config, strategy=strategy).circuits
 
 
 def ring_matrix(n=8):
@@ -45,11 +46,11 @@ def test_ring_fully_provisionable():
 def test_budget_limits_circuits():
     # paratec all-to-all at 8 ranks: 56 links, budget 2 -> 16 circuits max
     cm = reduce_matrix(synthesize("paratec", 8).records, 8)
-    circuits = assign_circuits(cm, circuits_per_node=2)
-    assert len(circuits) == 16
+    greedy = circuits(cm, 2)
+    assert len(greedy) == 16
     egress = [0] * 8
     ingress = [0] * 8
-    for s, d in circuits:
+    for s, d in greedy:
         egress[s] += 1
         ingress[d] += 1
     assert max(egress) <= 2 and max(ingress) <= 2
@@ -104,15 +105,15 @@ def test_matching_never_below_greedy(app, nranks, budget):
 def test_matching_respects_degree_budget(app, nranks):
     cm = golden_matrix(app, nranks)
     for budget in (1, 2, 4):
-        circuits = assign_circuits_matching(cm.bytes_matrix, budget)
+        matched = circuits(cm, budget, "matching")
         egress = [0] * nranks
         ingress = [0] * nranks
-        for s, d in circuits:
+        for s, d in matched:
             egress[s] += 1
             ingress[d] += 1
         assert max(egress, default=0) <= budget
         assert max(ingress, default=0) <= budget
-        assert len(set(circuits)) == len(circuits)
+        assert len(set(matched)) == len(matched)
 
 
 def test_matching_beats_greedy_on_adversarial_case():
@@ -122,37 +123,36 @@ def test_matching_beats_greedy_on_adversarial_case():
     # carry more. The matcher must recover that.
     w = np.zeros((4, 4), dtype=np.int64)
     w[0, 1], w[0, 2], w[3, 1] = 10, 9, 9
-    greedy_bytes = sum(
-        int(w[s, d]) for s, d in assign_circuits(
-            CommMatrix(4, w, np.zeros_like(w)), 1
-        )
-    )
-    matched_bytes = sum(int(w[s, d]) for s, d in assign_circuits_matching(w, 1))
+    cm = oracles.from_planes(w, w > 0)
+    greedy_bytes = sum(int(w[s, d]) for s, d in circuits(cm, 1))
+    matched_bytes = sum(int(w[s, d]) for s, d in circuits(cm, 1, "matching"))
     assert matched_bytes == 18 > greedy_bytes
 
 
 def test_matching_empty_and_zero_budget():
-    w = np.zeros((4, 4), dtype=np.int64)
-    assert assign_circuits_matching(w, 4) == []
-    w[0, 1] = 5
-    assert assign_circuits_matching(w, 0) == []
+    empty = np.empty(0, dtype=np.int64)
+    assert match_edges(empty, empty, empty, 4, 4) == []
+    one = np.array([0]), np.array([1]), np.array([5])
+    assert match_edges(*one, 4, 0) == []
+    assert circuits(CommMatrix(4, *one, np.array([1])), 0, "matching") == []
 
 
 # -- temporal evaluator -------------------------------------------------------
+
+
+def slice_traffic(cm: CommMatrix, timesteps: int, seed: int):
+    return slice_edge_volumes(cm.src, cm.dst, cm.bytes, cm.msgs, timesteps, seed)
 
 
 @pytest.mark.parametrize("app,nranks", GOLDEN_CASES)
 def test_slice_traffic_conserves_volume(app, nranks):
     cm = golden_matrix(app, nranks)
     for T in (1, 3, 4, 7):
-        slices = slice_traffic(cm, T, seed=0)
-        assert len(slices) == max(1, T)
-        bytes_sum = sum(b for b, _ in slices)
-        msgs_sum = sum(m for _, m in slices)
-        assert np.array_equal(bytes_sum, cm.bytes_matrix)
-        assert np.array_equal(msgs_sum, cm.msg_matrix)
-        for b, m in slices:
-            assert np.all(b >= 0) and np.all(m >= 0)
+        eb, em = slice_traffic(cm, T, seed=0)
+        assert eb.shape == em.shape == (T, len(cm.src))
+        assert np.array_equal(eb.sum(axis=0), cm.bytes)
+        assert np.array_equal(em.sum(axis=0), cm.msgs)
+        assert np.all(eb >= 0) and np.all(em >= 0)
 
 
 def test_slice_traffic_is_seeded_and_deterministic():
@@ -160,8 +160,8 @@ def test_slice_traffic_is_seeded_and_deterministic():
     a = slice_traffic(cm, 4, seed=1)
     b = slice_traffic(cm, 4, seed=1)
     c = slice_traffic(cm, 4, seed=2)
-    assert all(np.array_equal(x[0], y[0]) for x, y in zip(a, b))
-    assert any(not np.array_equal(x[0], y[0]) for x, y in zip(a, c))
+    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert not np.array_equal(a[0], c[0])
 
 
 def test_temporal_single_step_zero_cost_reduces_to_static_matching():

@@ -18,12 +18,7 @@ import pytest
 import oracles
 from hfast import interconnect
 from hfast.apps import synthesize
-from hfast.interconnect import (
-    InterconnectConfig,
-    assign_circuits_matching,
-    evaluate_hybrid,
-    evaluate_temporal,
-)
+from hfast.interconnect import InterconnectConfig, evaluate_hybrid, evaluate_temporal
 from hfast.matrix import CommMatrix, reduce_matrix
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -33,11 +28,12 @@ APPS = ("cactus", "gtc", "lbmhd", "paratec")
 
 def golden_matrix(app: str, nranks: int) -> CommMatrix:
     fixture = json.loads((GOLDEN_DIR / f"{app}_p{nranks}.json").read_text())
-    return CommMatrix(
-        nranks=nranks,
-        bytes_matrix=np.array(fixture["bytes_matrix"], dtype=np.int64),
-        msg_matrix=np.array(fixture["msg_matrix"], dtype=np.int64),
-    )
+    return oracles.from_planes(fixture["bytes_matrix"], fixture["msg_matrix"])
+
+
+def matching_circuits(cm: CommMatrix, budget: int) -> list[tuple[int, int]]:
+    config = InterconnectConfig(circuits_per_node=budget)
+    return evaluate_hybrid(cm, config, strategy="matching").circuits
 
 
 def hybrid_doc(cm, budget=4):
@@ -66,7 +62,7 @@ def assert_same(fn, msg=None):
 @pytest.mark.parametrize("budget", [1, 2, 4])
 def test_assignment_identity_on_goldens(app, nranks, budget):
     cm = golden_matrix(app, nranks)
-    assert_same(lambda: assign_circuits_matching(cm.bytes_matrix, budget))
+    assert_same(lambda: matching_circuits(cm, budget))
 
 
 @pytest.mark.parametrize("app,nranks", GOLDEN_CASES)
@@ -100,7 +96,7 @@ def test_identity_on_seeded_random_matrices():
             rng.integers(0, max_w, size=(n, n)) * (rng.random((n, n)) < density)
         ).astype(np.int64)
         msg_m = (bytes_m > 0).astype(np.int64) * rng.integers(1, 5, size=(n, n))
-        cm = CommMatrix(nranks=n, bytes_matrix=bytes_m, msg_matrix=msg_m)
+        cm = oracles.from_planes(bytes_m, msg_m)
         T = int(rng.integers(1, 6))
         cost = float(rng.choice([0.0, 1e-4, 1e-3]))
         budget = int(rng.integers(1, 5))
@@ -125,7 +121,10 @@ def test_identity_on_seeded_float_weights():
             w = rng.choice(near_2_53, p=[0.15, 0.15, 0.6, 0.1], size=(n, n))
         w = w * present
         budget = int(rng.integers(1, 5))
-        assert_same(lambda: assign_circuits_matching(w, budget), f"trial {trial}")
+        src, dst = np.nonzero(w)
+        assert_same(
+            lambda: interconnect.match_edges(src, dst, w[src, dst], n, budget), f"trial {trial}"
+        )
 
 
 def test_identity_on_tie_heavy_matrices():
@@ -134,7 +133,7 @@ def test_identity_on_tie_heavy_matrices():
     for n in (5, 8, 13):
         w = np.full((n, n), 7, dtype=np.int64)
         np.fill_diagonal(w, 0)
-        cm = CommMatrix(nranks=n, bytes_matrix=w, msg_matrix=(w > 0).astype(np.int64))
+        cm = oracles.from_planes(w, w > 0)
         assert_same(lambda: hybrid_doc(cm))
         assert_same(lambda: temporal_doc(cm))
 

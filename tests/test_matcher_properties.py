@@ -15,20 +15,25 @@ import numpy as np
 import pytest
 
 import oracles
-from hfast.interconnect import InterconnectConfig, evaluate_temporal, slice_traffic
-from hfast.matcher import (
-    IncrementalMatcher,
-    canonical_edges,
-    greedy_circuits,
-    greedy_seed_vector,
-    match_edges,
-)
-from hfast.matrix import CommMatrix
+from hfast.interconnect import InterconnectConfig, evaluate_temporal, slice_edge_volumes
+from hfast.matcher import IncrementalMatcher, greedy_seed_vector, match_edges
+from oracles import canonical_edges, greedy_circuits
 
 
 def incremental_match(src, dst, w, n, bound):
     inc = IncrementalMatcher(src, dst, n, bound)
     return inc.rematch(np.asarray(w, dtype=np.float64)[inc.input_order])
+
+
+def all_pairs_matcher(n, bound):
+    """An incremental matcher over every off-diagonal pair of ``n`` ranks."""
+    src, dst = np.nonzero(np.ones((n, n)) - np.eye(n))
+    return IncrementalMatcher(src, dst, n, bound)
+
+
+def rematch_plane(inc, w):
+    """Re-match the universe's weights gathered from a dense plane."""
+    return inc.rematch(np.asarray(w, dtype=np.float64)[inc.src, inc.dst])
 
 
 #: Every matching implementation, by the name the suites use for it.
@@ -161,12 +166,10 @@ def test_incremental_equals_from_scratch_over_delta_sequences():
     for trial in range(25):
         n = int(rng.integers(2, 16))
         bound = int(rng.integers(1, 4))
-        src, dst = np.nonzero(np.ones((n, n)))
-        keep = src != dst
-        inc = IncrementalMatcher(src[keep], dst[keep], n, bound)
+        inc = all_pairs_matcher(n, bound)
         w = random_weights(rng, n, density=0.6, with_diag=False).astype(np.float64)
         for _ in range(10):
-            got = inc.rematch_dense(w)
+            got = rematch_plane(inc, w)
             want = match_edges(*canonical_edges(w), n, bound)
             assert got == want
             # Arbitrary delta: zero edges, single edge, or a burst; also
@@ -186,14 +189,14 @@ def test_incremental_unchanged_step_hits_cache():
     n, bound = 8, 2
     rng = np.random.default_rng(29)
     w = random_weights(rng, n, density=0.7, with_diag=False).astype(np.float64)
-    inc = IncrementalMatcher.from_dense(np.ones((n, n)) - np.eye(n), bound)
-    first = inc.rematch_dense(w)
-    second = inc.rematch_dense(w)
+    inc = all_pairs_matcher(n, bound)
+    first = rematch_plane(inc, w)
+    second = rematch_plane(inc, w)
     assert first == second
     assert inc.stats["unchanged_hits"] == 1
     # The cached list must be a copy: mutating it cannot poison the cache.
     second.append((0, 0))
-    assert inc.rematch_dense(w) == first
+    assert rematch_plane(inc, w) == first
 
 
 def test_incremental_order_preserving_delta_skips_resort():
@@ -204,11 +207,11 @@ def test_incremental_order_preserving_delta_skips_resort():
     w = (rng.integers(1, 100, size=(n, n)) * (1 - np.eye(n, dtype=np.int64))).astype(
         np.float64
     )
-    inc = IncrementalMatcher.from_dense(np.ones((n, n)) - np.eye(n), bound)
-    inc.rematch_dense(w)
-    inc.rematch_dense(w * 2.0)
+    inc = all_pairs_matcher(n, bound)
+    rematch_plane(inc, w)
+    rematch_plane(inc, w * 2.0)
     assert inc.stats["order_reuses"] == 1
-    assert inc.rematch_dense(w * 2.0) == match_edges(*canonical_edges(w * 2.0), n, bound)
+    assert rematch_plane(inc, w * 2.0) == match_edges(*canonical_edges(w * 2.0), n, bound)
 
 
 def test_incremental_rejects_wrong_shape():
@@ -236,11 +239,12 @@ def test_slice_traffic_conserves_message_only_links():
     msg_m = np.zeros((n, n), dtype=np.int64)
     bytes_m[0, 1], msg_m[0, 1] = 1000, 3
     msg_m[2, 3] = 7  # message-only link
-    cm = CommMatrix(nranks=n, bytes_matrix=bytes_m, msg_matrix=msg_m)
+    cm = oracles.from_planes(bytes_m, msg_m)
+    assert len(cm.src) == 2
     for T in (2, 4, 5):
-        slices = slice_traffic(cm, T, seed=0)
-        assert np.array_equal(sum(b for b, _ in slices), bytes_m)
-        assert np.array_equal(sum(m for _, m in slices), msg_m)
+        eb, em = slice_edge_volumes(cm.src, cm.dst, cm.bytes, cm.msgs, T, seed=0)
+        assert np.array_equal(eb.sum(axis=0), cm.bytes)
+        assert np.array_equal(em.sum(axis=0), cm.msgs)
 
 
 def test_temporal_empty_step_keeps_configuration_standing():
@@ -253,7 +257,7 @@ def test_temporal_empty_step_keeps_configuration_standing():
     # One link whose hashed window at T=6 is narrower than the horizon,
     # guaranteeing at least one empty step between active ones.
     bytes_m[0, 1], msg_m[0, 1] = 6000, 6
-    cm = CommMatrix(nranks=n, bytes_matrix=bytes_m, msg_matrix=msg_m)
+    cm = oracles.from_planes(bytes_m, msg_m)
     config = InterconnectConfig(timesteps=6, reconfig_cost=1e-3, circuits_per_node=1)
     ev = evaluate_temporal(cm, config)
     active = [s for s in ev.per_step if s["n_circuits"]]
@@ -298,12 +302,10 @@ def test_hypothesis_backend_identity_and_degrees(n, bound, seed, max_w):
 )
 def test_hypothesis_incremental_matches_scratch(n, bound, seed, steps):
     rng = np.random.default_rng(seed)
-    src, dst = np.nonzero(np.ones((n, n)))
-    keep = src != dst
-    inc = IncrementalMatcher(src[keep], dst[keep], n, bound)
+    inc = all_pairs_matcher(n, bound)
     w = random_weights(rng, n, density=0.5, with_diag=False).astype(np.float64)
     for _ in range(steps):
-        assert inc.rematch_dense(w) == match_edges(*canonical_edges(w), n, bound)
+        assert rematch_plane(inc, w) == match_edges(*canonical_edges(w), n, bound)
         for _ in range(int(rng.integers(0, 4))):
             w[int(rng.integers(0, n)), int(rng.integers(0, n))] = float(
                 rng.integers(0, 20)
