@@ -39,8 +39,11 @@ from hfast.interconnect import InterconnectConfig, _is_finite_number, _is_int
 from hfast.timing import DEFAULT_TIMING_SEED
 
 #: Canonical-document schema version; bump on any change to the layout
-#: below, because the version participates in the sha256 key.
-SPEC_FORMAT = 2
+#: below, because the version participates in the sha256 key. A change
+#: to the result a spec addresses bumps it too, so a store written before
+#: the change cannot serve the old result under the new code (3: the
+#: ``top_peers`` tie-break became lowest peer id).
+SPEC_FORMAT = 3
 
 MAX_NRANKS = 1 << 20
 MAX_TIMESTEPS = 4096
