@@ -14,6 +14,11 @@ synthesizer refactor that changes any of them fails
 Only rerun this when a change to the synthesizers is *intended* to change
 the communication structure; commit the diff together with the change.
 
+The matrices are stored as dense ``nranks x nranks`` lists, scattered
+from the communication matrix's edge columns; at 8 and 16 ranks that is
+the most readable diff. ``tests/test_golden_matrices.py`` also checks
+that :func:`build_fixture` reproduces every committed file byte for byte.
+
 The fixtures pin synthesizer output (matrices, totals, topology), not
 matcher internals — the interconnect evaluations derived from them are
 pinned separately by the differential suite, so a matcher change never
@@ -41,10 +46,19 @@ from hfast.topology import analyze_topology
 GOLDEN_SCALES = (8, 16)
 
 
+def dense_rows(nranks: int, src, dst, values) -> list[list[int]]:
+    """An ``nranks x nranks`` list of lists holding ``values`` at
+    ``(src, dst)`` and 0 elsewhere: how the fixtures spell the matrix."""
+    rows = [[0] * nranks for _ in range(nranks)]
+    for s, d, v in zip(src.tolist(), dst.tolist(), values.tolist()):
+        rows[s][d] = v
+    return rows
+
+
 def build_fixture(app: str, nranks: int) -> dict:
     trace = synthesize(app, nranks, timing_seed=DEFAULT_TIMING_SEED)
     batch = trace.ensure_batch()
-    cm = reduce_matrix(batch if batch is not None else trace.records, nranks)
+    cm = reduce_matrix(batch, nranks)
     topo = analyze_topology(cm)
     comm_time_s = float(np.sum(batch.total_time))
     compute_time_s = TimingModel(app, nranks, seed=DEFAULT_TIMING_SEED).compute_time(None)
@@ -57,12 +71,17 @@ def build_fixture(app: str, nranks: int) -> dict:
         "total_bytes": cm.total_bytes,
         "total_messages": cm.total_messages,
         "max_degree": topo.max_degree,
-        "bytes_matrix": cm.bytes_matrix.tolist(),
-        "msg_matrix": cm.msg_matrix.tolist(),
+        "bytes_matrix": dense_rows(nranks, cm.src, cm.dst, cm.bytes),
+        "msg_matrix": dense_rows(nranks, cm.src, cm.dst, cm.msgs),
         "timing_seed": DEFAULT_TIMING_SEED,
         "comm_time_s": comm_time_s,
         "pct_comm": round(pct_comm, 3),
     }
+
+
+def fixture_text(app: str, nranks: int) -> str:
+    """The committed file content for one fixture."""
+    return json.dumps(build_fixture(app, nranks), indent=1, sort_keys=True) + "\n"
 
 
 def main() -> int:
@@ -74,9 +93,7 @@ def main() -> int:
     for app in available_apps():
         for nranks in GOLDEN_SCALES:
             path = out / f"{app}_p{nranks}.json"
-            with open(path, "w", encoding="utf-8") as fh:
-                json.dump(build_fixture(app, nranks), fh, indent=1, sort_keys=True)
-                fh.write("\n")
+            path.write_text(fixture_text(app, nranks), encoding="utf-8")
             print(f"wrote {path}")
     return 0
 
