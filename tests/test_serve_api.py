@@ -57,6 +57,25 @@ def test_submit_poll_result_byte_identical(tmp_path):
     assert served == direct
 
 
+def test_served_overrides_reach_the_cell(tmp_path):
+    """A job's overrides change what its cell computes, not only its key."""
+    overrides = {"steps": 1, "ghost_bytes": 8}
+    with ServiceThread(make_config(tmp_path)) as service:
+        _, _, raw = request(service.port, "POST", "/v1/jobs", {**SPEC, "overrides": overrides})
+        job = wait_for_job(service.port, json.loads(raw)["job_id"])
+        assert job["status"] == "done"
+        _, _, served = request(service.port, "GET", job["result_url"])
+    result = json.loads(served)
+    assert result["total_bytes"] == 384
+    assert result["overrides"] == overrides
+
+    out = run_pipeline(
+        apps=["cactus"], scales={"cactus": [8]}, overrides=overrides,
+        cache_dir=str(tmp_path / "direct"), argv=["test"], bench_dir=None,
+    )
+    assert served == (json.dumps(out["results"][0], sort_keys=True) + "\n").encode("utf-8")
+
+
 def test_serve_cache_artifacts_match_cli_analyze(tmp_path, capsys):
     """The daemon's repro-cache writes == a `hfast analyze` run's writes."""
     config = make_config(tmp_path)
