@@ -1,6 +1,9 @@
 import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -274,3 +277,28 @@ class TestReproCache:
             atomic_write(path, fail_midway)
         assert path.read_text(encoding="utf-8") == "old"
         assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
+
+    def test_stores_write_files_with_the_umask_mode(self, tmp_path):
+        """A cache entry, a served result and a ledger record come out
+        0644 under umask 022, as ``open()`` would make them."""
+        script = (
+            "import sys\n"
+            "from pathlib import Path\n"
+            "from hfast.apps import synthesize\n"
+            "from hfast.cache import ReproCache\n"
+            "from hfast.serve.store import JobLedger, ResultStore\n"
+            "root = Path(sys.argv[1])\n"
+            "ReproCache(root / 'cache').store(synthesize('gtc', 4))\n"
+            "ResultStore(root / 'results').put('a' * 64, {'x': 1})\n"
+            "JobLedger(root / 'jobs').write({'job_id': 'j1', 'status': 'queued'})\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(src)}, umask=0o022, check=True,
+        )
+        modes = {
+            p.relative_to(tmp_path).parts[0]: p.stat().st_mode & 0o777
+            for p in tmp_path.rglob("*") if p.is_file()
+        }
+        assert modes == {"cache": 0o644, "results": 0o644, "jobs": 0o644}
