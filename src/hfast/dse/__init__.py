@@ -10,8 +10,8 @@ as search variables and the temporal evaluator as a fitness function:
   utilities.
 - :mod:`hfast.dse.search` — grid and evolutionary strategies; every
   candidate evaluation is dispatched as a pipeline cell through the
-  existing serial / process-pool / work-stealing backends, so searches
-  shard, retry, journal, and resume exactly like analysis sweeps.
+  existing serial / work-stealing backends, so searches retry, journal,
+  and resume exactly like analysis sweeps.
 - :mod:`hfast.dse.calibrate` — fits the LogGP ``APP_PARAMS`` compute
   constants against the paper's %comm tables and emits a
   provenance-stamped params artifact ``hfast apps --params`` reads.

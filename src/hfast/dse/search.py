@@ -13,12 +13,13 @@ objectives:
   stand-in for evaluation wall time. Measured wall times are recorded
   too, but only in side-channel fields outside the frontier artifact.
 
-Each candidate evaluation is one pipeline cell: the exact payload shape
-:func:`hfast.pipeline.execute_cell` runs for analysis sweeps, with the
-candidate's interconnect config swapped in. Cells dispatch through the
-same three backends as ``run_pipeline`` — serial, process pool, or the
-work-stealing scheduler — so searches shard, retry, journal, and
-``resume=<run-id>`` without any search-specific machinery. Candidate
+Each candidate evaluation is one pipeline cell: the payload of the
+workload's one-cell :class:`~hfast.spec.RunSpec` under the candidate's
+interconnect config, which :func:`hfast.pipeline.execute_cell` runs as
+it runs analysis cells. Cells dispatch through the same two backends as
+``run_pipeline`` — serial in-process, or the work-stealing scheduler for
+``workers > 1`` — so searches retry, journal, and ``resume=<run-id>``
+without any search-specific machinery. Candidate
 results merge in candidate-definition order, making the frontier
 artifact (`frontier_bytes`) byte-identical across backends; repeated
 trace synthesis is free after the first candidate because every
@@ -35,18 +36,14 @@ Strategies:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
-from hfast.apps import APPS
 from hfast.cache import DEFAULT_CACHE_DIR
 from hfast.dse.pareto import Objective, pareto_frontier, pareto_rank, sort_key
 from hfast.dse.space import Candidate, SearchSpace
-from hfast.interconnect import InterconnectConfig
 from hfast.obs.manifest import build_manifest
 from hfast.obs.profile import Observability, get_obs
 from hfast.pipeline import SCHEDULERS, execute_cell, graft_cell
@@ -58,6 +55,7 @@ from hfast.sched.journal import (
     new_run_id,
 )
 from hfast.sched.scheduler import SchedulerConfig, run_stealing
+from hfast.spec import RunSpec, SpecError, check_cell, check_int, content_key
 from hfast.timing import DEFAULT_TIMING_SEED, mix64
 
 #: Search/frontier document schema version; it participates in the
@@ -65,7 +63,6 @@ from hfast.timing import DEFAULT_TIMING_SEED, mix64
 FRONTIER_FORMAT = 2
 FRONTIER_KIND = "hfast-dse-frontier"
 STRATEGIES = ("grid", "evolution")
-MAX_NRANKS = 1 << 20
 MAX_POPULATION = 4096
 MAX_GENERATIONS = 64
 
@@ -95,12 +92,8 @@ _SUM_STATS = frozenset(
 )
 
 
-class SearchSpecError(ValueError):
+class SearchSpecError(SpecError):
     """A search spec failed validation; ``errors`` lists every problem."""
-
-    def __init__(self, errors: list[str]):
-        self.errors = list(errors)
-        super().__init__("; ".join(errors))
 
 
 @dataclass(frozen=True)
@@ -118,24 +111,13 @@ class SearchSpec:
 
     def __post_init__(self) -> None:
         errors: list[str] = []
-        if not isinstance(self.app, str) or self.app not in APPS:
-            errors.append(f"app: unknown app {self.app!r} (expected one of {sorted(APPS)})")
-        if not isinstance(self.nranks, int) or not 1 <= self.nranks <= MAX_NRANKS:
-            errors.append(f"nranks: expected an integer in [1, {MAX_NRANKS}], got {self.nranks!r}")
+        check_cell(self.app, self.nranks, errors)
+        check_int("timing_seed", self.timing_seed, errors)
         if self.strategy not in STRATEGIES:
             errors.append(f"strategy: expected one of {STRATEGIES}, got {self.strategy!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            errors.append(f"seed: expected an integer, got {self.seed!r}")
-        if not isinstance(self.population, int) or not 1 <= self.population <= MAX_POPULATION:
-            errors.append(
-                f"population: expected an integer in [1, {MAX_POPULATION}], "
-                f"got {self.population!r}"
-            )
-        if not isinstance(self.generations, int) or not 1 <= self.generations <= MAX_GENERATIONS:
-            errors.append(
-                f"generations: expected an integer in [1, {MAX_GENERATIONS}], "
-                f"got {self.generations!r}"
-            )
+        check_int("seed", self.seed, errors)
+        check_int("population", self.population, errors, 1, MAX_POPULATION)
+        check_int("generations", self.generations, errors, 1, MAX_GENERATIONS)
         if errors:
             raise SearchSpecError(errors)
 
@@ -155,8 +137,7 @@ class SearchSpec:
     @property
     def key(self) -> str:
         """Content address of the search: sha256 of the canonical doc."""
-        payload = json.dumps(self.canonical_doc(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return content_key(self.canonical_doc())
 
 
 @dataclass(frozen=True)
@@ -218,7 +199,6 @@ def run_search(
     resume: str | None = None,
     run_id: str | None = None,
     bench_dir: str | None = ".",
-    base_config: InterconnectConfig | None = None,
 ) -> dict[str, Any]:
     """Run one design-space search; returns {frontier, manifest, ...}.
 
@@ -233,29 +213,25 @@ def run_search(
     search's fingerprint; ``resume=<run-id>`` replays evaluated
     candidates (across *all* generations of an evolutionary search,
     since candidate indices are globally unique) and executes only what
-    is missing. ``base_config`` supplies the non-searched interconnect
-    knobs (bandwidths, latencies, slice seed); searched dimensions are
-    always taken from the candidate.
+    is missing. It is also the only way to evaluate candidates in
+    parallel: ``workers > 1`` requires it, and ``static`` runs serially.
+    Each candidate runs as the one-cell :class:`~hfast.spec.RunSpec` of
+    the workload under the candidate's config (defaults elsewhere), so
+    every input a candidate reads is in the search key.
     """
     if scheduler not in SCHEDULERS:
         raise ValueError(f"unknown scheduler '{scheduler}' (expected one of {SCHEDULERS})")
     if resume is not None and scheduler != "stealing":
         raise ValueError("resume requires scheduler='stealing'")
+    if workers > 1 and scheduler != "stealing":
+        raise ValueError("workers > 1 requires scheduler='stealing'")
     obs = obs if obs is not None else get_obs()
     t_run0 = time.perf_counter()
 
     sched_info: dict[str, Any] = {"backend": scheduler}
     journal: RunJournal | None = None
     if scheduler == "stealing":
-        fingerprint = build_fingerprint(
-            [spec.app],
-            {spec.app: [spec.nranks]},
-            cache_dir,
-            spec.timing_seed,
-            store,
-            {"dse_search": spec.key},
-            None,
-        )
+        fingerprint = build_fingerprint(spec, cache_dir, store)
         jdir = journal_dir_for(cache_dir, journal_dir)
         if resume is not None:
             journal = RunJournal.load(jdir, resume)
@@ -296,18 +272,12 @@ def run_search(
     eval_reports: list[dict[str, Any]] = []
 
     def payload_for(cell: CandidateCell) -> dict[str, Any]:
-        return {
-            "app": cell.app,
-            "nranks": cell.nranks,
-            "index": cell.index,
-            "cache_dir": cache_dir,
-            "config": cell.cand.config(base_config),
-            "store": store,
-            "timing_seed": spec.timing_seed,
-            "profiled": obs.enabled,
-            "live": False,
-            "ctx": None,
-        }
+        run = RunSpec(
+            cells=((cell.app, cell.nranks),),
+            timing_seed=spec.timing_seed,
+            config=cell.cand.config(),
+        )
+        return run.cell_payload(cell, cache_dir, store, obs.enabled)
 
     def merge_one(res: dict[str, Any]) -> None:
         cell = cells_by_index[res["index"]]
@@ -381,12 +351,8 @@ def run_search(
                 else:
                     sched_info[k] = v
             sched_info["journal"] = str(journal.path) if journal is not None else None
-        elif workers <= 1 or len(cells) <= 1:
-            raw = [execute_cell(payload_for(cell)) for cell in cells]
         else:
-            payloads = [payload_for(cell) for cell in cells]
-            with ProcessPoolExecutor(max_workers=min(workers, len(cells))) as pool:
-                raw = list(pool.map(execute_cell, payloads))
+            raw = [execute_cell(payload_for(cell)) for cell in cells]
         raw.sort(key=lambda r: r["index"])
         for res in raw:
             merge_one(res)

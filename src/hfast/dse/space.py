@@ -9,8 +9,9 @@ of :class:`hfast.interconnect.InterconnectConfig`:
   initial configuration;
 - ``timesteps`` — traffic-slice granularity for the temporal evaluator.
 
-Validation follows the serve jobspec idiom: every problem is collected
-before :class:`SpaceValidationError` is raised. Dimension values are
+Validation uses :mod:`hfast.spec`'s checks and, like a run spec,
+collects every problem before :class:`SpaceValidationError` (a
+:class:`~hfast.spec.SpecError`) is raised. Dimension values are
 deduplicated and stored sorted, so two specs that differ only in listing
 order are the same space — and hash to the same :meth:`SearchSpace.key`.
 
@@ -23,19 +24,22 @@ platforms and independent of any global RNG state.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
 from dataclasses import dataclass
 from typing import Any
 
-from hfast.interconnect import InterconnectConfig
+from hfast.spec import (
+    MAX_TIMESTEPS,
+    InterconnectConfig,
+    SpecError,
+    check_int,
+    check_number,
+    content_key,
+)
 from hfast.timing import mix64
 
 SPACE_FORMAT = 1
 
 MAX_CIRCUITS = 1 << 10
-MAX_TIMESTEPS = 4096
 MAX_GRID = 100_000
 
 #: Canonical dimension order for enumeration and candidate documents.
@@ -46,20 +50,8 @@ DIMENSIONS = ("circuits", "reconfig_costs", "timesteps")
 _DIM_STREAMS = {name: mix64(0xD5E_0000 + i) for i, name in enumerate(DIMENSIONS)}
 
 
-class SpaceValidationError(ValueError):
+class SpaceValidationError(SpecError):
     """A space spec failed validation; ``errors`` lists every problem."""
-
-    def __init__(self, errors: list[str]):
-        self.errors = list(errors)
-        super().__init__("; ".join(errors))
-
-
-def _is_int(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -80,22 +72,11 @@ class Candidate:
     @property
     def key(self) -> str:
         """Short stable id for labels, journaling, and dedup."""
-        payload = json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+        return content_key(self.to_doc())[:12]
 
-    def config(self, base: InterconnectConfig | None = None) -> InterconnectConfig:
-        """The full interconnect config: base (or defaults) + this point."""
-        base = base if base is not None else InterconnectConfig()
-        return InterconnectConfig(
-            circuits_per_node=self.circuits_per_node,
-            circuit_bandwidth=base.circuit_bandwidth,
-            packet_bandwidth=base.packet_bandwidth,
-            circuit_latency=base.circuit_latency,
-            packet_latency=base.packet_latency,
-            timesteps=self.timesteps,
-            reconfig_cost=self.reconfig_cost,
-            slice_seed=base.slice_seed,
-        )
+    def config(self) -> InterconnectConfig:
+        """The full interconnect config: this point, defaults elsewhere."""
+        return InterconnectConfig(**self.to_doc())
 
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> "Candidate":
@@ -205,8 +186,7 @@ class SearchSpace:
     @property
     def key(self) -> str:
         """Content address of the canonical space document."""
-        payload = json.dumps(self.to_doc(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return content_key(self.to_doc())
 
     @classmethod
     def from_doc(cls, doc: Any) -> "SearchSpace":
@@ -255,21 +235,12 @@ def _dim(values: Any, name: str, errors: list[str], check) -> tuple:
 
 
 def _check_circuits(v: Any, name: str, errors: list[str]) -> int | None:
-    if not _is_int(v) or not 0 <= v <= MAX_CIRCUITS:
-        errors.append(f"{name}: expected an integer in [0, {MAX_CIRCUITS}], got {v!r}")
-        return None
-    return v
+    return v if check_int(name, v, errors, 0, MAX_CIRCUITS) else None
 
 
 def _check_reconfig(v: Any, name: str, errors: list[str]) -> float | None:
-    if not _is_number(v) or not math.isfinite(v) or v < 0:
-        errors.append(f"{name}: expected a non-negative finite number, got {v!r}")
-        return None
-    return float(v)
+    return float(v) if check_number(name, v, errors, positive=False) else None
 
 
 def _check_timesteps(v: Any, name: str, errors: list[str]) -> int | None:
-    if not _is_int(v) or not 1 <= v <= MAX_TIMESTEPS:
-        errors.append(f"{name}: expected an integer in [1, {MAX_TIMESTEPS}], got {v!r}")
-        return None
-    return v
+    return v if check_int(name, v, errors, 1, MAX_TIMESTEPS) else None

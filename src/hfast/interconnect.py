@@ -29,7 +29,6 @@ matcher and against the dense ``nranks x nranks`` evaluators, both in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,63 +36,8 @@ import numpy as np
 from hfast.matcher import greedy_seed_vector, match_edges, sort_edges
 from hfast.matrix import CommMatrix
 from hfast.obs.profile import profiled
+from hfast.spec import InterconnectConfig
 from hfast.timing import mix64, mix64_vec
-
-
-@dataclass
-class InterconnectConfig:
-    circuits_per_node: int = 4
-    circuit_bandwidth: float = 10e9  # bytes/s per provisioned circuit
-    packet_bandwidth: float = 1e9  # bytes/s shared packet fabric per node
-    circuit_latency: float = 1e-6  # s, source-routed circuit
-    packet_latency: float = 10e-6  # s, store-and-forward packet path
-    timesteps: int = 4  # temporal evaluator: number of traffic slices
-    reconfig_cost: float = 1e-3  # s per circuit established after t=0 (MEMS-scale)
-    slice_seed: int = 0  # seed for the deterministic traffic slicer
-
-    def __post_init__(self) -> None:
-        """Reject out-of-range parameters, naming every bad field at once."""
-        errors = []
-        if not _is_int(self.circuits_per_node) or self.circuits_per_node < 0:
-            errors.append(
-                f"circuits_per_node: expected a non-negative integer, "
-                f"got {self.circuits_per_node!r}"
-            )
-        for name in ("circuit_bandwidth", "packet_bandwidth", "circuit_latency", "packet_latency"):
-            value = getattr(self, name)
-            if not _is_finite_number(value) or value <= 0:
-                errors.append(f"{name}: expected a positive finite number, got {value!r}")
-        if not _is_int(self.timesteps) or self.timesteps < 1:
-            errors.append(f"timesteps: expected an integer >= 1, got {self.timesteps!r}")
-        if not _is_finite_number(self.reconfig_cost) or self.reconfig_cost < 0:
-            errors.append(
-                f"reconfig_cost: expected a non-negative finite number, "
-                f"got {self.reconfig_cost!r}"
-            )
-        if errors:
-            raise ValueError("invalid interconnect config: " + "; ".join(errors))
-
-    def to_dict(self) -> dict:
-        return {
-            "circuits_per_node": self.circuits_per_node,
-            "circuit_bandwidth": self.circuit_bandwidth,
-            "packet_bandwidth": self.packet_bandwidth,
-            "circuit_latency": self.circuit_latency,
-            "packet_latency": self.packet_latency,
-            "timesteps": self.timesteps,
-            "reconfig_cost": self.reconfig_cost,
-            "slice_seed": self.slice_seed,
-        }
-
-
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value: object) -> bool:
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 @dataclass

@@ -57,7 +57,7 @@ from hfast.obs.prom import (
     render_registry,
 )
 from hfast.obs.report import build_report, render_markdown, write_report
-from hfast.obs.stream import EventBus, QueueDrain, StreamForwardSink
+from hfast.obs.stream import EventBus, StreamForwardSink
 from hfast.obs.trace import (
     JsonlSink,
     ListSink,
@@ -81,7 +81,6 @@ __all__ = [
     "MetricsServer",
     "NullSink",
     "Observability",
-    "QueueDrain",
     "SpanNode",
     "SpanTracer",
     "StreamForwardSink",

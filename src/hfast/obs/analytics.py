@@ -1,7 +1,7 @@
 """Post-mortem analytics over the unified JSONL trace tree.
 
-PR 5 made every run emit one span tree (serial, pool, and stealing
-backends all produce the same shape); this module is the analysis layer
+PR 5 made every run emit one span tree (the serial and stealing
+backends produce the same shape); this module is the analysis layer
 the paper's methodology actually needs on top of it:
 
 - :func:`load_events` — tolerant loader for ``--trace-out`` files and

@@ -14,7 +14,7 @@ Snapshot shape::
 ``data`` holds only *deterministic* fields — the BENCH run-row
 projection (:func:`hfast.obs.report.bench_run_rows`) plus metrics
 filtered to the deterministic instrument families — so the same work on
-any backend (serial / pool / stealing / the serve daemon) produces the
+any backend (serial / stealing / the serve daemon) produces the
 same bytes, hence the same content-addressed ``key``. Identical reruns
 dedupe instead of accumulating, and the default ``hfast obs trend``
 output is a pure function of history *content*: byte-identical no

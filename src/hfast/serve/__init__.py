@@ -2,8 +2,10 @@
 
 Public surface:
 
-- :func:`hfast.serve.jobspec.canonicalize` / :class:`~hfast.serve.jobspec.JobSpec`
-  — submission validation and content addressing.
+- :meth:`hfast.spec.RunSpec.from_wire` — analysis job validation and
+  content addressing (one cell of a run spec);
+  :func:`hfast.serve.jobspec.canonicalize_sweep` /
+  :class:`~hfast.serve.jobspec.SweepSpec` — the same for sweep jobs.
 - :class:`hfast.serve.store.ResultStore` / :class:`hfast.serve.store.JobLedger`
   — durable result artifacts and job lifecycle records.
 - :class:`hfast.serve.daemon.AnalysisService` — the asyncio HTTP service.
@@ -13,7 +15,7 @@ Public surface:
 """
 
 from hfast.serve.daemon import AnalysisService, ServeConfig, ServiceThread, run_serve
-from hfast.serve.jobspec import JobSpec, JobValidationError, canonicalize
+from hfast.serve.jobspec import SweepSpec, canonicalize_sweep
 from hfast.serve.store import JobLedger, ResultStore
 
 __all__ = [
@@ -21,9 +23,8 @@ __all__ = [
     "ServeConfig",
     "ServiceThread",
     "run_serve",
-    "JobSpec",
-    "JobValidationError",
-    "canonicalize",
+    "SweepSpec",
+    "canonicalize_sweep",
     "JobLedger",
     "ResultStore",
 ]

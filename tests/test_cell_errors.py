@@ -38,7 +38,8 @@ def test_failed_cell_is_surfaced_not_fatal(warm_cache, workers):
     corrupt(warm_cache, "gtc_p4_*.json")
     obs = Observability(enabled=True)
     out = run_pipeline(apps=APPS, scales=SCALES, cache_dir=str(warm_cache),
-                       obs=obs, argv=["test"], workers=workers)
+                       obs=obs, argv=["test"], workers=workers,
+                       scheduler="stealing" if workers > 1 else "static")
 
     # The healthy cell still ran to completion.
     assert [r["nranks"] for r in out["results"]] == [8]

@@ -116,13 +116,14 @@ def test_space_key_pinned():
 def test_candidate_round_trip_and_config():
     cand = Candidate(circuits_per_node=2, reconfig_cost=5e-4, timesteps=4)
     assert Candidate.from_doc(cand.to_doc()) == cand
-    base = InterconnectConfig(circuit_bandwidth=123.0, slice_seed=9)
-    cfg = cand.config(base)
+    cfg = cand.config()
     # Searched dimensions come from the candidate...
     assert cfg.circuits_per_node == 2 and cfg.timesteps == 4
     assert cfg.reconfig_cost == 5e-4
-    # ...everything else from the base config.
-    assert cfg.circuit_bandwidth == 123.0 and cfg.slice_seed == 9
+    # ...everything else from the defaults, so the search key covers it.
+    default = InterconnectConfig()
+    assert cfg.circuit_bandwidth == default.circuit_bandwidth
+    assert cfg.slice_seed == default.slice_seed
 
 
 def test_candidate_key_is_content_addressed():

@@ -174,7 +174,7 @@ def test_resume_refuses_different_sweep(tmp_path):
     out = run_sweep(tmp_path / "c", scheduler="stealing", workers=2)
     run_id = out["manifest"]["scheduler"]["run_id"]
     obs = Observability(enabled=True)
-    with pytest.raises(JournalError, match="scales"):
+    with pytest.raises(JournalError, match="cells"):
         run_pipeline(
             apps=APPS,
             scales={app: [16] for app in APPS},

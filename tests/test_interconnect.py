@@ -239,9 +239,12 @@ BAD_CONFIGS = [
     ({"packet_latency": float("nan")}, "packet_latency"),
     ({"timesteps": 0}, "timesteps"),
     ({"timesteps": 2.0}, "timesteps"),
+    ({"timesteps": 4097}, "timesteps"),
     ({"reconfig_cost": -1.0}, "reconfig_cost"),
     ({"reconfig_cost": float("nan")}, "reconfig_cost"),
     ({"reconfig_cost": "0.001"}, "reconfig_cost"),
+    ({"slice_seed": 1.5}, "slice_seed"),
+    ({"slice_seed": True}, "slice_seed"),
 ]
 
 

@@ -110,10 +110,10 @@ def test_live_stealing_is_byte_identical_to_live_off(tmp_path):
     assert_identical(on, off, tmp_path / "on", tmp_path / "off")
 
 
-def test_live_pool_matches_serial_without_live(tmp_path):
+def test_live_stealing_matches_serial_without_live(tmp_path):
     serial = run_sweep(tmp_path / "serial")
-    pool = run_sweep(tmp_path / "pool", workers=4, live=True)
-    assert_identical(pool, serial, tmp_path / "pool", tmp_path / "serial")
+    stealing = run_sweep(tmp_path / "stealing", scheduler="stealing", workers=4, live=True)
+    assert_identical(stealing, serial, tmp_path / "stealing", tmp_path / "serial")
 
 
 def test_live_chaos_run_still_byte_identical(tmp_path, monkeypatch):

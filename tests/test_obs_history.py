@@ -296,15 +296,15 @@ def test_history_is_a_pure_side_channel(tmp_path):
 
 
 def test_backends_dedupe_to_one_snapshot_and_trend_is_byte_identical(tmp_path):
-    """Serial, pool, and stealing runs of the same work: one history key."""
+    """Serial and stealing runs of the same work: one history key."""
     cache = tmp_path / "cache"
     hist_dir = tmp_path / "hist"
-    for kw in ({}, {"workers": 2}, {"scheduler": "stealing", "workers": 2}):
+    for kw in ({}, {"scheduler": "stealing", "workers": 2}):
         run_once(cache, history_dir=hist_dir, **kw)
     snaps = read_history(hist_dir, kinds=("run",))
     assert len(snaps) == 1, [s["meta"]["scheduler"] for s in read_history(hist_dir)]
     schedulers = {s["meta"]["scheduler"] for s in read_history(hist_dir)}
-    assert schedulers <= {None, "static", "pool", "stealing"}
+    assert schedulers <= {None, "static", "stealing"}
 
     # Trend output is a pure function of content: byte-identical however
     # many times it renders, and stable under compaction.

@@ -4,18 +4,15 @@ Covers the event bus / worker-channel plumbing in ``hfast.obs.stream``,
 the scheduler's live event emission (``on_event``) plus prior-attempt
 retention, and the tentpole structural contract: the merged JSONL trace
 is ONE tree — every span and app_summary event's parent chain resolves
-to the single run-root ``pipeline`` span, across serial, process-pool,
-and work-stealing backends, retries included.
+to the single run-root ``pipeline`` span, across the serial and
+work-stealing backends, retries included.
 """
-
-import queue
-import time
 
 import pytest
 
 from hfast.obs import stream
 from hfast.obs.profile import Observability
-from hfast.obs.stream import EventBus, QueueDrain, StreamForwardSink
+from hfast.obs.stream import EventBus, StreamForwardSink
 from hfast.pipeline import Cell, run_pipeline
 from hfast.sched.faults import FAULT_ENV_VAR
 from hfast.sched.scheduler import SchedulerConfig, run_stealing
@@ -110,23 +107,6 @@ def test_forward_sink_for_requires_live_payload_and_channel():
     assert stream.worker_channel() is None and stream.worker_id() is None
 
 
-def test_queue_drain_pumps_and_drains_stragglers():
-    q = queue.Queue()
-    bus = EventBus()
-    seen = []
-    bus.subscribe(seen.append)
-    drain = QueueDrain(q, bus, poll_interval=0.01).start()
-    q.put({"event": "a"})
-    q.put({"event": "b"})
-    for _ in range(200):
-        if len(seen) == 2:
-            break
-        time.sleep(0.01)
-    q.put({"event": "late"})  # enqueued around shutdown: must not be lost
-    drain.stop()
-    assert [e["event"] for e in seen] == ["a", "b", "late"]
-
-
 # ---------------------------------------------------------------------------
 # Scheduler: on_event stream + prior-attempt retention (toy executor)
 
@@ -190,7 +170,7 @@ def test_run_stealing_without_on_event_is_silent():
 
 
 # ---------------------------------------------------------------------------
-# Pipeline live streaming (serial + pool backends)
+# Pipeline live streaming (serial + stealing backends)
 
 
 def run_live(cache_dir, workers=1, scheduler="static", **kwargs):
@@ -232,19 +212,6 @@ def test_serial_live_stream_carries_trace_context(tmp_path):
     # Side-channel contract: nothing context-stamped leaks into the buffer.
     assert all("run_id" not in e and "cell" not in e for e in obs.events)
     assert "run_id" not in out["manifest"].get("scheduler", {})
-
-
-def test_pool_live_stream_forwards_from_worker_processes(tmp_path):
-    out, _obs, received = run_live(tmp_path / "c", workers=4)
-
-    starts = [e for e in received if e["event"] == "cell_start"]
-    assert sorted(s["cell"] for s in starts) == sorted(CELL_ORDER)
-    # Pool workers identify themselves by pid.
-    assert all(str(s["worker"]).startswith("pid") for s in starts)
-    done = [e for e in received if e["event"] == "cell_state" and e["state"] == "done"]
-    assert len(done) == 4
-    assert sum(1 for e in received if e["event"] == "app_summary") == 4
-    assert out["manifest"]["failed_cells"] == []
 
 
 def test_stealing_live_stream_reports_cell_states(tmp_path):
@@ -294,9 +261,7 @@ def assert_single_tree(events):
     return root_id, spans
 
 
-@pytest.mark.parametrize(
-    "workers,scheduler", [(1, "static"), (4, "static"), (4, "stealing")]
-)
+@pytest.mark.parametrize("workers,scheduler", [(1, "static"), (4, "stealing")])
 def test_merged_trace_is_one_tree_across_backends(tmp_path, workers, scheduler):
     obs = Observability(enabled=True)
     run_pipeline(

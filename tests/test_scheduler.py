@@ -20,6 +20,7 @@ from hfast.sched.cost import (
 from hfast.sched.faults import FAULT_ENV_VAR, FaultSpecError, maybe_inject, parse_fault_spec
 from hfast.sched.journal import JournalError, RunJournal, build_fingerprint, new_run_id
 from hfast.sched.scheduler import SchedulerConfig, run_stealing
+from hfast.spec import RunSpec
 
 # ---------------------------------------------------------------------------
 # Cost model
@@ -108,7 +109,7 @@ def _result(index):
 
 
 def test_journal_round_trip(tmp_path):
-    fp = build_fingerprint(["gtc"], {"gtc": [8]}, "c", 42, True, None, None)
+    fp = build_fingerprint(RunSpec(cells=(("gtc", 8),), timing_seed=42), "c", True)
     run_id = new_run_id()
     journal = RunJournal.create(tmp_path, run_id, fp)
     journal.record_done(0, "gtc_p8", 2, _result(0))
@@ -142,11 +143,11 @@ def test_journal_missing_header_rejected(tmp_path):
 
 
 def test_fingerprint_mismatch_names_the_difference(tmp_path):
-    fp_a = build_fingerprint(["gtc"], {"gtc": [8]}, "c", 42, True, None, None)
-    fp_b = build_fingerprint(["gtc"], {"gtc": [16]}, "c", 43, True, None, None)
+    fp_a = build_fingerprint(RunSpec(cells=(("gtc", 8),), timing_seed=42), "c", True)
+    fp_b = build_fingerprint(RunSpec(cells=(("gtc", 16),), timing_seed=43), "c", True)
     journal = RunJournal.create(tmp_path, "r1", fp_a)
     journal.check_fingerprint(fp_a)  # identical: fine
-    with pytest.raises(JournalError, match="scales, timing_seed"):
+    with pytest.raises(JournalError, match="cells, timing_seed"):
         journal.check_fingerprint(fp_b)
     # A journal written when fingerprints still named a synthesis backend
     # does not resume.

@@ -19,8 +19,8 @@ from pathlib import Path
 
 from hfast.sched import faults
 from hfast.sched.faults import FAULT_ENV_VAR
-from hfast.serve.jobspec import canonicalize
 from hfast.serve.store import JobLedger, ResultStore
+from hfast.spec import RunSpec
 from serve_util import ServiceThread, make_config, request, wait_for_job
 
 SPEC = {"app": "cactus", "nranks": 8}
@@ -77,7 +77,7 @@ def test_drain_completes_inflight_job_and_result_survives_restart(
 
 
 def test_restart_reexecutes_job_left_queued_by_a_crash(tmp_path):
-    spec = canonicalize(SPEC)
+    spec = RunSpec.from_wire(SPEC)
     ledger = JobLedger(tmp_path / "serve" / "jobs")
     # Simulate a daemon that died right after admission: a ledger record
     # exists, no journal, no result.
@@ -88,7 +88,7 @@ def test_restart_reexecutes_job_left_queued_by_a_crash(tmp_path):
             "cell": spec.cell_key,
             "status": "queued",
             "run_id": "20260101-000000-dead00",
-            "spec": spec.payload(),
+            "spec": spec.to_wire(),
         }
     )
     with ServiceThread(make_config(tmp_path)) as service:
@@ -101,7 +101,7 @@ def test_restart_reexecutes_job_left_queued_by_a_crash(tmp_path):
 
 def test_restart_resumes_interrupted_job_from_journal(tmp_path):
     """A journaled cell is replayed, not re-run, and bytes are identical."""
-    spec = canonicalize(SPEC)
+    spec = RunSpec.from_wire(SPEC)
     config = make_config(tmp_path, scheduler="stealing")
     with ServiceThread(config) as service:
         _, _, raw = request(service.port, "POST", "/v1/jobs", SPEC)

@@ -108,8 +108,18 @@ def test_sweep_validation_errors_merge_space_and_spec(tmp_path):
         ({**SWEEP, "space": {**SPACE_DOC, "matchers": ["vector"]}},
          "space: unknown field(s): matchers"),
         ({**SWEEP, "backend": "vector"}, "unknown field(s): backend"),
+        ({**SWEEP, "nranks": True}, "nranks: expected an integer"),
+        ({**SWEEP, "timing_seed": "x"}, "timing_seed: expected an integer"),
+        ({**SWEEP, "timing_seed": 1.5}, "timing_seed: expected an integer"),
+        ({**SWEEP, "timing_seed": True}, "timing_seed: expected an integer"),
+        ({**SWEEP, "timing_seed": None}, "timing_seed: expected an integer"),
+        ({**SWEEP, "population": True}, "population: expected an integer"),
+        ({**SWEEP, "generations": True}, "generations: expected an integer"),
     ],
-    ids=["space-matchers", "backend"],
+    ids=[
+        "space-matchers", "backend", "nranks-bool", "timing-seed-str", "timing-seed-float",
+        "timing-seed-bool", "timing-seed-null", "population-bool", "generations-bool",
+    ],
 )
 def test_sweep_rejects_removed_fields(tmp_path, payload, needle):
     config = make_config(tmp_path)

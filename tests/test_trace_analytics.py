@@ -1,7 +1,7 @@
 """Post-mortem trace analytics: loader tolerance, tree building,
 critical paths, rollups, and scheduler attribution.
 
-The acceptance bar: all three backends (serial / pool / stealing) emit
+The acceptance bar: both backends (serial / stealing) emit
 the same tree shape with the same span ids, so the cost-weighted
 critical path and the stage structure must be *identical* across them —
 and stay identical when the journal, not the live trace, is the source.
@@ -269,7 +269,7 @@ def test_diff_traces_reports_missing_cells_and_deltas():
 
 
 # ---------------------------------------------------------------------------
-# Backend identity: serial / pool / stealing produce the same analytics
+# Backend identity: serial / stealing produce the same analytics
 
 
 @pytest.fixture(scope="module")
@@ -279,7 +279,6 @@ def backend_traces(tmp_path_factory):
     events = {}
     for name, kwargs in {
         "serial": {},
-        "pool": {"workers": 4},
         "stealing": {"scheduler": "stealing", "workers": 4,
                      "journal_dir": str(journal_dir)},
     }.items():
@@ -297,7 +296,7 @@ def cost_fingerprint(tree):
 def test_cost_critical_path_identical_across_backends(backend_traces):
     paths = {name: cost_fingerprint(TraceTree(evs))
              for name, evs in backend_traces["events"].items()}
-    assert paths["serial"] == paths["pool"] == paths["stealing"]
+    assert paths["serial"] == paths["stealing"]
     labels = [label for label, _ in paths["serial"]]
     assert labels[0] == "pipeline"
     # The path descends into the analytically heaviest cell of the sweep.
@@ -313,7 +312,7 @@ def test_per_cell_cost_paths_identical_across_backends(backend_traces):
             k: [(e["label"], e["weight"]) for e in v] for k, v in paths.items()
         }
     assert set(per_cell["serial"]) == {f"{a}_p8" for a in APPS}
-    assert per_cell["serial"] == per_cell["pool"] == per_cell["stealing"]
+    assert per_cell["serial"] == per_cell["stealing"]
 
 
 def test_stage_structure_identical_across_backends(backend_traces):
@@ -321,7 +320,7 @@ def test_stage_structure_identical_across_backends(backend_traces):
         name: sorted((r["stage"], r["calls"]) for r in stage_rollup(TraceTree(evs)))
         for name, evs in backend_traces["events"].items()
     }
-    assert shapes["serial"] == shapes["pool"] == shapes["stealing"]
+    assert shapes["serial"] == shapes["stealing"]
 
 
 def reweighted(events):
@@ -339,7 +338,7 @@ def test_self_time_analytics_identical_for_identical_walls(backend_traces):
     for name, evs in backend_traces["events"].items():
         tree = TraceTree(reweighted(evs))
         fingerprints[name] = (critical_path(tree), stage_rollup(tree))
-    assert fingerprints["serial"] == fingerprints["pool"] == fingerprints["stealing"]
+    assert fingerprints["serial"] == fingerprints["stealing"]
 
 
 def test_journal_reconstruction_matches_live_trace(backend_traces):

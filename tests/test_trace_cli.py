@@ -1,9 +1,9 @@
-"""``hfast trace`` CLI: every subcommand against real traces from all
-three backends, plus journal-dir input and malformed/empty edge cases.
+"""``hfast trace`` CLI: every subcommand against real traces from both
+backends, plus journal-dir input and malformed/empty edge cases.
 
 The acceptance bar pinned here: ``hfast trace critical-path --weight
-cost`` on a three-backend chaos run returns the *same* critical path for
-serial, pool, and stealing.
+cost`` on a chaos run returns the *same* critical path for serial and
+stealing.
 """
 
 import json
@@ -148,7 +148,7 @@ def test_diff_propagates_load_errors(trace_file, tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: identical critical path across a 3-backend chaos run
+# Acceptance: identical critical path across a 2-backend chaos run
 
 
 @pytest.fixture(scope="module")
@@ -162,7 +162,6 @@ def chaos_traces(tmp_path_factory):
     try:
         for name, extra in {
             "serial": [],
-            "pool": ["--workers", "4"],
             "stealing": ["--scheduler", "stealing", "--workers", "4",
                          "--journal-dir", str(base / "journal")],
         }.items():
@@ -190,7 +189,7 @@ def cost_path_of(trace, capsys, source=None):
 
 def test_chaos_critical_path_identical_across_backends(chaos_traces, capsys):
     paths = {name: cost_path_of(t, capsys) for name, t in chaos_traces["traces"].items()}
-    assert paths["serial"] == paths["pool"] == paths["stealing"]
+    assert paths["serial"] == paths["stealing"]
     assert paths["serial"][0]["label"] == "pipeline"
     assert any(e["name"] == "cell" for e in paths["serial"])
 
