@@ -19,7 +19,10 @@ uses) and drives one full service round trip:
    against a direct in-process ``run_pipeline`` run (byte-identical);
 5. resubmit the identical spec — it must be answered from the result
    cache without executing anything;
-6. drain the daemon gracefully and check the unified trace contains the
+6. submit the cell again with trace ``overrides``: the served result
+   must echo them and be byte-identical to a direct ``run_pipeline``
+   run with the same overrides;
+7. drain the daemon gracefully and check the unified trace contains the
    job's ``serve_job`` span.
 
 With ``--artifacts-dir`` the daemon trace, the final /metrics scrape,
@@ -46,9 +49,11 @@ from hfast.obs.prom import parse_prometheus  # noqa: E402
 from hfast.pipeline import run_pipeline  # noqa: E402
 from hfast.sched.faults import FAULT_ENV_VAR  # noqa: E402
 from hfast.serve.daemon import ServeConfig, ServiceThread  # noqa: E402
-from hfast.serve.jobspec import canonicalize  # noqa: E402
+from hfast.spec import RunSpec  # noqa: E402
 
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
+#: One iteration: cactus, gtc and lbmhd read ``steps``, paratec ``fft_cycles``.
+OVERRIDES = {"steps": 1, "fft_cycles": 1}
 
 
 def request(
@@ -61,6 +66,31 @@ def request(
         return resp.status, resp.read()
     finally:
         conn.close()
+
+
+def fetch_result(port: int, job_id: str, key: str, problems: list[str]) -> bytes:
+    """Poll a job to a terminal state and return its served result."""
+    for _ in range(1200):
+        status, raw = request(port, "GET", f"/v1/jobs/{job_id}")
+        job_doc = json.loads(raw)
+        if job_doc.get("status") in ("done", "failed"):
+            break
+        time.sleep(0.1)
+    if job_doc.get("status") != "done":
+        problems.append(f"job did not complete: {job_doc}")
+    status, served = request(port, "GET", f"/v1/results/{key}")
+    if status != 200:
+        problems.append(f"result fetch returned {status}")
+    return served
+
+
+def direct_bytes(args, cache_dir: Path, overrides: dict | None = None) -> bytes:
+    """The result-store bytes of the cell run directly through ``run_pipeline``."""
+    direct = run_pipeline(
+        apps=[args.app], scales={args.app: [args.scale]}, overrides=overrides,
+        cache_dir=str(cache_dir), argv=["serve_smoke"], bench_dir=None,
+    )
+    return (json.dumps(direct["results"][0], sort_keys=True) + "\n").encode("utf-8")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -105,7 +135,7 @@ def main(argv: list[str] | None = None) -> int:
                     problems.append(f"submit returned {status}, expected 202: {raw!r}")
                 doc = json.loads(raw)
                 job_id, key = doc.get("job_id"), doc.get("key")
-                if key != canonicalize(spec).key:
+                if key != RunSpec.from_wire(spec).key:
                     problems.append("daemon key differs from local canonicalization")
 
                 # Mid-flight: wait for the running gauge, then scrape.
@@ -130,18 +160,7 @@ def main(argv: list[str] | None = None) -> int:
                             problems.append("mid-flight scrape does not show the job running")
                         print("mid-flight /metrics scrape: parsed, job running")
 
-                for _ in range(1200):
-                    status, raw = request(port, "GET", f"/v1/jobs/{job_id}")
-                    job_doc = json.loads(raw)
-                    if job_doc.get("status") in ("done", "failed"):
-                        break
-                    time.sleep(0.1)
-                if job_doc.get("status") != "done":
-                    problems.append(f"job did not complete: {job_doc}")
-
-                status, served = request(port, "GET", f"/v1/results/{key}")
-                if status != 200:
-                    problems.append(f"result fetch returned {status}")
+                served = fetch_result(port, job_id, key, problems)
                 summary = json.loads(served)
 
                 # Golden fixture: the paper-facing numbers must match.
@@ -159,15 +178,7 @@ def main(argv: list[str] | None = None) -> int:
 
                 # Byte-identity against a direct pipeline run.
                 os.environ.pop(FAULT_ENV_VAR, None)
-                direct = run_pipeline(
-                    apps=[args.app], scales={args.app: [args.scale]},
-                    cache_dir=str(base / "direct_cache"), argv=["serve_smoke"],
-                    bench_dir=None,
-                )
-                direct_bytes = (
-                    json.dumps(direct["results"][0], sort_keys=True) + "\n"
-                ).encode("utf-8")
-                if served != direct_bytes:
+                if served != direct_bytes(args, base / "direct_cache"):
                     problems.append("served result is not byte-identical to a direct run")
                 else:
                     print(f"byte-identity: served == direct ({len(served)} bytes)")
@@ -185,6 +196,19 @@ def main(argv: list[str] | None = None) -> int:
                     problems.append(f"expected exactly 1 executed job, metrics say {executed}")
                 else:
                     print("dedupe: resubmission answered from cache, 1 execution total")
+
+                # Overrides reach the cell: served == a direct run with them.
+                status, raw = request(port, "POST", "/v1/jobs", {**spec, "overrides": OVERRIDES})
+                doc = json.loads(raw)
+                served = fetch_result(port, doc.get("job_id"), doc.get("key"), problems)
+                if json.loads(served).get("overrides") != OVERRIDES:
+                    problems.append("served result does not echo the submitted overrides")
+                if served != direct_bytes(args, base / "direct_cache", OVERRIDES):
+                    problems.append(
+                        "served result with overrides is not byte-identical to a direct run"
+                    )
+                else:
+                    print(f"overrides {OVERRIDES}: served == direct ({len(served)} bytes)")
 
                 status, raw = request(port, "GET", "/v1/events?n=50")
                 events_doc = json.loads(raw)
@@ -210,7 +234,10 @@ def main(argv: list[str] | None = None) -> int:
         for p in problems:
             print(f"FAIL: {p}", file=sys.stderr)
         return 1
-    print("serve_smoke: submitted, scraped mid-flight, byte-identical, deduped, drained")
+    print(
+        "serve_smoke: submitted, scraped mid-flight, byte-identical, deduped, "
+        "overrides honoured, drained"
+    )
     return 0
 
 
