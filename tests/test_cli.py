@@ -61,6 +61,22 @@ def test_analyze_unprofiled_writes_nothing(tmp_path, seed_cache, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["analyze", "--apps", "gtc,cactus", "--scales", "8"],
+        ["search", "--app", "gtc", "--scale", "8", "--circuits", "1,2", "--timesteps", "1"],
+    ],
+    ids=["analyze", "search"],
+)
+def test_workers_run_on_the_stealing_scheduler(tmp_path, capsys, command):
+    """The stealing scheduler is the one parallel backend: --workers 2
+    alone selects it."""
+    rc = main([*command, "--cache-dir", str(tmp_path / "c"), "--workers", "2"])
+    assert rc == 0
+    assert "scheduler: stealing run " in capsys.readouterr().out
+
+
 def test_analyze_rejects_unknown_app(seed_cache, capsys):
     rc = main(["analyze", "--cache-dir", seed_cache, "--apps", "nosuch"])
     assert rc == 2
