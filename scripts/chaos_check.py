@@ -34,6 +34,7 @@ SRC = REPO_ROOT / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
+from hfast.cache import ReproCache  # noqa: E402
 from hfast.obs.profile import Observability  # noqa: E402
 from hfast.pipeline import run_pipeline  # noqa: E402
 from hfast.sched.faults import FAULT_ENV_VAR  # noqa: E402
@@ -42,10 +43,12 @@ DEFAULT_APPS = ["cactus", "gtc", "lbmhd", "paratec"]
 
 
 def cache_digests(cache_dir: Path) -> dict[str, str]:
-    return {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(cache_dir.glob("*.json"))
-    }
+    """sha256 of every repro-cache entry under ``cache_dir``, by file name.
+    A cache with no entries exits: two empty caches must not match."""
+    entries = ReproCache(cache_dir, readonly=True).list_entries()
+    if not entries:
+        raise SystemExit(f"chaos_check: no repro-cache entries under {cache_dir}")
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in entries}
 
 
 def run_sweep(

@@ -6,7 +6,7 @@ from __future__ import annotations
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import BinaryIO, Callable
 
 
 def _read_umask() -> int:
@@ -21,18 +21,19 @@ def _read_umask() -> int:
 _FILE_MODE = 0o666 & ~_read_umask()
 
 
-def atomic_write(path: Path, write: Callable[[TextIO], object]) -> None:
+def atomic_write(path: Path, write: Callable[[BinaryIO], object]) -> None:
     """Write ``path`` whole or not at all.
 
-    ``write`` fills a temp file of its own in ``path``'s directory, named
-    ``.<name>.<random>.tmp``, which then replaces ``path`` in one
-    ``os.replace``. Concurrent writers of one path each land a complete
-    file, and a failed write removes its temp file. The file gets the
-    mode ``open()`` would give it (``0o666`` less the umask at import).
+    ``write`` fills a temp file of its own, opened in binary mode in
+    ``path``'s directory and named ``.<name>.<random>.tmp``, which then
+    replaces ``path`` in one ``os.replace``. Concurrent writers of one
+    path each land a complete file, and a failed write removes its temp
+    file. The file gets the mode ``open()`` would give it (``0o666``
+    less the umask at import).
     """
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "wb") as fh:
             os.fchmod(fh.fileno(), _FILE_MODE)
             write(fh)
         os.replace(tmp, path)

@@ -1,39 +1,73 @@
 """Repro-cache: content-addressed storage of synthesized traces.
 
-Cache files live in ``.repro_cache/`` and are named
-``{app}_p{nranks}_{key}.json`` where ``key`` is the first 12 hex chars of
+Entries live in ``.repro_cache/`` and are named
+``{app}_p{nranks}_{key}.npz`` where ``key`` is the first 12 hex chars of
 the sha256 of the canonical JSON of ``{app, nranks, overrides}``.
 
-The on-disk schema is format 3: format 2 plus a ``metadata.timing``
-descriptor and real per-record ``total_time``/``min_time``/``max_time``
-values. Legacy format-2 documents (the seed corpus) still load through a
-read shim — the deterministic LogGP model re-synthesizes their timing at
-load time, so downstream analysis sees the same trace either way.
+The on-disk schema is format 4: one uncompressed ``.npz`` (a zip of
+``.npy`` members) per key, holding the trace's
+:class:`~hfast.records.RecordBatch` columns exactly as stored — ``rank``,
+``call_code``, ``size``, ``peer``, ``count`` and, on timed traces,
+``total_time``/``min_time``/``max_time`` — plus one ``uint8`` member,
+``meta``, with the canonical JSON metadata: format, app, nranks,
+overrides, the timing descriptor, region, the sorted ``calls`` table that
+``call_code`` indexes, and ``call_totals``. ``np.savez`` stamps every
+member with zip's fixed 1980 date, so equal traces store as equal bytes.
 
-Every load runs the schema validator; a malformed file raises
-:class:`CacheValidationError` naming the offending path and field. A
-document's records share one region, so every loaded trace columnarizes
-(:meth:`hfast.records.Trace.ensure_batch`).
+Loading reads the file with ``np.load(..., allow_pickle=False)``, so no
+member is ever unpickled, and builds the batch straight from the
+columns. One vectorized pass keeps every check the per-record validator
+makes: the required members and no others; 1-D columns of equal length;
+integer dtypes for the integer columns and float64 for the times;
+non-negative values; ``rank``/``peer`` below ``nranks``; ``call_code``
+inside a sorted, duplicate-free calls table; ``min_time <= max_time``; a
+timing descriptor with ``model`` and ``seed``; and stored ``call_totals``
+equal to the per-call sum of ``count``. Any failure — a truncated or
+non-zip file included — raises :class:`CacheValidationError` naming the
+path.
+
+Formats 2 and 3 were JSON documents with one object per record. They
+are read-only now: ``load`` falls back to ``{app}_p{nranks}_{key}.json``
+only when no ``.npz`` exists for the key (the committed seed corpus is
+such documents), through the per-record :func:`validate_document` and
+:meth:`hfast.records.Trace.from_document`. Format-2 documents carry no
+timing; the deterministic LogGP model re-synthesizes it at load.
+
+Analysis results do not depend on the cache's bytes — a warm run equals
+the cold run that stored its traces — so the served result key's
+``SPEC_FORMAT`` does not move with the cache format.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import mmap
 import os
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Mapping
+
+import numpy as np
+from numpy.lib.npyio import NpzFile
 
 from hfast.atomic import atomic_write
 from hfast.obs.profile import profiled
-from hfast.records import Trace
+from hfast.records import RecordBatch, Trace
 from hfast.timing import DEFAULT_TIMING_SEED, apply_timing
 
-CACHE_FORMAT = 3
-SUPPORTED_FORMATS = (2, 3)
+CACHE_FORMAT = 4
+#: Read-only JSON document formats (``.json`` entries).
+JSON_FORMATS = (2, 3)
 DEFAULT_CACHE_DIR = ".repro_cache"
+
+_INT_COLUMNS = ("rank", "call_code", "size", "peer", "count")
+_TIME_COLUMNS = ("total_time", "min_time", "max_time")
+_META = "meta"
+_META_KEYS = ("app", "call_totals", "calls", "format", "nranks", "overrides", "region", "timing")
+#: What reading a damaged ``.npz`` can raise: zip and ``.npy`` header
+#: errors, truncation, and refused pickles.
+_READ_ERRORS = (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile)
 
 _REQUIRED_TOP_KEYS = ("format", "metadata", "call_totals", "records")
 _REQUIRED_META_KEYS = ("app", "nranks", "overrides")
@@ -52,7 +86,7 @@ _NON_NEGATIVE_RECORD_KEYS = ("rank", "size", "peer", "count", "total_time", "min
 
 
 class CacheValidationError(ValueError):
-    """A cache document failed schema validation."""
+    """A cache entry failed validation."""
 
     def __init__(self, path: str | os.PathLike | None, message: str):
         self.path = str(path) if path is not None else "<memory>"
@@ -74,21 +108,23 @@ def cache_path(
     nranks: int,
     overrides: dict[str, Any] | None = None,
 ) -> Path:
-    return Path(cache_dir) / f"{app}_p{nranks}_{cache_key(app, nranks, overrides)}.json"
+    """The format-4 entry of a key; its legacy JSON document is the same
+    path with a ``.json`` suffix."""
+    return Path(cache_dir) / f"{app}_p{nranks}_{cache_key(app, nranks, overrides)}.npz"
 
 
 def validate_document(doc: Any, path: str | os.PathLike | None = None) -> None:
-    """Validate a format-3 (or legacy format-2) cache document."""
+    """Validate a legacy format-2/3 JSON document, record by record."""
     if not isinstance(doc, dict):
         raise CacheValidationError(path, f"document must be an object, got {type(doc).__name__}")
     for key in _REQUIRED_TOP_KEYS:
         if key not in doc:
             raise CacheValidationError(path, f"missing required top-level key '{key}'")
-    if doc["format"] not in SUPPORTED_FORMATS:
+    if doc["format"] not in JSON_FORMATS:
         raise CacheValidationError(
             path,
             f"unsupported format version {doc['format']!r} "
-            f"(expected one of {SUPPORTED_FORMATS})",
+            f"(expected one of {JSON_FORMATS})",
         )
     meta = doc["metadata"]
     if not isinstance(meta, dict):
@@ -175,27 +211,168 @@ class CacheStats:
         }
 
 
-def _read_json_mmap(path: Path) -> Any:
-    """Parse a JSON file through a read-only memory map.
+def _decode_meta(path: Path, raw: Any) -> dict[str, Any]:
+    """The ``meta`` member's JSON object, its keys and types checked."""
+    if not isinstance(raw, np.ndarray) or raw.ndim != 1 or raw.dtype != np.uint8:
+        raise CacheValidationError(path, f"member '{_META}' must be a 1-D uint8 array")
+    try:
+        meta = json.loads(raw.tobytes())
+    except ValueError as exc:
+        raise CacheValidationError(path, f"member '{_META}' is not JSON: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise CacheValidationError(path, f"member '{_META}' must hold a JSON object")
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise CacheValidationError(path, f"meta missing required key(s) {missing}")
+    if meta["format"] != CACHE_FORMAT:
+        raise CacheValidationError(
+            path, f"unsupported format version {meta['format']!r} (expected {CACHE_FORMAT})"
+        )
+    nranks = meta["nranks"]
+    if not isinstance(nranks, int) or isinstance(nranks, bool) or nranks <= 0:
+        raise CacheValidationError(path, f"meta.nranks must be a positive int, got {nranks!r}")
+    for key, kind in (("app", str), ("region", str), ("overrides", dict), ("call_totals", dict)):
+        if not isinstance(meta[key], kind):
+            raise CacheValidationError(path, f"meta.{key} must be a {kind.__name__}")
+    calls = meta["calls"]
+    if not isinstance(calls, list) or not all(isinstance(c, str) for c in calls):
+        raise CacheValidationError(path, "meta.calls must be a list of call names")
+    if calls != sorted(set(calls)):
+        raise CacheValidationError(
+            path, f"meta.calls must be sorted and free of duplicates, got {calls!r}"
+        )
+    timing = meta["timing"]
+    if timing is not None:
+        if not isinstance(timing, dict):
+            raise CacheValidationError(path, "meta.timing must be an object or null")
+        for key in ("model", "seed"):
+            if key not in timing:
+                raise CacheValidationError(path, f"meta.timing missing required key '{key}'")
+    return meta
 
-    Large corpus documents (a 32K-rank trace is hundreds of MB) are read
-    straight out of the page cache in one mapped extent — no buffered
-    read loop, no intermediate text decode (``json.loads`` takes the raw
-    bytes). Empty files and filesystems that refuse to map (procfs, some
-    network mounts) fall back to a plain read; JSON errors propagate
-    unchanged so callers keep one error path.
-    """
-    with open(path, "rb") as fh:
-        try:
-            with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mm:
-                return json.loads(mm[:])
-        except (ValueError, OSError) as exc:
-            if isinstance(exc, json.JSONDecodeError):
-                raise
-            # mmap of an empty file raises ValueError; unmappable
-            # filesystems raise OSError. Both degrade to a normal read.
-            fh.seek(0)
-            return json.loads(fh.read().decode("utf-8"))
+
+def _first(mask: np.ndarray) -> int:
+    return int(np.flatnonzero(mask)[0])
+
+
+def _check_columns(path: Path, members: Mapping[str, Any], meta: dict[str, Any]) -> bool:
+    """Check the column members in one vectorized pass; True on a timed
+    entry. The columns of a timed entry (one with a timing descriptor or
+    any time column) include all three time columns."""
+    timed = meta["timing"] is not None or any(c in members for c in _TIME_COLUMNS)
+    columns = _INT_COLUMNS + (_TIME_COLUMNS if timed else ())
+    missing = sorted(set(columns) - set(members))
+    if missing:
+        raise CacheValidationError(path, f"missing required member(s) {missing}")
+    unexpected = sorted(set(members) - set(columns) - {_META})
+    if unexpected:
+        raise CacheValidationError(path, f"unexpected member(s) {unexpected}")
+    n = None
+    for name in columns:
+        col = members[name]
+        if not isinstance(col, np.ndarray) or col.ndim != 1:
+            raise CacheValidationError(path, f"member '{name}' must be a 1-D array")
+        if name in _TIME_COLUMNS and col.dtype != np.float64:
+            raise CacheValidationError(path, f"{name} must be float64, got {col.dtype}")
+        if name in _INT_COLUMNS and col.dtype.kind not in "iu":
+            raise CacheValidationError(path, f"{name} must have an integer dtype, got {col.dtype}")
+        n = len(col) if n is None else n
+        if len(col) != n:
+            raise CacheValidationError(path, f"{name} has {len(col)} rows, rank has {n}")
+        # ``not min >= 0`` also catches NaN, which compares false.
+        if n and not col.min() >= 0:
+            i = _first(~(col >= 0))
+            raise CacheValidationError(
+                path, f"{name}[{i}] must be non-negative, got {col[i].item()!r}"
+            )
+    nranks, ncalls = meta["nranks"], len(meta["calls"])
+    for name, bound, what in (
+        ("rank", nranks, f"nranks={nranks}"),
+        ("peer", nranks, f"nranks={nranks}"),
+        ("call_code", ncalls, f"a calls table of {ncalls}"),
+    ):
+        col = members[name]
+        if n and col.max() >= bound:
+            i = _first(col >= bound)
+            raise CacheValidationError(
+                path, f"{name}[{i}]={col[i].item()} out of range for {what}"
+            )
+    if timed and n:
+        tmin, tmax = members["min_time"], members["max_time"]
+        over = tmin > tmax
+        if over.any():
+            i = _first(over)
+            raise CacheValidationError(
+                path, f"min_time[{i}]={tmin[i].item()!r} exceeds max_time={tmax[i].item()!r}"
+            )
+    return timed
+
+
+def _trace_from_members(path: Path, members: Mapping[str, Any]) -> Trace:
+    """Validate a format-4 entry's members and build its trace."""
+    if _META not in members:
+        raise CacheValidationError(path, f"missing required member(s) ['{_META}']")
+    meta = _decode_meta(path, members[_META])
+    timed = _check_columns(path, members, meta)
+    batch = RecordBatch(
+        *(members[name] for name in _INT_COLUMNS),
+        calls=tuple(meta["calls"]),
+        region=meta["region"],
+    )
+    if timed:
+        batch.set_times(*(members[name] for name in _TIME_COLUMNS))
+    if batch.call_totals != meta["call_totals"]:
+        raise CacheValidationError(path, "call_totals does not match the per-call sum of count")
+    return Trace(
+        app=meta["app"],
+        nranks=meta["nranks"],
+        overrides=meta["overrides"],
+        batch=batch,
+        timing=meta["timing"],
+    )
+
+
+def _entry_members(trace: Trace) -> dict[str, np.ndarray]:
+    """The format-4 members of a trace, in the order they are stored."""
+    batch = trace.ensure_batch()
+    columns = _INT_COLUMNS + (_TIME_COLUMNS if batch.has_times else ())
+    meta = {
+        "format": CACHE_FORMAT,
+        "app": trace.app,
+        "nranks": trace.nranks,
+        "overrides": dict(trace.overrides),
+        "timing": trace.timing,
+        "region": batch.region,
+        "calls": list(batch.calls),
+        "call_totals": batch.call_totals,
+    }
+    raw = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    members = {name: getattr(batch, name) for name in columns}
+    members[_META] = np.frombuffer(raw, dtype=np.uint8)
+    return members
+
+
+def _read_entry(path: Path) -> Trace:
+    """Load and validate a format-4 ``.npz`` entry; nothing is unpickled."""
+    try:
+        npz = np.load(path, allow_pickle=False)
+        if not isinstance(npz, NpzFile):
+            raise ValueError("a bare .npy array, not an .npz archive")
+        with npz:
+            members = {name: npz[name] for name in npz.files}
+    except _READ_ERRORS as exc:
+        raise CacheValidationError(path, f"unreadable .npz entry: {exc}") from exc
+    return _trace_from_members(path, members)
+
+
+def _read_document(path: Path) -> Trace:
+    """Load and validate a legacy format-2/3 JSON document."""
+    try:
+        doc = json.loads(path.read_bytes())
+    except ValueError as exc:
+        raise CacheValidationError(path, f"invalid JSON: {exc}") from exc
+    validate_document(doc, path)
+    return Trace.from_document(doc)
 
 
 class ReproCache:
@@ -207,6 +384,8 @@ class ReproCache:
         self.stats = CacheStats()
 
     def path_for(self, app: str, nranks: int, overrides: dict[str, Any] | None = None) -> Path:
+        """The key's format-4 entry: what ``store`` writes and ``load``
+        reads first."""
         return cache_path(self.cache_dir, app, nranks, overrides)
 
     @profiled("cache_load")
@@ -219,13 +398,15 @@ class ReproCache:
     ) -> Trace | None:
         """Return the cached trace, or None on a miss.
 
-        Unless ``timing_seed`` is None, the loaded trace is guaranteed to
-        carry timing at that seed: legacy format-2 documents (and format-3
-        documents timed at a different seed) are deterministically
-        re-timed in memory — the read shim that keeps the seed corpus
-        useful after the format bump.
+        Reads the key's ``.npz`` entry, or its legacy JSON document when
+        no ``.npz`` exists. Unless ``timing_seed`` is None, the loaded
+        trace is guaranteed to carry timing at that seed: format-2
+        documents (and entries timed at a different seed) are
+        deterministically re-timed in memory.
         """
         path = self.path_for(app, nranks, overrides)
+        if not path.exists() and path.with_suffix(".json").exists():
+            path = path.with_suffix(".json")
         if not path.exists():
             self.stats.misses += 1
             self.stats.entries.append(
@@ -233,12 +414,7 @@ class ReproCache:
             )
             return None
         try:
-            doc = _read_json_mmap(path)
-        except json.JSONDecodeError as exc:
-            self.stats.validation_failures += 1
-            raise CacheValidationError(path, f"invalid JSON: {exc}") from exc
-        try:
-            validate_document(doc, path)
+            trace = _read_entry(path) if path.suffix == ".npz" else _read_document(path)
         except CacheValidationError:
             self.stats.validation_failures += 1
             raise
@@ -246,7 +422,6 @@ class ReproCache:
         self.stats.entries.append(
             {"app": app, "nranks": nranks, "outcome": "hit", "path": str(path)}
         )
-        trace = Trace.from_document(doc)
         if timing_seed is not None and (
             trace.timing is None or trace.timing.get("seed") != timing_seed
         ):
@@ -255,15 +430,16 @@ class ReproCache:
 
     @profiled("cache_store")
     def store(self, trace: Trace) -> Path:
+        """Write ``trace`` as the key's format-4 entry (never JSON)."""
         path = self.path_for(trace.app, trace.nranks, trace.overrides)
         if self.readonly:
             return path
-        doc = trace.to_document()
-        validate_document(doc, path)
+        members = _entry_members(trace)
+        _trace_from_members(path, members)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         # Concurrent stores of one cell (say, two served jobs with
         # different timing seeds) each replace the entry whole.
-        atomic_write(path, lambda fh: json.dump(doc, fh))
+        atomic_write(path, lambda fh: np.savez(fh, allow_pickle=False, **members))
         self.stats.stores += 1
         self.stats.entries.append(
             {
@@ -276,6 +452,10 @@ class ReproCache:
         return path
 
     def list_entries(self) -> list[Path]:
+        """One file per key, sorted: its ``.npz`` entry, or its legacy
+        ``.json`` document when it has no ``.npz``."""
         if not self.cache_dir.is_dir():
             return []
-        return sorted(self.cache_dir.glob("*.json"))
+        entries = {p.stem: p for p in self.cache_dir.glob("*.json")}
+        entries.update((p.stem, p) for p in self.cache_dir.glob("*.npz"))
+        return sorted(entries.values())

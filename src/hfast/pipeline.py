@@ -218,8 +218,9 @@ def analyze_app(
             trace = synthesize(app, nranks, overrides, timing_seed=timing_seed)
             if store:
                 cache.store(trace)
-        # Columnarize loaded record lists so warm (cache-hit) and cold runs
-        # share the exact same vectorized reductions.
+        # Cache entries load with their batch; only a legacy JSON document
+        # loads as a record list, columnarized here so it runs the same
+        # vectorized reductions.
         batch = trace.ensure_batch()
         cm = reduce_matrix(batch, trace.nranks)
         topo = analyze_topology(cm)

@@ -7,17 +7,17 @@ timing aggregates.
 
 Two representations coexist:
 
-- :class:`CommRecord` — one Python object per aggregated record; the
-  format the repro-cache documents round-trip through.
+- :class:`CommRecord` — one Python object per aggregated record; what
+  legacy JSON cache documents load as.
 - :class:`RecordBatch` — a columnar struct-of-arrays view, what the
-  synthesizers build, where a 1K–4K-rank all-to-all would otherwise mean
-  tens of millions of Python objects.
+  synthesizers build and the repro-cache stores, where a 1K–4K-rank
+  all-to-all would otherwise mean tens of millions of Python objects.
 
 Records are kept in one canonical order (sorted by
 (rank, call, size, peer, region)): :meth:`RecordBatch.aggregate` sorts a
-batch into it, and a cache document loaded back as records is
-columnarized in it (:meth:`RecordBatch.from_records`), so a trace
-serializes to the same bytes either way.
+batch into it, and a legacy document loaded back as records is
+columnarized in it (:meth:`RecordBatch.from_records`), so the analysis
+sees the same columns either way.
 """
 
 from __future__ import annotations
@@ -183,10 +183,10 @@ class RecordBatch:
     def from_records(cls, records: list["CommRecord"]) -> "RecordBatch":
         """Columnarize an already-canonical record list (timing included).
 
-        Used when a cached trace loads back as record dicts: analysis
-        paths then run the same vectorized code — and produce the same
-        float64 reductions — as a freshly synthesized batch. Records must
-        share one region (all cache documents do).
+        Used when a legacy JSON cache document loads back as record
+        dicts: analysis paths then run the same vectorized code — and
+        produce the same float64 reductions — as a freshly synthesized
+        batch. Records must share one region (all cache documents do).
         """
         regions = {r.region for r in records}
         if len(regions) > 1:
@@ -346,42 +346,12 @@ class RecordBatch:
                 totals[call] = t
         return totals
 
-    def _time_lists(self) -> tuple[list[float], list[float], list[float]]:
-        if self.has_times:
-            return self.total_time.tolist(), self.min_time.tolist(), self.max_time.tolist()
-        zeros = [0.0] * len(self)
-        return zeros, zeros, zeros
-
-    def to_dicts(self) -> list[dict[str, Any]]:
-        """Record dicts in the same field order ``CommRecord.to_dict`` uses."""
-        region = self.region
-        totals, mins, maxs = self._time_lists()
-        return [
-            {
-                "rank": r,
-                "call": self.calls[c],
-                "size": s,
-                "peer": p,
-                "region": region,
-                "count": n,
-                "total_time": tt,
-                "min_time": tn,
-                "max_time": tx,
-            }
-            for r, c, s, p, n, tt, tn, tx in zip(
-                self.rank.tolist(),
-                self.call_code.tolist(),
-                self.size.tolist(),
-                self.peer.tolist(),
-                self.count.tolist(),
-                totals,
-                mins,
-                maxs,
-            )
-        ]
-
     def to_records(self) -> list[CommRecord]:
-        totals, mins, maxs = self._time_lists()
+        if self.has_times:
+            times = (self.total_time, self.min_time, self.max_time)
+            totals, mins, maxs = (c.tolist() for c in times)
+        else:
+            totals = mins = maxs = [0.0] * len(self)
         return [
             CommRecord(
                 rank=r,
@@ -446,9 +416,11 @@ class Trace:
         """Columnarize the record list if no batch exists yet.
 
         Returns the batch, so analysis paths run vectorized — with
-        identical reductions — whether the trace was freshly synthesized
-        or loaded from cache. A multi-region record list raises
-        ``ValueError``; the cache validator rejects such documents.
+        identical reductions — whether the trace was freshly synthesized,
+        loaded from a cache entry (which carries its batch) or loaded from
+        a legacy JSON document (a record list). A multi-region record
+        list raises ``ValueError``; the cache validator rejects such
+        documents.
         """
         if self.batch is None:
             self.batch = RecordBatch.from_records(self._records)
@@ -463,32 +435,9 @@ class Trace:
             totals[r.call] = totals.get(r.call, 0) + r.count
         return dict(sorted(totals.items()))
 
-    def to_document(self) -> dict[str, Any]:
-        """Serialize to the on-disk repro-cache document (format 3).
-
-        Format 3 adds ``metadata.timing`` (the timing-model descriptor,
-        null on untimed traces) on top of the format-2 schema; records
-        carry real ``total_time``/``min_time``/``max_time`` values.
-        """
-        return {
-            "format": 3,
-            "metadata": {
-                "app": self.app,
-                "nranks": self.nranks,
-                "overrides": dict(self.overrides),
-                "timing": dict(self.timing) if self.timing else None,
-            },
-            "call_totals": self.call_totals,
-            "records": (
-                self.batch.to_dicts()
-                if self.batch is not None
-                else [r.to_dict() for r in self.records]
-            ),
-        }
-
     @classmethod
     def from_document(cls, doc: dict[str, Any]) -> "Trace":
-        """Rebuild a trace from a format-3 (or legacy format-2) document."""
+        """Rebuild a trace from a legacy format-2/3 JSON cache document."""
         meta = doc["metadata"]
         return cls(
             app=str(meta["app"]),

@@ -57,7 +57,7 @@ def has_journal(journal_dir: str | os.PathLike, run_id: str) -> bool:
 def journal_dir_for(cache_dir: str | os.PathLike, journal_dir: str | os.PathLike | None) -> Path:
     """Journal location: explicit dir, else a subdir beside the cache.
 
-    The subdir keeps journals out of the cache's ``*.json`` glob while
+    The subdir keeps journals out of the cache's entry listing while
     still colocating run state with the artifacts it describes.
     """
     if journal_dir is not None:

@@ -5,8 +5,8 @@ serve directory so an operator can inspect them with ``cat``:
 
 - :class:`ResultStore` — content-addressed result cache under
   ``results/<sha256>.json``. The stored bytes are exactly
-  ``json.dumps(summary, sort_keys=True) + "\\n"`` — the same
-  serialization the repro-cache and report writers use — and
+  ``json.dumps(summary, sort_keys=True) + "\\n"``, UTF-8 encoded — the
+  same serialization the report writers use — and
   ``GET /v1/results/<key>`` serves them verbatim, which is what makes
   the byte-identity contract with a direct ``hfast analyze`` run
   testable. Writes are atomic (:func:`hfast.atomic.atomic_write`, which
@@ -78,7 +78,7 @@ class ResultStore:
     def put(self, key: str, summary: dict[str, Any]) -> Path:
         """Atomically store a result summary; idempotent per key."""
         path = self._path(key)
-        payload = json.dumps(summary, sort_keys=True) + "\n"
+        payload = (json.dumps(summary, sort_keys=True) + "\n").encode("utf-8")
         atomic_write(path, lambda fh: fh.write(payload))
         if self.max_bytes is not None:
             self._evict(keep=path.name)
@@ -158,7 +158,7 @@ class JobLedger:
     def write(self, record: dict[str, Any]) -> None:
         """Atomically persist one job record (keyed by ``record['job_id']``)."""
         path = self._path(record["job_id"])
-        payload = json.dumps(record, sort_keys=True) + "\n"
+        payload = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
         atomic_write(path, lambda fh: fh.write(payload))
 
     def read(self, job_id: str) -> dict[str, Any] | None:

@@ -11,6 +11,9 @@ correct:
 - :func:`synthesize` — per-record generators for the four apps, merged by
   :func:`aggregate` into canonical record order and timed by the same
   LogGP model;
+- :func:`to_document` — the format-3 JSON cache document writer. The
+  repro-cache now stores format-4 ``.npz`` entries and only reads JSON
+  documents, which the legacy-reader tests build with it;
 - :func:`match_edges` — the sequential greedy seed (:func:`greedy_seed`),
   the dict-based swap filter (:func:`swap_candidates`) and the loop
   augment pass with its version memo (:func:`augment_pass`), built on
@@ -197,6 +200,38 @@ def synthesize(
     if timing_seed is not None:
         apply_timing(trace, seed=timing_seed)
     return trace
+
+
+# -- JSON cache documents -----------------------------------------------------
+
+
+def to_dicts(batch: RecordBatch) -> list[dict[str, Any]]:
+    """Record dicts, in the field order ``CommRecord.to_dict`` uses."""
+    return [r.to_dict() for r in batch.to_records()]
+
+
+def to_document(trace: Trace) -> dict[str, Any]:
+    """The format-3 JSON document the repro-cache wrote before format 4.
+
+    Format 3 adds ``metadata.timing`` (the timing-model descriptor, null on
+    untimed traces) to the format-2 schema; records carry real
+    ``total_time``/``min_time``/``max_time`` values.
+    """
+    return {
+        "format": 3,
+        "metadata": {
+            "app": trace.app,
+            "nranks": trace.nranks,
+            "overrides": dict(trace.overrides),
+            "timing": dict(trace.timing) if trace.timing else None,
+        },
+        "call_totals": trace.call_totals,
+        "records": (
+            to_dicts(trace.batch)
+            if trace.batch is not None
+            else [r.to_dict() for r in trace.records]
+        ),
+    }
 
 
 # -- matching -----------------------------------------------------------------

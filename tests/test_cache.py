@@ -57,7 +57,7 @@ class TestKeying:
 
     def test_path_layout(self, tmp_path):
         p = cache_path(tmp_path, "cactus", 8)
-        assert p.name == "cactus_p8_d0f189f7c632.json"
+        assert p.name == "cactus_p8_d0f189f7c632.npz"
 
     def test_overrides_change_key(self):
         assert cache_key("gtc", 16, {}) != cache_key("gtc", 16, {"steps": 2})
@@ -178,8 +178,9 @@ class TestReproCache:
         assert cache.stats.stores == 1
 
     def test_load_rejects_corrupt_file(self, tmp_path):
+        """A legacy ``.json`` document missing its keys fails validation."""
         cache = ReproCache(tmp_path)
-        path = cache.path_for("cactus", 8)
+        path = cache.path_for("cactus", 8).with_suffix(".json")
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text('{"format": 2}')
         with pytest.raises(CacheValidationError, match=str(path)):
@@ -187,8 +188,9 @@ class TestReproCache:
         assert cache.stats.validation_failures == 1
 
     def test_load_rejects_invalid_json(self, tmp_path):
+        """A legacy ``.json`` document that is not JSON fails validation."""
         cache = ReproCache(tmp_path)
-        path = cache.path_for("gtc", 4)
+        path = cache.path_for("gtc", 4).with_suffix(".json")
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text("{not json")
         with pytest.raises(CacheValidationError, match="invalid JSON"):
@@ -197,7 +199,7 @@ class TestReproCache:
     def test_readonly_cache_does_not_write(self, tmp_path):
         cache = ReproCache(tmp_path, readonly=True)
         cache.store(synthesize("gtc", 4))
-        assert list(tmp_path.glob("*.json")) == []
+        assert list(tmp_path.iterdir()) == []
 
     def test_seed_loads_as_trace(self, repo_cache_dir):
         cache = ReproCache(repo_cache_dir, readonly=True)
@@ -270,7 +272,7 @@ class TestReproCache:
         path.write_text("old", encoding="utf-8")
 
         def fail_midway(fh):
-            fh.write("partial")
+            fh.write(b"partial")
             raise OSError("disk full")
 
         with pytest.raises(OSError, match="disk full"):

@@ -1,6 +1,6 @@
 """Per-cell failure isolation.
 
-A broken cell — here, a corrupted repro-cache file that fails format-2
+A broken cell — here, a truncated repro-cache entry that fails
 validation — must not abort the sweep. The failing (app, scale) cell is
 recorded in the manifest with its error string, every other cell still
 produces results, and the CLI exit code follows the policy: nonzero only
@@ -11,6 +11,8 @@ import json
 
 import pytest
 
+import oracles
+from hfast.apps import synthesize
 from hfast.cli import main
 from hfast.obs.profile import Observability
 from hfast.pipeline import run_pipeline
@@ -24,18 +26,22 @@ def warm_cache(tmp_path):
     """A cache dir holding valid gtc p4 and p8 entries."""
     run_pipeline(apps=APPS, scales=SCALES, cache_dir=str(tmp_path),
                  obs=Observability.disabled(), argv=["test"])
-    assert len(list(tmp_path.glob("gtc_p*.json"))) == 2
+    assert len(list(tmp_path.glob("gtc_p*.npz"))) == 2
     return tmp_path
 
 
 def corrupt(cache_dir, pattern):
-    for path in cache_dir.glob(pattern):
-        path.write_text('{"format": 2, "metadata": {}}')
+    """Truncate the matching ``.npz`` entries to half their length."""
+    paths = list(cache_dir.glob(pattern))
+    assert paths
+    for path in paths:
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) // 2])
 
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_failed_cell_is_surfaced_not_fatal(warm_cache, workers):
-    corrupt(warm_cache, "gtc_p4_*.json")
+    corrupt(warm_cache, "gtc_p4_*.npz")
     obs = Observability(enabled=True)
     out = run_pipeline(apps=APPS, scales=SCALES, cache_dir=str(warm_cache),
                        obs=obs, argv=["test"], workers=workers,
@@ -55,10 +61,12 @@ def test_failed_cell_is_surfaced_not_fatal(warm_cache, workers):
 
 
 def test_multi_region_cache_file_fails_its_cell(warm_cache):
-    """A cache document naming two regions fails validation on load: its
-    cell fails with the validator's message and the other cell runs."""
-    (path,) = warm_cache.glob("gtc_p4_*.json")
-    doc = json.loads(path.read_text())
+    """A legacy JSON document naming two regions fails validation on load:
+    its cell fails with the validator's message and the other cell runs."""
+    (entry,) = warm_cache.glob("gtc_p4_*.npz")
+    entry.unlink()
+    path = entry.with_suffix(".json")
+    doc = oracles.to_document(synthesize("gtc", 4))
     doc["records"][-1]["region"] = "init"
     path.write_text(json.dumps(doc))
     out = run_pipeline(apps=APPS, scales=SCALES, cache_dir=str(warm_cache),
@@ -74,7 +82,7 @@ def test_multi_region_cache_file_fails_its_cell(warm_cache):
 
 
 def test_partial_failure_exits_zero(warm_cache, capsys):
-    corrupt(warm_cache, "gtc_p4_*.json")
+    corrupt(warm_cache, "gtc_p4_*.npz")
     rc = main(["analyze", "--cache-dir", str(warm_cache), "--no-store",
                "--apps", "gtc", "--scales", "4,8"])
     assert rc == 0
@@ -84,7 +92,7 @@ def test_partial_failure_exits_zero(warm_cache, capsys):
 
 
 def test_partial_failure_with_strict_exits_nonzero(warm_cache, capsys):
-    corrupt(warm_cache, "gtc_p4_*.json")
+    corrupt(warm_cache, "gtc_p4_*.npz")
     rc = main(["analyze", "--cache-dir", str(warm_cache), "--no-store",
                "--apps", "gtc", "--scales", "4,8", "--strict"])
     assert rc == 1
@@ -92,7 +100,7 @@ def test_partial_failure_with_strict_exits_nonzero(warm_cache, capsys):
 
 
 def test_all_cells_failing_exits_nonzero(warm_cache, capsys):
-    corrupt(warm_cache, "gtc_p*.json")
+    corrupt(warm_cache, "gtc_p*.npz")
     rc = main(["analyze", "--cache-dir", str(warm_cache), "--no-store",
                "--apps", "gtc", "--scales", "4,8"])
     assert rc == 1

@@ -8,10 +8,9 @@ own bookkeeping). Faults are injected through ``HFAST_FAULT_INJECT``,
 which forked workers inherit.
 """
 
-import hashlib
-
 import pytest
 
+from conftest import cache_digests
 from hfast import cli
 from hfast.obs.profile import Observability
 from hfast.obs.report import build_report
@@ -43,13 +42,6 @@ def run_sweep(cache_dir, scheduler="static", workers=1, **kwargs):
     )
     out["report"] = build_report(obs.events)
     return out
-
-
-def cache_digests(cache_dir):
-    return {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(cache_dir.glob("*.json"))
-    }
 
 
 def scrub(node):

@@ -8,9 +8,9 @@ the ``anomaly``/``sched_*`` event kinds) is outside the contract, exactly
 as documented; everything else must not move by a byte.
 """
 
-import hashlib
 import io
 
+from conftest import cache_digests
 from hfast import cli
 from hfast.obs.live import LiveView
 from hfast.obs.profile import Observability
@@ -78,13 +78,6 @@ def run_sweep(cache_dir, live=False, **kwargs):
         assert bus.published > 0
         assert "live:" in view.out.getvalue()  # the view really consumed events
     return out
-
-
-def cache_digests(cache_dir):
-    return {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(cache_dir.glob("*.json"))
-    }
 
 
 def assert_identical(a, b, dir_a, dir_b):

@@ -8,12 +8,11 @@ through the work-stealing scheduler, the only parallel backend; these
 tests are its safety net and any future scheduler change's.
 """
 
-import hashlib
-import json
 from pathlib import Path
 
 import pytest
 
+from conftest import cache_digests
 from hfast.obs.profile import Observability
 from hfast.obs.report import build_report
 from hfast.pipeline import Cell, build_cells, run_pipeline, shard_cells
@@ -50,13 +49,6 @@ def run_matrix(cache_dir: Path, workers: int, shard=None) -> dict:
     )
     out["report"] = build_report(obs.events)
     return out
-
-
-def cache_digests(cache_dir: Path) -> dict[str, str]:
-    return {
-        p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-        for p in sorted(cache_dir.glob("*.json"))
-    }
 
 
 def normalize(node, strip_paths=False):

@@ -1,5 +1,7 @@
 import json
 
+import numpy as np
+
 from hfast.cache import ReproCache
 from hfast.obs.profile import Observability
 from hfast.pipeline import analyze_app, discover_scales, run_pipeline
@@ -67,12 +69,13 @@ def test_run_pipeline_synthesizes_and_stores_on_miss(tmp_path):
     )
     assert out["manifest"]["cache"]["misses"] == 1
     assert out["manifest"]["cache"]["stores"] == 1
-    stored = list(tmp_path.glob("gtc_p4_*.json"))
-    assert len(stored) == 1
-    # stored file is a valid format-3 document with a timing descriptor
-    doc = json.loads(stored[0].read_text())
-    assert doc["format"] == 3
-    assert doc["metadata"]["timing"]["model"] == "loggp"
+    stored = ReproCache(tmp_path).list_entries()
+    assert [p.name for p in stored] == [ReproCache(tmp_path).path_for("gtc", 4).name]
+    # stored file is a format-4 entry with a timing descriptor
+    with np.load(stored[0], allow_pickle=False) as npz:
+        meta = json.loads(npz["meta"].tobytes())
+    assert meta["format"] == 4
+    assert meta["timing"]["model"] == "loggp"
     # second run hits the cache
     obs2 = Observability(enabled=True)
     out2 = run_pipeline(

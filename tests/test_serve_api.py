@@ -17,6 +17,7 @@ import threading
 
 import pytest
 
+from conftest import cache_digests
 from hfast import cli
 from hfast.obs.prom import parse_prometheus
 from hfast.pipeline import run_pipeline
@@ -91,9 +92,7 @@ def test_serve_cache_artifacts_match_cli_analyze(tmp_path, capsys):
     capsys.readouterr()
 
     serve_cache = tmp_path / "cache"
-    serve_files = {p.name: p.read_bytes() for p in serve_cache.glob("*.json")}
-    cli_files = {p.name: p.read_bytes() for p in cli_cache.glob("*.json")}
-    assert serve_files and serve_files == cli_files
+    assert cache_digests(serve_cache) == cache_digests(cli_cache)
 
 
 def test_finished_job_resubmission_is_cache_hit_without_reexecution(tmp_path):

@@ -19,7 +19,7 @@ from dataclasses import fields
 
 import pytest
 
-from hfast.cache import cache_key
+from hfast.cache import ReproCache, cache_key
 from hfast.pipeline import run_pipeline
 from hfast.spec import InterconnectConfig, RunSpec, SpecError
 
@@ -129,7 +129,7 @@ def test_trace_cache_key_matches_repro_cache_contract(tmp_path):
         cache_dir=str(tmp_path), argv=["test"], bench_dir=None,
     )
     key = cache_key("cactus", 8, {"steps": 2})
-    assert [p.name for p in tmp_path.glob("*.json")] == [f"cactus_p8_{key}.json"]
+    assert [p.name for p in ReproCache(tmp_path).list_entries()] == [f"cactus_p8_{key}.npz"]
 
 
 def test_interconnect_config_carries_every_knob():
