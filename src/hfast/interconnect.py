@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hfast.matcher import greedy_seed_vector, match_edges, sort_edges
+from hfast.matcher import circuit_list, greedy_seed_vector, match_edges, sort_edges
 from hfast.matrix import CommMatrix
 from hfast.obs.profile import profiled
 from hfast.spec import InterconnectConfig
@@ -179,8 +179,7 @@ def evaluate_hybrid(
         ev.circuits = match_edges(cm.src, cm.dst, cm.bytes, n, bound)
     elif bound > 0:
         src, dst, w = sort_edges(cm.src, cm.dst, cm.bytes, n)
-        seed = greedy_seed_vector(src, dst, w, n, bound)
-        ev.circuits = sorted((int(src[ei]), int(dst[ei])) for ei in seed)
+        ev.circuits = circuit_list(src, dst, greedy_seed_vector(src, dst, w, n, bound))
     circuit_edges = _edge_positions(cm, ev.circuits)
 
     ev.circuit_bytes = int(cm.bytes[circuit_edges].sum())

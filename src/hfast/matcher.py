@@ -1,30 +1,31 @@
 """Degree-constrained max-weight matching over columnar edge arrays.
 
-The circuit matcher used to live inside :mod:`hfast.interconnect` as a
-dict/set algorithm over a dense weight matrix — fine at 8–256 ranks,
-but the temporal evaluator re-matches every timestep, which made the
-pure-Python pass structure the wall-clock bottleneck long before the
-paper's ultra-scale rank counts. This module is the matcher extracted
-onto a structure-of-arrays edge list (``src``/``dst``/``w`` columns).
+:func:`match_edges` is the one matching path. It runs over a
+structure-of-arrays edge list (``src``/``dst``/``w`` columns) and keeps
+one match's selection once, as arrays indexed by canonical edge id (an
+edge's position after :func:`sort_edges`): a ``sel`` mask and per-node
+``outdeg``/``indeg`` counts, held by :class:`_State` next to the edge
+list compressed by source and by destination. The greedy seed, the swap
+pass and the augment pass all read and write those arrays in place.
 
-:func:`match_edges` is the one matching path. The greedy seed runs as
-b-Suitor-style rounds (accept every edge that is within the remaining
-capacity at *both* endpoints among surviving edges, drop edges touching
-saturated nodes, repeat), which produces exactly the sequential greedy
-result under the canonical total order. Improvement passes follow: a
-1-for-k swap pass whose candidates come from vectorized lower-bound
-filters, and a 2-for-1 augment pass that evaluates every attempt from
-per-node tables (:func:`_augment_pass_vector`) instead of walking
-candidates edge by edge. :class:`IncrementalMatcher` keeps a persistent
-edge universe for re-matching evolving weights; its result is always
-byte-identical to matching from scratch.
+The greedy seed runs as b-Suitor-style rounds (accept every edge that is
+within the remaining capacity at *both* endpoints among surviving edges,
+drop edges touching saturated nodes, repeat), which produces exactly the
+sequential greedy result under the canonical total order. Improvement
+passes follow: a 1-for-k swap pass whose candidates come from a
+vectorized lower-bound filter (a per-node minimum of selected weights),
+and a 2-for-1 augment pass that evaluates every attempt from per-node
+tables (:func:`_augment_pass_vector`) instead of walking candidates edge
+by edge. :class:`IncrementalMatcher` keeps a persistent edge universe for
+re-matching evolving weights; its result is always byte-identical to
+matching from scratch.
 
 Every pass works in one canonical edge order — descending weight, ties
 in *stripe* order ``((dst - src) mod n, src, dst)``. The pure-Python
-reference matcher (sequential greedy seed, dict swap filter, loop
-augment pass) lives in ``tests/oracles.py``;
-``tests/test_matcher_augment.py`` pins the augment pass against the
-loop from identical states, and ``tests/test_matcher_properties.py``
+reference matcher (sequential greedy seed, dict/set selection state and
+swap pass, loop augment pass) lives in ``tests/oracles.py``;
+``tests/test_matcher_augment.py`` pins the swap and augment passes
+against it from identical states, and ``tests/test_matcher_properties.py``
 and ``tests/test_matcher_differential.py`` pin whole matches against the
 reference. Edge lists hold each ``(src, dst)`` pair at most once;
 :func:`sort_edges` and :class:`IncrementalMatcher` reject a repeat.
@@ -36,7 +37,8 @@ the way pair-lexicographic order does.
 Self-loops are never matched (a circuit from a node to itself is
 physically meaningless — loopback traffic stays on the packet fabric),
 zero- and negative-weight edges are never matched, and a degree bound of
-zero yields an empty matching.
+zero yields an empty matching. No node can reach degree ``nranks``, so a
+larger bound is clamped to ``nranks``: it selects the same circuits.
 """
 
 from __future__ import annotations
@@ -121,6 +123,7 @@ def greedy_seed_vector(
     equality against the sequential scan in ``tests/oracles.py`` anyway.
     Returns accepted edge indexes in canonical order.
     """
+    bound = min(bound, nranks)
     if bound <= 0 or len(w) == 0:
         return []
     cap_out = np.full(nranks, bound, dtype=np.int64)
@@ -144,113 +147,7 @@ def greedy_seed_vector(
     return np.sort(np.concatenate(chosen)).tolist()
 
 
-# -- shared match state + improvement passes ----------------------------------
-
-
-class _MatchState:
-    """Edge-index-keyed selection state of one match.
-
-    Edges are referenced by their canonical index, so the per-node
-    bookkeeping is sets of ints and weight lookups are array reads. The
-    reference matcher in ``tests/oracles.py`` drives the same state, so
-    its swap pass is this module's by construction.
-    """
-
-    __slots__ = ("src", "dst", "w", "bound", "sel", "out_sel", "in_sel")
-
-    def __init__(self, src: np.ndarray, dst: np.ndarray, w: np.ndarray, bound: int):
-        self.src, self.dst, self.w = src, dst, w
-        self.bound = bound
-        self.sel: set[int] = set()
-        self.out_sel: dict[int, set[int]] = {}
-        self.in_sel: dict[int, set[int]] = {}
-
-    def add(self, ei: int) -> None:
-        self.sel.add(ei)
-        s, d = int(self.src[ei]), int(self.dst[ei])
-        self.out_sel.setdefault(s, set()).add(ei)
-        self.in_sel.setdefault(d, set()).add(ei)
-
-    def remove(self, ei: int) -> None:
-        self.sel.discard(ei)
-        s, d = int(self.src[ei]), int(self.dst[ei])
-        self.out_sel[s].discard(ei)
-        self.in_sel[d].discard(ei)
-
-    def out_degree(self, node: int) -> int:
-        return len(self.out_sel.get(node, ()))
-
-    def in_degree(self, node: int) -> int:
-        return len(self.in_sel.get(node, ()))
-
-    def min_out(self, node: int) -> int:
-        """Lightest selected egress edge at ``node`` (ties: lowest dst)."""
-        return min(self.out_sel[node], key=lambda ei: (self.w[ei], self.dst[ei]))
-
-    def min_in(self, node: int) -> int:
-        """Lightest selected ingress edge at ``node`` (ties: lowest src)."""
-        return min(self.in_sel[node], key=lambda ei: (self.w[ei], self.src[ei]))
-
-
-def _swap_bounds(state: _MatchState, nranks: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-node lower bounds a would-be swap-in edge must beat.
-
-    A saturated endpoint charges its lightest selected edge's weight;
-    an unsaturated endpoint charges nothing. Snapshot semantics: the
-    bound is evaluated against the state at pass start.
-    """
-    lb_out = np.zeros(nranks, dtype=np.float64)
-    lb_in = np.zeros(nranks, dtype=np.float64)
-    for node, edges in state.out_sel.items():
-        if len(edges) >= state.bound:
-            lb_out[node] = state.w[state.min_out(node)]
-    for node, edges in state.in_sel.items():
-        if len(edges) >= state.bound:
-            lb_in[node] = state.w[state.min_in(node)]
-    return lb_out, lb_in
-
-
-def _swap_candidates(state: _MatchState, nranks: int) -> list[int]:
-    """Canonically-ordered edges worth visiting in a 1-for-k swap pass.
-
-    An unselected edge can only displace blockers if its weight beats the
-    sum of the lightest selected edge at each saturated endpoint; one
-    array expression evaluates that filter. The filter is exact at pass
-    start, so skipped edges cannot improve the matching unless an earlier
-    swap in the same pass changes the state — and any such late-blooming
-    candidate is picked up by the next pass (``improved`` stays True).
-    """
-    lb_out, lb_in = _swap_bounds(state, nranks)
-    mask = state.w > lb_out[state.src] + lb_in[state.dst]
-    if state.sel:
-        mask[list(state.sel)] = False
-    return np.flatnonzero(mask).tolist()
-
-
-def _swap_pass(state: _MatchState, candidates: list[int]) -> bool:
-    """1-for-k swaps: evict the lightest blockers when one edge pays for them.
-
-    Sequential apply loop — eligibility is re-checked against the live
-    state, so any caller that passes the same candidate list makes the
-    same sequence of moves.
-    """
-    improved = False
-    bound = state.bound
-    for ei in candidates:
-        if ei in state.sel:
-            continue
-        s, d = int(state.src[ei]), int(state.dst[ei])
-        victims: list[int] = []
-        if state.out_degree(s) >= bound:
-            victims.append(state.min_out(s))
-        if state.in_degree(d) >= bound:
-            victims.append(state.min_in(d))
-        if float(state.w[ei]) > sum(float(state.w[v]) for v in victims):
-            for v in victims:
-                state.remove(v)
-            state.add(ei)
-            improved = True
-    return improved
+# -- the match state and its improvement passes -------------------------------
 
 
 def _csr(keys: np.ndarray, nranks: int) -> tuple[np.ndarray, np.ndarray]:
@@ -283,22 +180,100 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-class _EdgeIndex:
-    """Static per-match arrays for :func:`_augment_pass_vector`: the
-    edge list compressed by source and by destination (each row in
-    canonical order), the ``(src, dst)`` pair key that fixes the visit
-    order, the weight column padded with a 0.0 that the "no edge"
-    index ``len(w)`` reads, and the largest out- and in-degree."""
+class _State:
+    """One match: its canonical edge columns and bound, static per-node
+    rows, and the selection, stored once.
 
-    __slots__ = ("pair", "out_ptr", "out_idx", "in_ptr", "in_idx", "w_pad", "out_max", "in_max")
+    The rows are the edge list compressed by source and by destination
+    (each row in canonical order, so by non-increasing weight). ``pair``
+    is the ``(src, dst)`` key that fixes the augment pass's visit order,
+    ``w_pad`` the weight column padded with a 0.0 that the "no edge"
+    index ``len(w)`` reads, and ``out_max``/``in_max`` the largest out-
+    and in-degree. The selection is the ``sel`` mask over canonical edges
+    plus its per-node counts ``outdeg``/``indeg``; the swap and augment
+    passes read and write these three arrays in place.
+    """
 
-    def __init__(self, src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int):
+    __slots__ = (
+        "src", "dst", "w", "bound", "pair", "out_ptr", "out_idx", "in_ptr", "in_idx",
+        "w_pad", "out_max", "in_max", "sel", "outdeg", "indeg",
+    )
+
+    def __init__(
+        self, src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int, selected
+    ):
+        self.src, self.dst, self.w, self.bound = src, dst, w, bound
         self.pair = src * np.int64(max(1, nranks)) + dst
         self.out_ptr, self.out_idx = _csr(src, nranks)
         self.in_ptr, self.in_idx = _csr(dst, nranks)
         self.w_pad = np.append(w, 0.0)
         self.out_max = int(np.diff(self.out_ptr).max(initial=0))
         self.in_max = int(np.diff(self.in_ptr).max(initial=0))
+        self.sel = np.zeros(len(w), dtype=bool)
+        self.sel[selected] = True
+        self.outdeg = np.bincount(src[self.sel], minlength=nranks)
+        self.indeg = np.bincount(dst[self.sel], minlength=nranks)
+
+
+def _swap_candidates(state: _State) -> list[int]:
+    """Canonically-ordered edges worth visiting in a 1-for-k swap pass.
+
+    An unselected edge can only displace blockers if its weight beats the
+    sum of the lightest selected edge at each saturated endpoint: a
+    per-node minimum of selected weights, zero at unsaturated nodes. One
+    array expression evaluates that filter. The filter is exact at pass
+    start, so skipped edges cannot improve the matching unless an earlier
+    swap in the same pass changes the state — and any such late-blooming
+    candidate is picked up by the next pass (``improved`` stays True).
+    """
+    w, sel = state.w, state.sel
+    bounds = []
+    for ends, deg in ((state.src, state.outdeg), (state.dst, state.indeg)):
+        lightest = np.full(len(deg), np.inf)
+        np.minimum.at(lightest, ends[sel], w[sel])
+        bounds.append(np.where(deg >= state.bound, lightest, 0.0))
+    mask = w > bounds[0][state.src] + bounds[1][state.dst]
+    return np.flatnonzero(mask & ~sel).tolist()
+
+
+def _lightest(state: _State, ptr: np.ndarray, idx: np.ndarray, node: int, far: np.ndarray) -> int:
+    """The lightest selected edge in ``node``'s row; the row runs by
+    non-increasing weight, and ties go to the lowest ``far`` end."""
+    row = idx[ptr[node] : ptr[node + 1]]
+    row = row[state.sel[row]]
+    light = row[state.w[row] == state.w[row[-1]]]
+    return int(light[np.argmin(far[light])])
+
+
+def _swap_pass(state: _State, candidates: list[int]) -> bool:
+    """1-for-k swaps: evict the lightest blockers when one edge pays for them.
+
+    Sequential apply loop — eligibility is re-checked against the live
+    state, so any caller that passes the same candidate list makes the
+    same sequence of moves. A blocker is the lightest selected out-edge
+    of a saturated source (ties: lowest dst) or in-edge of a saturated
+    destination (ties: lowest src).
+    """
+    src, dst, w, sel, bound = state.src, state.dst, state.w, state.sel, state.bound
+    outdeg, indeg = state.outdeg, state.indeg
+    improved = False
+    for ei in candidates:
+        s, d = int(src[ei]), int(dst[ei])
+        victims: list[int] = []
+        if outdeg[s] >= bound:
+            victims.append(_lightest(state, state.out_ptr, state.out_idx, s, dst))
+        if indeg[d] >= bound:
+            victims.append(_lightest(state, state.in_ptr, state.in_idx, d, src))
+        if float(w[ei]) > sum(float(w[v]) for v in victims):
+            for v in victims:
+                sel[v] = False
+                outdeg[src[v]] -= 1
+                indeg[dst[v]] -= 1
+            sel[ei] = True
+            outdeg[s] += 1
+            indeg[d] += 1
+            improved = True
+    return improved
 
 
 #: Table cells one batch of :func:`_augment_pass_vector` attempts may
@@ -306,7 +281,7 @@ class _EdgeIndex:
 _ATTEMPT_CELLS = 1 << 16
 
 
-def _augment_pass_vector(state: _MatchState, index: _EdgeIndex) -> bool:
+def _augment_pass_vector(state: _State) -> bool:
     """2-for-1 augments: drop one circuit when the freed endpoints can host
     a heavier *set* of replacements.
 
@@ -327,25 +302,22 @@ def _augment_pass_vector(state: _MatchState, index: _EdgeIndex) -> bool:
     ``_ATTEMPT_CELLS`` table cells.
 
     Every attempt is evaluated against the pass-start state; commits are
-    then applied in visit order, and each commit refreshes only the rows
-    it changed and re-evaluates only the later attempts that read them.
+    then applied to the selection in visit order, and each commit
+    refreshes only the rows it changed and re-evaluates only the later
+    attempts that read them.
     """
     src, dst, w, bound = state.src, state.dst, state.w, state.bound
-    if not state.sel:
+    sel, outdeg, indeg = state.sel, state.outdeg, state.indeg
+    visit = np.flatnonzero(sel)
+    if not visit.size:
         return False
-    n = len(index.out_ptr) - 1
+    n = len(outdeg)
     none = len(w)
-    visit = np.fromiter(state.sel, dtype=np.int64, count=len(state.sel))
-    visit = visit[np.argsort(index.pair[visit])]
-    vsrc, vdst = src[visit], dst[visit]
-    by_src, _ = _csr(vsrc, n)  # visit is sorted by src: rows are ranges
-    by_dst, by_dst_idx = _csr(vdst, n)
-    sel = np.zeros(none, dtype=bool)
-    sel[visit] = True
-    outdeg = np.bincount(vsrc, minlength=n)
-    indeg = np.bincount(vdst, minlength=n)
-    out_rows = np.full((n, min(bound, index.out_max)), none, dtype=np.int64)
-    in_rows = np.full((n, min(bound, index.in_max)), none, dtype=np.int64)
+    visit = visit[np.argsort(state.pair[visit])]
+    by_src, _ = _csr(src[visit], n)  # visit is sorted by src: rows are ranges
+    by_dst, by_dst_idx = _csr(dst[visit], n)
+    out_rows = np.full((n, min(bound, state.out_max)), none, dtype=np.int64)
+    in_rows = np.full((n, min(bound, state.in_max)), none, dtype=np.int64)
     out_cols = np.arange(out_rows.shape[1])
     in_cols = np.arange(in_rows.shape[1])
     batch = max(1, _ATTEMPT_CELLS // (len(out_cols) + len(in_cols)))
@@ -361,10 +333,10 @@ def _augment_pass_vector(state: _MatchState, index: _EdgeIndex) -> bool:
         table[nodes[slot[keep]], rank[keep]] = edges[keep]
 
     def refill_out(nodes):
-        refill(out_rows, nodes, index.out_ptr, index.out_idx, dst, indeg)
+        refill(out_rows, nodes, state.out_ptr, state.out_idx, dst, indeg)
 
     def refill_in(nodes):
-        refill(in_rows, nodes, index.in_ptr, index.in_idx, src, outdeg)
+        refill(in_rows, nodes, state.in_ptr, state.in_idx, src, outdeg)
 
     def commits(pos):
         gains = np.empty(len(pos), dtype=bool)
@@ -379,7 +351,7 @@ def _augment_pass_vector(state: _MatchState, index: _EdgeIndex) -> bool:
                 axis=1,
             )
             picks.sort(axis=1)
-            gains[lo : lo + batch] = np.cumsum(index.w_pad[picks], axis=1)[:, -1] > w[e]
+            gains[lo : lo + batch] = np.cumsum(state.w_pad[picks], axis=1)[:, -1] > w[e]
         return gains
 
     every = np.arange(n)
@@ -399,9 +371,6 @@ def _augment_pass_vector(state: _MatchState, index: _EdgeIndex) -> bool:
         po = po[po != none]
         pi = in_rows[d, : bound + 1 - indeg[d]]
         pi = pi[pi != none]
-        state.remove(e)
-        for c in np.concatenate((po, pi)).tolist():
-            state.add(c)
         improved = True
         sel[e] = False
         sel[po] = True
@@ -417,12 +386,12 @@ def _augment_pass_vector(state: _MatchState, index: _EdgeIndex) -> bool:
         out_changed = np.append(ys, s)
         out_nodes = _distinct(
             np.concatenate(
-                (out_changed, src[index.in_idx[_rows(index.in_ptr, in_changed)[0]]])
+                (out_changed, src[state.in_idx[_rows(state.in_ptr, in_changed)[0]]])
             )
         )
         in_nodes = _distinct(
             np.concatenate(
-                (in_changed, dst[index.out_idx[_rows(index.out_ptr, out_changed)[0]]])
+                (in_changed, dst[state.out_idx[_rows(state.out_ptr, out_changed)[0]]])
             )
         )
         refill_out(out_nodes)
@@ -439,18 +408,26 @@ def _match_sorted(
     src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int
 ) -> list[tuple[int, int]]:
     """Match canonically-sorted edge columns."""
+    bound = min(bound, nranks)
     if bound <= 0 or len(w) == 0:
         return []
-    state = _MatchState(src, dst, w, bound)
-    for ei in greedy_seed_vector(src, dst, w, nranks, bound):
-        state.add(ei)
-    index = _EdgeIndex(src, dst, w, nranks)
+    seed = greedy_seed_vector(src, dst, w, nranks, bound)
+    state = _State(src, dst, w, nranks, bound, seed)
     for _ in range(DEFAULT_MAX_PASSES):
-        improved = _swap_pass(state, _swap_candidates(state, nranks))
-        improved |= _augment_pass_vector(state, index)
+        improved = _swap_pass(state, _swap_candidates(state))
+        improved |= _augment_pass_vector(state)
         if not improved:
             break
-    return sorted((int(src[ei]), int(dst[ei])) for ei in state.sel)
+    return circuit_list(src, dst, np.flatnonzero(state.sel))
+
+
+def circuit_list(src: np.ndarray, dst: np.ndarray, edges) -> list[tuple[int, int]]:
+    """Edges ``edges`` as the ``(src, dst)``-sorted list of tuples the
+    interconnect evaluators consume; pairs are unique, so the order is
+    total."""
+    s, d = src[edges], dst[edges]
+    order = np.lexsort((d, s))
+    return list(zip(s[order].tolist(), d[order].tolist()))
 
 
 def match_edges(

@@ -9,6 +9,8 @@ so every ``BENCH_*.json`` entry is traceable to an exact tree state.
 from __future__ import annotations
 
 import datetime
+import functools
+import os
 import platform
 import subprocess
 import sys
@@ -16,6 +18,18 @@ from typing import Any
 
 
 def git_sha(cwd: str | None = None) -> str:
+    """HEAD's SHA in ``cwd`` (default: the working directory), or
+    ``"unknown"``. Read once per resolved directory for the life of the
+    process."""
+    try:
+        where = os.path.realpath(cwd or os.getcwd())
+    except OSError:
+        return "unknown"
+    return _git_sha_at(where)
+
+
+@functools.lru_cache(maxsize=None)
+def _git_sha_at(cwd: str) -> str:
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -15,9 +15,11 @@ correct:
   repro-cache now stores format-4 ``.npz`` entries and only reads JSON
   documents, which the legacy-reader tests build with it;
 - :func:`match_edges` — the sequential greedy seed (:func:`greedy_seed`),
-  the dict-based swap filter (:func:`swap_candidates`) and the loop
-  augment pass with its version memo (:func:`augment_pass`), built on
-  :func:`hfast.matcher.sort_edges`, ``_MatchState`` and ``_swap_pass``;
+  the dict/set selection state (:class:`MatchState`), the edge-by-edge
+  swap filter (:func:`swap_candidates`) and swap pass (:func:`swap_pass`),
+  and the loop augment pass with its version memo (:func:`augment_pass`),
+  over :func:`hfast.matcher.sort_edges`'s canonical order. This module
+  owns the dict state; :mod:`hfast.matcher` keeps its selection as arrays;
 - dense ``nranks x nranks`` traffic planes (:class:`DenseMatrix`): the
   per-record :func:`reduce_matrix`, :func:`analyze_topology` over the
   symmetrized volume plane, and the evaluators :func:`evaluate_hybrid`
@@ -45,7 +47,7 @@ from hfast.interconnect import (
     TemporalEvaluation,
     slice_edge_volumes,
 )
-from hfast.matcher import DEFAULT_MAX_PASSES, _MatchState, _swap_pass, canon_key, sort_edges
+from hfast.matcher import DEFAULT_MAX_PASSES, canon_key, sort_edges
 from hfast.matrix import CommMatrix
 from hfast.records import CommRecord, RecordBatch, Trace
 from hfast.timing import DEFAULT_TIMING_SEED, apply_timing
@@ -257,8 +259,49 @@ def greedy_seed(
     return chosen
 
 
-class VersionedState(_MatchState):
-    """``_MatchState`` plus monotonic per-node change counters.
+class MatchState:
+    """Edge-index-keyed selection state of one match: the selected
+    canonical edge ids as a set, and per node the set of its selected
+    out-edges and in-edges."""
+
+    __slots__ = ("src", "dst", "w", "bound", "sel", "out_sel", "in_sel")
+
+    def __init__(self, src: np.ndarray, dst: np.ndarray, w: np.ndarray, bound: int):
+        self.src, self.dst, self.w = src, dst, w
+        self.bound = bound
+        self.sel: set[int] = set()
+        self.out_sel: dict[int, set[int]] = {}
+        self.in_sel: dict[int, set[int]] = {}
+
+    def add(self, ei: int) -> None:
+        self.sel.add(ei)
+        s, d = int(self.src[ei]), int(self.dst[ei])
+        self.out_sel.setdefault(s, set()).add(ei)
+        self.in_sel.setdefault(d, set()).add(ei)
+
+    def remove(self, ei: int) -> None:
+        self.sel.discard(ei)
+        s, d = int(self.src[ei]), int(self.dst[ei])
+        self.out_sel[s].discard(ei)
+        self.in_sel[d].discard(ei)
+
+    def out_degree(self, node: int) -> int:
+        return len(self.out_sel.get(node, ()))
+
+    def in_degree(self, node: int) -> int:
+        return len(self.in_sel.get(node, ()))
+
+    def min_out(self, node: int) -> int:
+        """Lightest selected egress edge at ``node`` (ties: lowest dst)."""
+        return min(self.out_sel[node], key=lambda ei: (self.w[ei], self.dst[ei]))
+
+    def min_in(self, node: int) -> int:
+        """Lightest selected ingress edge at ``node`` (ties: lowest src)."""
+        return min(self.in_sel[node], key=lambda ei: (self.w[ei], self.src[ei]))
+
+
+class VersionedState(MatchState):
+    """``MatchState`` plus monotonic per-node change counters.
 
     Every add/remove bumps both endpoints' counters, so a sum over a
     neighbourhood detects "any selection change here since I last
@@ -282,7 +325,7 @@ class VersionedState(_MatchState):
         self.versions[int(self.dst[ei])] += 1
 
 
-def swap_candidates(state: _MatchState) -> list[int]:
+def swap_candidates(state: MatchState) -> list[int]:
     """The swap filter edge by edge: unselected edges whose weight beats
     the lightest selected edge at each saturated endpoint, evaluated
     against the state at pass start."""
@@ -302,6 +345,28 @@ def swap_candidates(state: _MatchState) -> list[int]:
         if float(state.w[ei]) > bound:
             cands.append(ei)
     return cands
+
+
+def swap_pass(state: MatchState, candidates: list[int]) -> bool:
+    """1-for-k swaps: evict the lightest blockers when one edge pays for
+    them, re-checking eligibility against the live state edge by edge."""
+    improved = False
+    bound = state.bound
+    for ei in candidates:
+        if ei in state.sel:
+            continue
+        s, d = int(state.src[ei]), int(state.dst[ei])
+        victims: list[int] = []
+        if state.out_degree(s) >= bound:
+            victims.append(state.min_out(s))
+        if state.in_degree(d) >= bound:
+            victims.append(state.min_in(d))
+        if float(state.w[ei]) > sum(float(state.w[v]) for v in victims):
+            for v in victims:
+                state.remove(v)
+            state.add(ei)
+            improved = True
+    return improved
 
 
 class AugmentMemo:
@@ -438,7 +503,7 @@ def match_edges(
         state.add(ei)
     augment = augmenter(src, dst, nranks)
     for _ in range(DEFAULT_MAX_PASSES):
-        improved = _swap_pass(state, swap_candidates(state))
+        improved = swap_pass(state, swap_candidates(state))
         improved |= augment(state)
         if not improved:
             break

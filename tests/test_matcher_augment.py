@@ -1,16 +1,20 @@
-"""Pass-level identity: the reference augment loop vs the array augment pass.
+"""Pass-level identity: the reference's dict/set passes vs the array passes.
 
-The reference matcher in ``tests/oracles.py`` runs
-:func:`oracles.augment_pass`, a loop over candidate edges;
-:func:`hfast.matcher.match_edges` runs
+The reference matcher in ``tests/oracles.py`` keeps its selection in
+:class:`oracles.MatchState` (sets of edge ids) and runs
+:func:`oracles.swap_pass` and :func:`oracles.augment_pass`, loops over
+candidate edges; :func:`hfast.matcher.match_edges` keeps its selection in
+the arrays of :class:`hfast.matcher._State` and runs
+:func:`hfast.matcher._swap_pass` and
 :func:`hfast.matcher._augment_pass_vector`, which evaluates every attempt
-from per-node tables. Started from identical selection states, the two
-must leave identical selections and agree on whether anything improved —
-pass after pass, so the loop's memo and the array pass's commit-order
-repair are both exercised. The states here come from random selections
-with unsaturated endpoints, not just the greedy seed a real match starts
-from, and the weights include non-integers across 19 orders of magnitude,
-where the order of a floating-point sum decides a commit.
+from per-node tables. Started from identical selections, each pair of
+passes must leave identical selections and agree on whether anything
+improved — pass after pass, so the loop's memo and the array pass's
+commit-order repair are both exercised, and the swap passes must also
+agree on their candidate lists. The states here come from random
+selections with unsaturated endpoints, not just the greedy seed a real
+match starts from, and the weights include non-integers across 19 orders
+of magnitude, where the order of a floating-point sum decides a commit.
 """
 
 import tracemalloc
@@ -23,7 +27,7 @@ from hfast import matcher
 from hfast.matcher import (
     IncrementalMatcher,
     _augment_pass_vector,
-    _EdgeIndex,
+    _State,
     _swap_candidates,
     _swap_pass,
     canon_key,
@@ -63,32 +67,50 @@ def random_selection(rng, src, dst, bound, n):
 
 
 def state_of(src, dst, w, bound, n, chosen):
+    """The reference's dict/set state holding the edges ``chosen``."""
     state = oracles.VersionedState(src, dst, w, bound, n)
     for ei in chosen:
         state.add(ei)
     return state
 
 
-def array_augmenter(src, dst, w, n):
-    index = _EdgeIndex(src, dst, w, n)
-    return lambda state: _augment_pass_vector(state, index)
+def array_state(src, dst, w, bound, n, chosen):
+    """The matcher's array state holding the edges ``chosen``."""
+    return _State(src, dst, w, n, bound, np.asarray(list(chosen), dtype=np.int64))
+
+
+def selection(state, n):
+    """An array state's selection as a set of edge ids, once its degree
+    counts are checked against its mask."""
+    assert np.array_equal(state.outdeg, np.bincount(state.src[state.sel], minlength=n))
+    assert np.array_equal(state.indeg, np.bincount(state.dst[state.sel], minlength=n))
+    return set(np.flatnonzero(state.sel).tolist())
+
+
+def assert_swaps_agree(loop, array, n, label):
+    """One swap pass of each implementation, each from its own candidates."""
+    candidates = oracles.swap_candidates(loop)
+    array_candidates = _swap_candidates(array)
+    assert array_candidates == candidates, f"{label}: swap candidates differ"
+    improved = oracles.swap_pass(loop, candidates)
+    assert _swap_pass(array, array_candidates) == improved, f"{label}: improved differs"
+    assert selection(array, n) == loop.sel, f"{label}: selections differ"
+    return improved
 
 
 def assert_passes_agree(src, dst, w, n, bound, chosen, passes=3):
-    """Run both augment passes from the same state; compare after each.
-    Returns the selection the last augment pass left."""
+    """Run both augment passes from the same state, with both swap passes
+    between them; compare after each. Returns the selection the last
+    augment pass left."""
     loop = state_of(src, dst, w, bound, n, chosen)
-    array = state_of(src, dst, w, bound, n, chosen)
+    array = array_state(src, dst, w, bound, n, chosen)
     augment_loop = oracles.augmenter(src, dst, n)
-    augment_array = array_augmenter(src, dst, w, n)
     for p in range(passes):
-        if p:  # the shared swap pass moves both states on identically
-            _swap_pass(loop, oracles.swap_candidates(loop))
-            _swap_pass(array, _swap_candidates(array, n))
-            assert array.sel == loop.sel
+        if p:
+            assert_swaps_agree(loop, array, n, f"pass {p}")
         improved = augment_loop(loop)
-        assert augment_array(array) == improved, f"pass {p}: improved differs"
-        assert array.sel == loop.sel, f"pass {p}: selections differ"
+        assert _augment_pass_vector(array) == improved, f"pass {p}: improved differs"
+        assert selection(array, n) == loop.sel, f"pass {p}: selections differ"
     return loop.sel
 
 
@@ -229,11 +251,10 @@ def test_pass_memory_stays_near_the_edge_count():
     src, dst = random_graph(np.random.default_rng(403), n, 1.0)
     w = np.ones(len(src))
     src, dst, w = canonical(src, dst, w, n)
-    state = state_of(src, dst, w, 10**9, n, range(len(src)))
-    augment = array_augmenter(src, dst, w, n)
+    state = array_state(src, dst, w, 10**9, n, range(len(src)))
     tracemalloc.start()
     try:
-        assert augment(state) is False
+        assert _augment_pass_vector(state) is False
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -245,3 +266,111 @@ def test_empty_edge_list_and_empty_selection():
     assert assert_passes_agree(empty, empty, np.empty(0), 4, 2, []) == set()
     src, dst, w = canonical([0, 1, 2], [1, 2, 0], [5.0, 3.0, 1.0], 3)
     assert assert_passes_agree(src, dst, w, 3, 1, [], passes=1) == set()
+
+
+def saturating_selection(rng, src, dst, bound, n):
+    """Edge ids of a random maximal selection: edges in random order, each
+    taken while both its endpoints have capacity, so most endpoints that
+    can saturate do."""
+    cap_out = [bound] * n
+    cap_in = [bound] * n
+    chosen = []
+    for ei in rng.permutation(len(src)).tolist():
+        s, d = int(src[ei]), int(dst[ei])
+        if cap_out[s] > 0 and cap_in[d] > 0:
+            cap_out[s] -= 1
+            cap_in[d] -= 1
+            chosen.append(ei)
+    return chosen
+
+
+def assert_swap_passes_agree(src, dst, w, n, bound, chosen, passes=3):
+    """Run both swap passes from the same selection, pass after pass;
+    returns how many of them improved something."""
+    loop = state_of(src, dst, w, bound, n, chosen)
+    array = array_state(src, dst, w, bound, n, chosen)
+    return sum(assert_swaps_agree(loop, array, n, f"swap pass {p}") for p in range(passes))
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+def test_swap_passes_agree_from_random_selections(bound):
+    rng = np.random.default_rng(500 + bound)
+    swaps = 0
+    for trial in range(80):
+        n = int(rng.integers(2, 24))
+        src, dst = random_graph(rng, n, float(rng.uniform(0.1, 1.0)))
+        if trial % 2:
+            w = 10.0 ** rng.uniform(-3, 16, size=len(src))
+        else:
+            w = rng.integers(1, 1000, size=len(src))
+        src, dst, w = canonical(src, dst, w, n)
+        pick = saturating_selection if trial % 3 else random_selection
+        swaps += assert_swap_passes_agree(src, dst, w, n, bound, pick(rng, src, dst, bound, n))
+    assert swaps  # the sweep must exercise evictions, not only no-ops
+
+
+@pytest.mark.parametrize("bound", [2, 3, 4])
+def test_swap_victim_ties_go_to_the_lowest_far_end(bound):
+    """Weights from {1, 2, 3} leave most saturated nodes with several
+    selected edges tied on the lightest weight, so only the tie-break
+    decides which one a swap evicts."""
+    rng = np.random.default_rng(600 + bound)
+    swaps = 0
+    for _ in range(80):
+        n = int(rng.integers(4, 20))
+        src, dst = random_graph(rng, n, float(rng.uniform(0.3, 1.0)))
+        w = rng.choice([1.0, 2.0, 3.0], p=[0.6, 0.1, 0.3], size=len(src))
+        src, dst, w = canonical(src, dst, w, n)
+        chosen = saturating_selection(rng, src, dst, bound, n)
+        swaps += assert_swap_passes_agree(src, dst, w, n, bound, chosen)
+    assert swaps
+
+
+def test_swap_evicts_the_tied_out_edge_with_the_lowest_dst():
+    """Node 0 is saturated at bound 2 by (0, 2) and (0, 3), both weight 1;
+    (0, 1) of weight 5 displaces (0, 2), not (0, 3)."""
+    src, dst, w = canonical([0, 0, 0], [1, 2, 3], [5.0, 1.0, 1.0], 4)
+    ids = {(int(s), int(d)): ei for ei, (s, d) in enumerate(zip(src, dst))}
+    chosen = [ids[0, 2], ids[0, 3]]
+    assert assert_swap_passes_agree(src, dst, w, 4, 2, chosen, passes=1) == 1
+    state = array_state(src, dst, w, 2, 4, chosen)
+    _swap_pass(state, _swap_candidates(state))
+    assert selection(state, 4) == {ids[0, 1], ids[0, 3]}
+
+
+def test_swap_evicts_the_tied_in_edge_with_the_lowest_src():
+    src, dst, w = canonical([1, 2, 3], [0, 0, 0], [5.0, 1.0, 1.0], 4)
+    ids = {(int(s), int(d)): ei for ei, (s, d) in enumerate(zip(src, dst))}
+    chosen = [ids[2, 0], ids[3, 0]]
+    state = array_state(src, dst, w, 2, 4, chosen)
+    _swap_pass(state, _swap_candidates(state))
+    assert selection(state, 4) == {ids[1, 0], ids[3, 0]}
+    assert assert_swap_passes_agree(src, dst, w, 4, 2, chosen, passes=1) == 1
+
+
+def test_swap_bounds_come_from_the_lightest_selected_edge():
+    """Node 0 is saturated at bound 2 by (0, 1) of weight 9 and (0, 2) of
+    weight 1: (0, 3) of weight 2 beats the lightest and is a candidate."""
+    src, dst, w = canonical([0, 0, 0], [1, 2, 3], [9.0, 1.0, 2.0], 4)
+    ids = {(int(s), int(d)): ei for ei, (s, d) in enumerate(zip(src, dst))}
+    state = array_state(src, dst, w, 2, 4, [ids[0, 1], ids[0, 2]])
+    assert _swap_candidates(state) == [ids[0, 3]]
+    assert _swap_pass(state, [ids[0, 3]]) is True
+    assert selection(state, 4) == {ids[0, 1], ids[0, 3]}
+
+
+def test_swap_passes_agree_with_bounds_past_every_degree():
+    """No endpoint saturates, so every unselected positive edge is a
+    candidate and goes in without evicting anything."""
+    rng = np.random.default_rng(700)
+    for _ in range(40):
+        n = int(rng.integers(2, 16))
+        src, dst = random_graph(rng, n, float(rng.uniform(0.3, 1.0)))
+        w = rng.integers(0, 4, size=len(src)) * 1.5
+        src, dst, w = canonical(src, dst, w, n)
+        for bound in (n - 1, n + 3, 10**9):
+            chosen = random_selection(rng, src, dst, bound, n)
+            assert_swap_passes_agree(src, dst, w, n, bound, chosen, passes=1)
+            state = array_state(src, dst, w, bound, n, chosen)
+            _swap_pass(state, _swap_candidates(state))
+            assert selection(state, n) == set(np.flatnonzero(w > 0).tolist()) | set(chosen)

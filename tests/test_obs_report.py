@@ -1,5 +1,7 @@
 import json
 
+from hfast.obs import manifest
+from hfast.obs.manifest import build_manifest
 from hfast.obs.report import build_report, render_markdown, write_report
 
 FIXTURE_EVENTS = [
@@ -159,3 +161,30 @@ def test_time_breakdown_section():
     assert "## Where the time went" in md
     assert md.index("## Where the time went") < md.index("## Stage profile")
     assert "| matrix_reduce | 0.5000 | 0.5000 |" in md
+
+
+def test_manifest_reads_the_git_sha_once_per_directory(monkeypatch, tmp_path):
+    """Every run_pipeline call builds a manifest; git runs once per
+    resolved directory for the life of the process."""
+    calls = []
+    real_run = manifest.subprocess.run
+
+    def counting_run(cmd, *args, **kwargs):
+        if cmd[:1] == ["git"]:
+            calls.append(kwargs["cwd"])
+        return real_run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(manifest.subprocess, "run", counting_run)
+    manifest._git_sha_at.cache_clear()
+    first = build_manifest(["cactus"], {"cactus": [8]})
+    second = build_manifest(["gtc"], {"gtc": [16]})
+    assert len(calls) == 1
+    assert second["git_sha"] == first["git_sha"]
+
+    real = tmp_path / "real"
+    real.mkdir()
+    (tmp_path / "link").symlink_to(real)
+    build_manifest(["cactus"], {"cactus": [8]}, cwd=str(real))
+    assert calls[1:] == [str(real.resolve())]
+    build_manifest(["cactus"], {"cactus": [8]}, cwd=str(tmp_path / "link"))
+    assert len(calls) == 2  # the same directory, reached through a symlink
