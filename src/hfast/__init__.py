@@ -11,5 +11,3 @@ IPM-style run report.
 """
 
 __version__ = "0.2.0"
-
-from hfast.records import CommRecord  # noqa: F401

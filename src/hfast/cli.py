@@ -106,10 +106,7 @@ from hfast.apps import APPS, available_apps
 from hfast.cache import DEFAULT_CACHE_DIR, CacheValidationError, ReproCache
 from hfast.obs import analytics
 from hfast.obs.anomaly import AnomalyDetector
-from hfast.obs.flame import folded_stacks, speedscope_doc
-from hfast.obs.live import LiveView
 from hfast.obs.profile import Observability, configure
-from hfast.obs.prom import MetricsServer, render_registry
 from hfast.obs.report import build_report, write_report
 from hfast.obs.stream import EventBus
 from hfast.obs.trace import JsonlSink
@@ -581,6 +578,8 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     # and/or a background /metrics endpoint scraping the live registry.
     bus = live_view = metrics_server = detector = None
     if args.live:
+        from hfast.obs.live import LiveView
+
         bus = EventBus()
         kwargs = {"threshold": args.anomaly_threshold} if args.anomaly_threshold else {}
         detector = AnomalyDetector.from_bench_dir(args.bench_dir or ".", **kwargs)
@@ -588,6 +587,8 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
         bus.subscribe(live_view.handle)
         live_view.start()
     if args.metrics_port is not None:
+        from hfast.obs.prom import MetricsServer, render_registry
+
         metrics_server = MetricsServer(
             lambda: render_registry(obs.metrics), port=args.metrics_port
         ).start()
@@ -796,6 +797,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 )
             return 0
         if args.trace_command == "flame":
+            from hfast.obs.flame import folded_stacks, speedscope_doc
+
             tree = _load_tree(args.trace, args.strict)
             if args.format == "speedscope":
                 text = json.dumps(speedscope_doc(tree), indent=2, sort_keys=True) + "\n"

@@ -20,15 +20,3 @@ The repo throughline holds here too: the frontier artifact is a function
 of (workload, space, seed, strategy) alone — same inputs on any
 scheduler backend serialize byte-identically.
 """
-
-from hfast.dse.pareto import Objective, dominates, pareto_frontier
-from hfast.dse.space import Candidate, SearchSpace, SpaceValidationError
-
-__all__ = [
-    "Candidate",
-    "Objective",
-    "SearchSpace",
-    "SpaceValidationError",
-    "dominates",
-    "pareto_frontier",
-]

@@ -102,6 +102,32 @@ class Histogram:
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
 
+    def observe_many(self, values: np.ndarray, weights: np.ndarray) -> None:
+        """``observe(v, weight=w)`` for each pair in order, as array work.
+
+        The state ends bit-for-bit where the loop leaves it: a zero weight
+        still creates its bucket, ``min``/``max`` keep the values' Python
+        type, and ``sum`` adds the products one at a time with a sequential
+        ``cumsum`` (never pairwise). Each float64 product rounds as
+        Python's does while values and weights are below 2**53, the bound
+        :func:`log2_bucket_array` already requires.
+        """
+        v = np.asarray(values)
+        if not v.size:
+            return
+        w = np.asarray(weights, dtype=np.int64)
+        edges, inv = np.unique(log2_bucket_array(v), return_inverse=True)
+        totals = np.zeros(edges.size, dtype=np.int64)
+        np.add.at(totals, inv, w)
+        for edge, n in zip(edges.tolist(), totals.tolist()):
+            self.buckets[edge] = self.buckets.get(edge, 0) + n
+        self.count += int(w.sum())
+        terms = np.concatenate(([self.sum], v.astype(np.float64) * w))
+        self.sum = float(np.cumsum(terms)[-1])
+        lo, hi = v.min().item(), v.max().item()
+        self.min = lo if self.min is None else min(self.min, lo)
+        self.max = hi if self.max is None else max(self.max, hi)
+
     @property
     def mean(self) -> float:
         return self.sum / self.count if self.count else 0.0
@@ -136,6 +162,9 @@ class _NoopInstrument:
         pass
 
     def observe(self, value: int | float, weight: int = 1) -> None:
+        pass
+
+    def observe_many(self, values: np.ndarray, weights: np.ndarray) -> None:
         pass
 
     def to_dict(self) -> dict[str, Any]:

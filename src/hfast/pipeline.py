@@ -39,7 +39,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -48,21 +48,25 @@ from hfast.cache import DEFAULT_CACHE_DIR, CacheStats, ReproCache
 from hfast.interconnect import InterconnectConfig, evaluate_hybrid, evaluate_temporal
 from hfast.matrix import reduce_matrix, run_starts
 from hfast.obs import stream
-from hfast.obs.anomaly import AnomalyDetector
 from hfast.obs.logs import get_logger
 from hfast.obs.manifest import build_manifest
 from hfast.obs.metrics import log2_bucket_array
 from hfast.obs.profile import Observability, get_obs, using
-from hfast.obs.slo import SloEngine, cells_for_slo
 from hfast.records import SEND_CALLS, RecordBatch, Trace
-from hfast.sched.cost import CostModel
 from hfast.sched.faults import inject_slow
-from hfast.sched.journal import RunJournal, build_fingerprint, journal_dir_for, new_run_id
-from hfast.sched.mitigate import MitigationPolicy
-from hfast.sched.scheduler import SchedulerConfig, run_stealing
 from hfast.spec import RunSpec
 from hfast.timing import DEFAULT_TIMING_SEED, TimingModel
 from hfast.topology import analyze_topology
+
+# The scheduler, journal, cost model, mitigation policy, anomaly detector
+# and SLO engine are imported in the branches of run_pipeline that use
+# them: a serial run never loads multiprocessing or the obs extras.
+if TYPE_CHECKING:
+    from hfast.obs.anomaly import AnomalyDetector
+    from hfast.obs.slo import SloEngine
+    from hfast.sched.cost import CostModel
+    from hfast.sched.journal import RunJournal
+    from hfast.sched.mitigate import MitigationPolicy
 
 DEFAULT_SCALES = (16, 64)
 SCHEDULERS = ("static", "stealing")
@@ -119,23 +123,21 @@ def discover_scales(cache: ReproCache, apps: list[str]) -> dict[str, list[int]]:
 def _bucket_table(uniq: np.ndarray, weights: np.ndarray) -> dict[int, int]:
     """Log2-bucket table of ascending distinct values and their weights.
 
-    Each value's weight is truncated to an int, then summed per bucket,
-    exactly as the per-value ``observe`` path would; buckets of ascending
-    values are contiguous, so the per-bucket sums are one ``reduceat``.
+    Buckets of ascending values are contiguous, so the per-bucket sums
+    are one ``reduceat``.
     """
     edges = log2_bucket_array(uniq)
     first = run_starts(edges)
-    totals = np.add.reduceat(weights.astype(np.int64), first)
+    totals = np.add.reduceat(weights, first)
     return dict(zip(edges[first].tolist(), totals.tolist()))
 
 
 def _observe_sizes(b: RecordBatch, app: str, obs: Observability) -> dict[int, int]:
     """Message-size bucket table; feeds the obs histograms when enabled.
 
-    Works on unique sizes only, with aggregated weights, so a
-    million-record trace costs a handful of ``observe`` calls instead of
-    one per record — and none with obs off, since the table itself is
-    array work.
+    Works on unique sizes only, with aggregated weights, and each
+    histogram takes them in one :meth:`~hfast.obs.metrics.Histogram.observe_many`
+    call; with obs off the table is the only work.
     """
     local_buckets: dict[int, int] = {}
     size_hist = obs.metrics.histogram("msg_size_bytes") if obs.enabled else None
@@ -143,12 +145,11 @@ def _observe_sizes(b: RecordBatch, app: str, obs: Observability) -> dict[int, in
     mask = b.call_mask(SEND_CALLS) & (b.size > 0)
     if mask.any():
         uniq, inv = np.unique(b.size[mask], return_inverse=True)
-        weights = np.bincount(inv, weights=b.count[mask].astype(np.float64))
+        weights = np.bincount(inv, weights=b.count[mask].astype(np.float64)).astype(np.int64)
         local_buckets = _bucket_table(uniq, weights)
         if size_hist is not None:
-            for s, w in zip(uniq.tolist(), weights.tolist()):
-                size_hist.observe(s, weight=int(w))
-                app_hist.observe(s, weight=int(w))
+            size_hist.observe_many(uniq, weights)
+            app_hist.observe_many(uniq, weights)
     return local_buckets
 
 
@@ -167,12 +168,11 @@ def _observe_latencies(b: RecordBatch, app: str, obs: Observability) -> dict[int
     if b.has_times and mask.any():
         mean_usec = (b.total_time[mask] / b.count[mask]) * 1e6
         uniq, inv = np.unique(mean_usec, return_inverse=True)
-        weights = np.bincount(inv, weights=b.count[mask].astype(np.float64))
+        weights = np.bincount(inv, weights=b.count[mask].astype(np.float64)).astype(np.int64)
         local_buckets = _bucket_table(uniq, weights)
         if lat_hist is not None:
-            for v, w in zip(uniq.tolist(), weights.tolist()):
-                lat_hist.observe(v, weight=int(w))
-                app_hist.observe(v, weight=int(w))
+            lat_hist.observe_many(uniq, weights)
+            app_hist.observe_many(uniq, weights)
     return local_buckets
 
 
@@ -522,9 +522,9 @@ def run_pipeline(
 
     sched_info: dict[str, Any] = {"backend": scheduler}
     journal: RunJournal | None = None
-    if scheduler != "stealing":
-        run_id = None
     if scheduler == "stealing":
+        from hfast.sched.journal import RunJournal, build_fingerprint, journal_dir_for, new_run_id
+
         fingerprint = build_fingerprint(spec, cache_dir, store, shard)
         jdir = journal_dir_for(cache_dir, journal_dir)
         if resume is not None:
@@ -537,9 +537,13 @@ def run_pipeline(
         sched_info["run_id"] = run_id
         sched_info["resumed"] = resume is not None
     elif bus is not None:
+        from hfast.sched.journal import new_run_id
+
         # Live-only identity; deliberately kept out of the static manifest
         # so live mode cannot perturb the deterministic artifacts.
         run_id = new_run_id()
+    else:
+        run_id = None
 
     manifest = build_manifest(
         apps, scales, argv=argv, workers=workers, shard=shard, scheduler=sched_info,
@@ -557,10 +561,14 @@ def run_pipeline(
 
     cost_model: CostModel | None = None
     if scheduler == "stealing" or bus is not None:
+        from hfast.sched.cost import CostModel
+
         cost_model = CostModel.from_bench_dir(bench_dir)
 
     detector = anomaly
     if detector is None and (obs.enabled or bus is not None):
+        from hfast.obs.anomaly import AnomalyDetector
+
         kwargs = {"threshold": anomaly_threshold} if anomaly_threshold else {}
         detector = AnomalyDetector.from_bench_dir(bench_dir, **kwargs)
 
@@ -569,6 +577,8 @@ def run_pipeline(
     # is warmed in deterministic cell order at merge time.
     mitigator: MitigationPolicy | None = None
     if mitigate:
+        from hfast.sched.mitigate import MitigationPolicy
+
         # SLO advisory pressure: a spec's mitigation_threshold can tighten
         # (never slacken) the straggler ratio the policy acts on.
         mitigation_threshold = anomaly_threshold
@@ -684,6 +694,8 @@ def run_pipeline(
                 }
             )
         if scheduler == "stealing":
+            from hfast.sched.scheduler import SchedulerConfig, run_stealing
+
             sched_cfg = SchedulerConfig(
                 workers=max(1, workers),
                 max_retries=max_retries,
@@ -752,6 +764,8 @@ def run_pipeline(
 
     slo_statuses: list[dict[str, Any]] = []
     if slo is not None:
+        from hfast.obs.slo import cells_for_slo
+
         slo_statuses = slo.evaluate(
             cells=cells_for_slo(cell_reports, anomalies),
             counts={

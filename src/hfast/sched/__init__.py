@@ -19,25 +19,3 @@ Modules:
   hints for the scheduler (``--mitigate``).
 - :mod:`hfast.sched.scheduler` — the work-stealing executor itself.
 """
-
-from hfast.sched.cost import CostModel, estimate_cell_records
-from hfast.sched.faults import FAULT_ENV_VAR, TransientFault, parse_fault_spec
-from hfast.sched.journal import DEFAULT_JOURNAL_SUBDIR, JournalError, RunJournal, new_run_id
-from hfast.sched.mitigate import MitigationPolicy
-from hfast.sched.scheduler import SchedulerConfig, SchedulerError, run_stealing
-
-__all__ = [
-    "CostModel",
-    "estimate_cell_records",
-    "FAULT_ENV_VAR",
-    "MitigationPolicy",
-    "TransientFault",
-    "parse_fault_spec",
-    "DEFAULT_JOURNAL_SUBDIR",
-    "JournalError",
-    "RunJournal",
-    "new_run_id",
-    "SchedulerConfig",
-    "SchedulerError",
-    "run_stealing",
-]

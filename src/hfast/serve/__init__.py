@@ -13,18 +13,3 @@ Public surface:
   tests and smoke scripts.
 - :func:`hfast.serve.daemon.run_serve` — the CLI entry point.
 """
-
-from hfast.serve.daemon import AnalysisService, ServeConfig, ServiceThread, run_serve
-from hfast.serve.jobspec import SweepSpec, canonicalize_sweep
-from hfast.serve.store import JobLedger, ResultStore
-
-__all__ = [
-    "AnalysisService",
-    "ServeConfig",
-    "ServiceThread",
-    "run_serve",
-    "SweepSpec",
-    "canonicalize_sweep",
-    "JobLedger",
-    "ResultStore",
-]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hfast.obs.metrics import MetricsRegistry, log2_bucket, log2_bucket_array
+from hfast.obs.metrics import Histogram, MetricsRegistry, log2_bucket, log2_bucket_array
 
 
 class TestLog2Bucket:
@@ -140,3 +140,65 @@ class TestExport:
         assert "bytes 9" in text
         assert "sizes_count 1" in text
         assert 'sizes_bucket{le="4"} 1' in text
+
+
+class TestObserveMany:
+    """``observe_many`` must leave the exact state of the per-value loop."""
+
+    @staticmethod
+    def check(values, weights, prior=()):
+        loop, vec = Histogram("loop"), Histogram("vec")
+        for v, w in prior:
+            loop.observe(v, weight=w)
+            vec.observe(v, weight=w)
+        for v, w in zip(np.asarray(values).tolist(), np.asarray(weights).tolist()):
+            loop.observe(v, weight=int(w))
+        vec.observe_many(values, weights)
+        assert json.dumps(vec.to_dict()).encode() == json.dumps(loop.to_dict()).encode()
+        return vec
+
+    def test_seeded_ints(self):
+        rng = np.random.default_rng(11)
+        values = np.unique(rng.integers(1, 2**40, size=5000))
+        self.check(values, rng.integers(0, 2**12, size=values.size))
+
+    def test_seeded_floats(self):
+        rng = np.random.default_rng(12)
+        values = np.unique(10.0 ** rng.uniform(-3, 6, size=5000))
+        self.check(values, rng.integers(1, 2**20, size=values.size))
+
+    def test_unsorted_values_with_prior_state(self):
+        rng = np.random.default_rng(13)
+        values = rng.uniform(0, 1e4, size=3000)
+        self.check(values, rng.integers(0, 50, size=3000), prior=[(0.25, 3), (7e5, 2), (0, 1)])
+
+    def test_zero_weights_keep_their_buckets(self):
+        h = self.check(np.array([3, 100, 5000]), np.array([0, 2, 0]))
+        assert h.buckets == {4: 0, 128: 2, 8192: 0}
+        assert (h.count, h.min, h.max) == (2, 3, 5000)
+
+    def test_products_straddling_2_53(self):
+        rng = np.random.default_rng(14)
+        values = np.unique(rng.integers(2**29, 2**31, size=2000))
+        weights = rng.integers(2**22, 2**24, size=values.size)
+        products = values.astype(object) * weights.astype(object)
+        assert min(products) < 2**53 < max(products)
+        self.check(values, weights)
+        self.check(values.astype(np.float64) + 0.5, weights)
+
+    def test_empty_and_single_value(self):
+        empty = self.check(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+        assert empty.buckets == {} and empty.min is None
+        one = self.check(np.array([1024]), np.array([3]), prior=[(2.5, 1)])
+        assert type(one.max) is int and one.min == 2.5
+        self.check(np.array([0.75]), np.array([1]))
+
+    def test_ints_stay_ints_in_json(self):
+        h = self.check(np.array([5, 9], dtype=np.int64), np.array([1, 1]))
+        assert json.dumps(h.to_dict()["min"]) == "5"
+        assert json.dumps(h.to_dict()["max"]) == "9"
+
+    def test_noop_instrument_accepts_arrays(self):
+        reg = MetricsRegistry(enabled=False)
+        reg.histogram("h").observe_many(np.array([1.0]), np.array([1]))
+        assert reg.to_dict() == {}
