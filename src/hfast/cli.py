@@ -101,19 +101,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import TYPE_CHECKING
 
 from hfast.apps import APPS, available_apps
 from hfast.cache import DEFAULT_CACHE_DIR, CacheValidationError, ReproCache
-from hfast.obs import analytics
-from hfast.obs.anomaly import AnomalyDetector
 from hfast.obs.profile import Observability, configure
-from hfast.obs.report import build_report, write_report
 from hfast.obs.stream import EventBus
 from hfast.obs.trace import JsonlSink
 from hfast.pipeline import SCHEDULERS, build_cells, discover_scales, run_pipeline
-from hfast.sched.journal import JournalError
 from hfast.spec import InterconnectConfig, RunSpec, SpecError
 from hfast.timing import DEFAULT_TIMING_SEED
+
+if TYPE_CHECKING:
+    from hfast.obs.analytics import TraceTree
 
 DEFAULT_REPORT_DIR = "reports"
 
@@ -282,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cp = tr_sub.add_parser("critical-path", help="heaviest span chain through the run")
     add_trace_source(p_cp)
     p_cp.add_argument(
-        "--weight", choices=analytics.CRITICAL_PATH_WEIGHTS, default="wall",
+        # hfast.obs.analytics.CRITICAL_PATH_WEIGHTS, spelled out so that
+        # building the parser does not import the analytics layer.
+        "--weight", choices=("wall", "cost"), default="wall",
         help="edge weight: measured wall time, or the analytic cost model "
              "(deterministic across backends and machines)",
     )
@@ -578,6 +580,7 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     # and/or a background /metrics endpoint scraping the live registry.
     bus = live_view = metrics_server = detector = None
     if args.live:
+        from hfast.obs.anomaly import AnomalyDetector
         from hfast.obs.live import LiveView
 
         bus = EventBus()
@@ -597,6 +600,13 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
             file=sys.stderr,
         )
 
+    # Only the stealing scheduler keeps a journal, so only it can fail to
+    # resume one.
+    resume_errors: tuple[type[Exception], ...] = ()
+    if scheduler == "stealing":
+        from hfast.sched.journal import JournalError
+
+        resume_errors = (JournalError,)
     try:
         out = run_pipeline(
             apps=apps,
@@ -624,7 +634,7 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     except CacheValidationError as exc:
         print(f"error: cache validation failed: {exc}", file=sys.stderr)
         return 1
-    except JournalError as exc:
+    except resume_errors as exc:
         print(f"error: cannot resume: {exc}", file=sys.stderr)
         return 1
     finally:
@@ -670,6 +680,8 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
             )
 
     if profiling:
+        from hfast.obs.report import build_report, write_report
+
         if args.metrics_out:
             obs.metrics.write_json(args.metrics_out)
             print(f"metrics: {args.metrics_out}")
@@ -716,6 +728,9 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from hfast.obs import analytics
+    from hfast.obs.report import build_report, write_report
+
     # Tolerant loader: a trace truncated mid-line (crashed run) still
     # renders a report from everything that made it to disk.
     try:
@@ -730,7 +745,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_tree(source: str, strict: bool) -> "analytics.TraceTree":
+def _load_tree(source: str, strict: bool) -> TraceTree:
+    from hfast.obs import analytics
+
     tree = analytics.TraceTree.load(source, strict=strict)
     if tree.empty:
         raise analytics.TraceError(f"{source}: no span events in trace")
@@ -738,6 +755,8 @@ def _load_tree(source: str, strict: bool) -> "analytics.TraceTree":
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from hfast.obs import analytics
+
     try:
         if args.trace_command == "summary":
             tree = _load_tree(args.trace, args.strict)
@@ -873,6 +892,7 @@ def _cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
     # Lazy import: the DSE package is only needed by this subcommand.
     from hfast.dse.search import SearchSpec, SearchSpecError, frontier_bytes, run_search
     from hfast.dse.space import SearchSpace, SpaceValidationError
+    from hfast.sched.journal import JournalError
 
     profiling = bool(args.profile or args.trace_out or args.report_dir or args.bench_dir)
     if profiling:
@@ -960,6 +980,8 @@ def _cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
         print(f"frontier: {args.out}")
 
     if profiling:
+        from hfast.obs.report import build_report, write_report
+
         report_dir = args.report_dir or DEFAULT_REPORT_DIR
         report = build_report(obs.events)
         paths = write_report(report, report_dir, bench_dir=args.bench_dir)

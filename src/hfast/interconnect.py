@@ -18,9 +18,9 @@ Two evaluators coexist:
   the static matching evaluation.
 
 Both read the :class:`hfast.matrix.CommMatrix` edge columns directly:
-circuits are looked up by row, traffic is sliced for all timesteps in
-one batched ``(T, E)`` computation, and per-node finish times come from
-edge ``bincount`` sums. The matching itself is
+circuits are the row positions the matcher returns, traffic is sliced
+for all timesteps in one batched ``(T, E)`` computation, and per-node
+finish times come from edge ``bincount`` sums. The matching itself is
 :func:`hfast.matcher.match_edges`, the one matching path. The
 differential suites pin the evaluators against the pure-Python reference
 matcher and against the dense ``nranks x nranks`` evaluators, both in
@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from hfast.matcher import circuit_list, greedy_seed_vector, match_edges, sort_edges
+from hfast.matcher import canonical_positions, greedy_seed_vector, match_edges
 from hfast.matrix import CommMatrix
 from hfast.obs.profile import profiled
 from hfast.spec import InterconnectConfig
@@ -102,13 +102,6 @@ class TemporalEvaluation:
         }
 
 
-def _edge_positions(cm: CommMatrix, circuits: list[tuple[int, int]]) -> np.ndarray:
-    """Row of each ``(src, dst)`` circuit in ``cm``'s (src, dst)-ordered columns."""
-    n = np.int64(max(1, cm.nranks))
-    query = np.array(circuits, dtype=np.int64).reshape(-1, 2)
-    return np.searchsorted(cm.src * n + cm.dst, query[:, 0] * n + query[:, 1])
-
-
 def _edge_finish_times(
     src: np.ndarray,
     edge_bytes: np.ndarray,
@@ -175,12 +168,15 @@ def evaluate_hybrid(
 
     n = cm.nranks
     bound = config.circuits_per_node
+    circuit_edges = np.empty(0, dtype=np.int64)
     if strategy == "matching":
-        ev.circuits = match_edges(cm.src, cm.dst, cm.bytes, n, bound)
+        circuit_edges = match_edges(cm.src, cm.dst, cm.bytes, n, bound)
     elif bound > 0:
-        src, dst, w = sort_edges(cm.src, cm.dst, cm.bytes, n)
-        ev.circuits = circuit_list(src, dst, greedy_seed_vector(src, dst, w, n, bound))
-    circuit_edges = _edge_positions(cm, ev.circuits)
+        pos = canonical_positions(cm.src, cm.dst, cm.bytes, n)
+        seed = greedy_seed_vector(cm.src[pos], cm.dst[pos], cm.bytes[pos], n, bound)
+        circuit_edges = np.sort(pos[seed])
+    # The rows are (src, dst)-ordered, so ascending rows are sorted circuits.
+    ev.circuits = list(zip(cm.src[circuit_edges].tolist(), cm.dst[circuit_edges].tolist()))
 
     ev.circuit_bytes = int(cm.bytes[circuit_edges].sum())
     ev.packet_bytes = total - ev.circuit_bytes
@@ -258,9 +254,10 @@ def evaluate_temporal(
 
     The whole evaluator is columnar: one batched ``(T, E)`` slicing pass
     over the matrix's rows, one :func:`hfast.matcher.match_edges` call
-    per step on that step's row of the plane, and finish times from edge
-    ``bincount`` sums. Self-loop and message-only rows are sliced and
-    charged like any other but never get a circuit. An empty traffic
+    per step on that step's row of the plane (its circuits come back as
+    row positions), and finish times from edge ``bincount`` sums.
+    Self-loop and message-only rows are sliced and charged like any other
+    but never get a circuit. An empty traffic
     slice keeps the previous configuration standing (circuits idle, they
     don't tear down), so traffic resuming after a gap is not charged for
     circuits it already held — and the first slice that establishes any
@@ -300,8 +297,7 @@ def evaluate_temporal(
         w = eb[t].astype(np.float64)
         if have_prev and keep_bonus > 0.0:
             w[prev_mask & (w > 0)] += keep_bonus
-        circuits = match_edges(src, dst, w, n, bound)
-        sel_edges = _edge_positions(cm, circuits)
+        sel_edges = match_edges(src, dst, w, n, bound)
         sel_mask = np.zeros(len(src), dtype=bool)
         sel_mask[sel_edges] = True
         changes = int(np.count_nonzero(sel_mask & ~prev_mask)) if have_prev else 0
@@ -317,12 +313,12 @@ def evaluate_temporal(
         ev.per_step.append(
             {
                 "t": t,
-                "n_circuits": len(circuits),
+                "n_circuits": len(sel_edges),
                 "changes": changes,
                 "coverage": round(step_circuit_bytes / step_total, 4) if step_total else 0.0,
             }
         )
-        if circuits:
+        if sel_edges.size:
             prev_mask = sel_mask
             have_prev = True
 

@@ -11,10 +11,10 @@ from __future__ import annotations
 import datetime
 import functools
 import os
-import platform
-import subprocess
 import sys
 from typing import Any
+
+_HEX = frozenset("0123456789abcdef")
 
 
 def git_sha(cwd: str | None = None) -> str:
@@ -30,19 +30,66 @@ def git_sha(cwd: str | None = None) -> str:
 
 @functools.lru_cache(maxsize=None)
 def _git_sha_at(cwd: str) -> str:
+    """HEAD's SHA, read from the files of the repository around ``cwd``
+    rather than by spawning ``git``, which would put a child process into
+    every run's start-up."""
     try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=cwd,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except (OSError, subprocess.TimeoutExpired):
-        pass
+        dirs = _git_dirs(cwd)
+        return "unknown" if dirs is None else _head_sha(*dirs)
+    except (OSError, UnicodeDecodeError):
+        return "unknown"
+
+
+def _read(path: str) -> str:
+    with open(path, encoding="utf-8") as fh:
+        return fh.read().strip()
+
+
+def _git_dirs(cwd: str) -> tuple[str, str] | None:
+    """The git directory of the work tree holding ``cwd`` and the common
+    directory its refs live in: ``.git`` itself, or the ``gitdir:`` a
+    ``.git`` file names (a linked worktree or a submodule) with that
+    directory's ``commondir``."""
+    here = cwd
+    while not os.path.exists(os.path.join(here, ".git")):
+        parent = os.path.dirname(here)
+        if parent == here:
+            return None
+        here = parent
+    gitdir = os.path.join(here, ".git")
+    if os.path.isfile(gitdir):
+        line = _read(gitdir)
+        if not line.startswith("gitdir:"):
+            return None
+        gitdir = os.path.join(here, line[len("gitdir:") :].strip())
+    common = os.path.join(gitdir, "commondir")
+    if os.path.isfile(common):
+        return gitdir, os.path.join(gitdir, _read(common))
+    return gitdir, gitdir
+
+
+def _head_sha(gitdir: str, commondir: str) -> str:
+    """A detached HEAD's SHA, or that of the branch HEAD names, as a loose
+    ref or a line of ``packed-refs``; ``"unknown"`` for anything else."""
+    head = _read(os.path.join(gitdir, "HEAD"))
+    if not head.startswith("ref:"):
+        return _sha_or_unknown(head)
+    ref = head[len("ref:") :].strip()
+    for base in (gitdir, commondir):
+        if os.path.isfile(os.path.join(base, ref)):
+            return _sha_or_unknown(_read(os.path.join(base, ref)))
+    packed = os.path.join(commondir, "packed-refs")
+    if os.path.isfile(packed):
+        for line in _read(packed).splitlines():
+            sha, _, name = line.partition(" ")
+            if name == ref:
+                return _sha_or_unknown(sha)
     return "unknown"
+
+
+def _sha_or_unknown(text: str) -> str:
+    """``text`` when it is a full SHA-1 or SHA-256 hex digest."""
+    return text if len(text) in (40, 64) and set(text) <= _HEX else "unknown"
 
 
 def build_manifest(
@@ -56,11 +103,15 @@ def build_manifest(
     service: dict[str, Any] | None = None,
     dse: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
+    # Not platform.platform(): it finds the libc version by spawning
+    # `uname -p` and scanning the interpreter binary, several milliseconds
+    # of every run's start-up.
+    uname = os.uname()
     return {
         "git_sha": git_sha(cwd),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "python": sys.version.split()[0],
-        "platform": platform.platform(),
+        "platform": f"{uname.sysname}-{uname.release}-{uname.machine}",
         "argv": list(argv) if argv is not None else list(sys.argv),
         "apps": list(apps),
         "scales": {app: list(ns) for app, ns in scales.items()},

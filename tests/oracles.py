@@ -18,7 +18,9 @@ correct:
   the dict/set selection state (:class:`MatchState`), the edge-by-edge
   swap filter (:func:`swap_candidates`) and swap pass (:func:`swap_pass`),
   and the loop augment pass with its version memo (:func:`augment_pass`),
-  over :func:`hfast.matcher.sort_edges`'s canonical order. This module
+  over :func:`hfast.matcher.canonical_positions`'s canonical order, with
+  the same return type: the matched positions in the caller's columns,
+  which :func:`circuits` turns into ``(src, dst)`` tuples. This module
   owns the dict state; :mod:`hfast.matcher` keeps its selection as arrays;
 - dense ``nranks x nranks`` traffic planes (:class:`DenseMatrix`): the
   per-record :func:`reduce_matrix`, :func:`analyze_topology` over the
@@ -47,7 +49,7 @@ from hfast.interconnect import (
     TemporalEvaluation,
     slice_edge_volumes,
 )
-from hfast.matcher import DEFAULT_MAX_PASSES, canon_key, sort_edges
+from hfast.matcher import DEFAULT_MAX_PASSES, canon_key, canonical_positions
 from hfast.matrix import CommMatrix
 from hfast.records import CommRecord, RecordBatch, Trace
 from hfast.timing import DEFAULT_TIMING_SEED, apply_timing
@@ -493,11 +495,15 @@ def augmenter(src: np.ndarray, dst: np.ndarray, nranks: int) -> Callable[[Versio
 
 def match_edges(
     src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int
-) -> list[tuple[int, int]]:
-    """The reference for :func:`hfast.matcher.match_edges`, same signature."""
-    src, dst, w = sort_edges(src, dst, w, nranks)
+) -> np.ndarray:
+    """The reference for :func:`hfast.matcher.match_edges`, same signature
+    and return type: ascending positions in the caller's columns."""
+    pos = canonical_positions(src, dst, w, nranks)
+    src = np.asarray(src, dtype=np.int64)[pos]
+    dst = np.asarray(dst, dtype=np.int64)[pos]
+    w = np.asarray(w, dtype=np.float64)[pos]
     if bound <= 0 or len(w) == 0:
-        return []
+        return np.empty(0, dtype=np.int64)
     state = VersionedState(src, dst, w, bound, nranks)
     for ei in greedy_seed(src, dst, w, nranks, bound):
         state.add(ei)
@@ -507,7 +513,14 @@ def match_edges(
         improved |= augment(state)
         if not improved:
             break
-    return sorted((int(src[ei]), int(dst[ei])) for ei in state.sel)
+    return np.sort(pos[sorted(state.sel)])
+
+
+def circuits(src: np.ndarray, dst: np.ndarray, positions) -> list[tuple[int, int]]:
+    """Matched ``positions`` in the ``src``/``dst`` columns as the
+    ``(src, dst)``-sorted list of circuit tuples."""
+    positions = np.asarray(positions, dtype=np.int64)
+    return sorted(zip(np.asarray(src)[positions].tolist(), np.asarray(dst)[positions].tolist()))
 
 
 # -- dense traffic planes -----------------------------------------------------
@@ -630,7 +643,8 @@ def greedy_circuits(weights: np.ndarray, nranks: int, bound: int) -> list[tuple[
 
 
 def _matching_circuits(weights: np.ndarray, nranks: int, bound: int) -> list[tuple[int, int]]:
-    return hfast.matcher.match_edges(*canonical_edges(weights), nranks, bound)
+    src, dst, w = canonical_edges(weights)
+    return circuits(src, dst, hfast.matcher.match_edges(src, dst, w, nranks, bound))
 
 
 def node_finish_times(

@@ -48,10 +48,10 @@ def docs(cm, budget):
 @pytest.mark.parametrize("app,n", CELLS)
 def test_budgets_past_int64_equal_the_clamped_budget(app, n):
     cm = matrix(app, n)
-    want = match_edges(cm.src, cm.dst, cm.bytes, n, n)
+    want = match_edges(cm.src, cm.dst, cm.bytes, n, n).tolist()
     for budget in (2**40, *HUGE):
-        assert match_edges(cm.src, cm.dst, cm.bytes, n, budget) == want, budget
-        assert oracles.match_edges(cm.src, cm.dst, cm.bytes, n, budget) == want, budget
+        assert match_edges(cm.src, cm.dst, cm.bytes, n, budget).tolist() == want, budget
+        assert oracles.match_edges(cm.src, cm.dst, cm.bytes, n, budget).tolist() == want, budget
     want_docs = docs(cm, n)
     for budget in (2**40, *HUGE):
         assert docs(cm, budget) == want_docs, budget

@@ -19,6 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Never loaded by a serial, obs-off analysis.
 SERIAL_EXCLUDED = (
     "multiprocessing",
+    "subprocess",
     "http.server",
     "ssl",
     "email",
@@ -59,6 +60,11 @@ def test_serial_run_loads_no_optional_layer(tmp_path):
 
 
 def test_cli_analyze_loads_no_http_server_or_multiprocessing(tmp_path):
+    """A plain ``hfast analyze`` builds the whole parser and runs without
+    profiling, live view or resume, so it loads none of the optional
+    layers: no HTTP server or process pool, and neither the analytics
+    behind ``hfast trace`` (and its ``--weight`` choices), the report
+    writer, the anomaly detector nor the journal."""
     loaded = modules_after(
         "from hfast import cli\n"
         "assert cli.main(['analyze', '--no-store', '--apps', 'gtc', '--scales', '8',\n"
@@ -66,4 +72,4 @@ def test_cli_analyze_loads_no_http_server_or_multiprocessing(tmp_path):
         tmp_path,
     )
     assert "hfast.cli" in loaded
-    assert sorted({"http.server", "multiprocessing"} & loaded) == []
+    assert sorted(m for m in SERIAL_EXCLUDED if m in loaded) == []

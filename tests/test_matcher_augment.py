@@ -7,9 +7,9 @@ candidate edges; :func:`hfast.matcher.match_edges` keeps its selection in
 the arrays of :class:`hfast.matcher._State` and runs
 :func:`hfast.matcher._swap_pass` and
 :func:`hfast.matcher._augment_pass_vector`, which evaluates every attempt
-from per-node tables. Started from identical selections, each pair of
-passes must leave identical selections and agree on whether anything
-improved — pass after pass, so the loop's memo and the array pass's
+from one table of per-half-node rows. Started from identical selections,
+each pair of passes must leave identical selections and agree on whether
+anything improved — pass after pass, so the loop's memo and the array pass's
 commit-order repair are both exercised, and the swap passes must also
 agree on their candidate lists. The states here come from random
 selections with unsaturated endpoints, not just the greedy seed a real
@@ -234,9 +234,9 @@ def test_huge_bound_matches_on_every_backend():
     w = rng.integers(1, 1000, size=len(src)).astype(np.float64)
     inc = IncrementalMatcher(src, dst, n, 2**40)
     outs = [
-        match_edges(src, dst, w, n, 2**40),
-        inc.rematch(w[inc.input_order]),
-        oracles.match_edges(src, dst, w, n, 2**40),
+        oracles.circuits(src, dst, match_edges(src, dst, w, n, 2**40)),
+        oracles.circuits(inc.src, inc.dst, inc.rematch(w[inc.input_order])),
+        oracles.circuits(src, dst, oracles.match_edges(src, dst, w, n, 2**40)),
     ]
     assert outs[0] == outs[1] == outs[2]
     assert len(outs[0]) == len(src)  # no endpoint saturates: every edge

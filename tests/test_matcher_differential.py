@@ -123,7 +123,8 @@ def test_identity_on_seeded_float_weights():
         budget = int(rng.integers(1, 5))
         src, dst = np.nonzero(w)
         assert_same(
-            lambda: interconnect.match_edges(src, dst, w[src, dst], n, budget), f"trial {trial}"
+            lambda: interconnect.match_edges(src, dst, w[src, dst], n, budget).tolist(),
+            f"trial {trial}",
         )
 
 

@@ -16,13 +16,29 @@ import pytest
 
 import oracles
 from hfast.interconnect import InterconnectConfig, evaluate_temporal, slice_edge_volumes
-from hfast.matcher import IncrementalMatcher, greedy_seed_vector, match_edges
+from hfast.matcher import (
+    IncrementalMatcher,
+    canonical_positions,
+    greedy_seed_vector,
+    match_edges,
+)
 from oracles import canonical_edges, greedy_circuits
+
+
+def circuits_of(match):
+    """``match`` (which returns matched positions) as a function returning
+    the ``(src, dst)``-sorted circuit tuples."""
+
+    def run(src, dst, w, n, bound):
+        return oracles.circuits(src, dst, match(src, dst, w, n, bound))
+
+    return run
 
 
 def incremental_match(src, dst, w, n, bound):
     inc = IncrementalMatcher(src, dst, n, bound)
-    return inc.rematch(np.asarray(w, dtype=np.float64)[inc.input_order])
+    chosen = inc.rematch(np.asarray(w, dtype=np.float64)[inc.input_order])
+    return oracles.circuits(inc.src, inc.dst, chosen)
 
 
 def all_pairs_matcher(n, bound):
@@ -32,16 +48,20 @@ def all_pairs_matcher(n, bound):
 
 
 def rematch_plane(inc, w):
-    """Re-match the universe's weights gathered from a dense plane."""
-    return inc.rematch(np.asarray(w, dtype=np.float64)[inc.src, inc.dst])
+    """Re-match the universe's weights gathered from a dense plane; the
+    circuits as ``(src, dst)`` tuples."""
+    chosen = inc.rematch(np.asarray(w, dtype=np.float64)[inc.src, inc.dst])
+    return oracles.circuits(inc.src, inc.dst, chosen)
 
 
-#: Every matching implementation, by the name the suites use for it.
+#: Every matching implementation, by the name the suites use for it, each
+#: returning its circuits as ``(src, dst)``-sorted tuples.
 IMPLEMENTATIONS = {
-    "scalar": oracles.match_edges,
-    "vector": match_edges,
+    "scalar": circuits_of(oracles.match_edges),
+    "vector": circuits_of(match_edges),
     "incremental": incremental_match,
 }
+scratch = IMPLEMENTATIONS["vector"]
 
 
 def random_weights(rng, n, density=0.5, max_w=50, with_diag=True):
@@ -150,7 +170,7 @@ def test_symmetric_matrix_keeps_per_direction_budgets_independent():
         half = random_weights(rng, n, density=0.6, with_diag=False)
         w = half + half.T  # symmetric, zero diagonal
         for bound in (1, 2):
-            circuits = match_edges(*canonical_edges(w), n, bound)
+            circuits = scratch(*canonical_edges(w), n, bound)
             check_degrees(circuits, n, bound)
             cset = set(circuits)
             # With enough budget for both directions of every selected
@@ -170,7 +190,7 @@ def test_incremental_equals_from_scratch_over_delta_sequences():
         w = random_weights(rng, n, density=0.6, with_diag=False).astype(np.float64)
         for _ in range(10):
             got = rematch_plane(inc, w)
-            want = match_edges(*canonical_edges(w), n, bound)
+            want = scratch(*canonical_edges(w), n, bound)
             assert got == want
             # Arbitrary delta: zero edges, single edge, or a burst; also
             # sometimes no change at all (the cached-result fast path).
@@ -190,13 +210,14 @@ def test_incremental_unchanged_step_hits_cache():
     rng = np.random.default_rng(29)
     w = random_weights(rng, n, density=0.7, with_diag=False).astype(np.float64)
     inc = all_pairs_matcher(n, bound)
-    first = rematch_plane(inc, w)
-    second = rematch_plane(inc, w)
-    assert first == second
+    plane = w[inc.src, inc.dst]
+    first = inc.rematch(plane)
+    second = inc.rematch(plane)
+    assert first.size and np.array_equal(first, second)
     assert inc.stats["unchanged_hits"] == 1
-    # The cached list must be a copy: mutating it cannot poison the cache.
-    second.append((0, 0))
-    assert rematch_plane(inc, w) == first
+    # The cached result must be a copy: mutating it cannot poison the cache.
+    second[:] = 0
+    assert np.array_equal(inc.rematch(plane), first)
 
 
 def test_incremental_order_preserving_delta_skips_resort():
@@ -211,7 +232,7 @@ def test_incremental_order_preserving_delta_skips_resort():
     rematch_plane(inc, w)
     rematch_plane(inc, w * 2.0)
     assert inc.stats["order_reuses"] == 1
-    assert rematch_plane(inc, w * 2.0) == match_edges(*canonical_edges(w * 2.0), n, bound)
+    assert rematch_plane(inc, w * 2.0) == scratch(*canonical_edges(w * 2.0), n, bound)
 
 
 def test_incremental_rejects_wrong_shape():
@@ -226,9 +247,47 @@ def test_incremental_rejects_repeated_pair():
 
 
 def test_match_rejects_repeated_pair():
-    for match in IMPLEMENTATIONS.values():
+    """A repeat is caught whether the columns are otherwise (src, dst)-
+    sorted (an adjacent duplicate) or unsorted, zero weight or not."""
+    cases = [
+        ([0, 0], [1, 1], [2.0, 3.0]),
+        ([0, 0, 0, 2], [1, 2, 2, 0], [1.0, 4.0, 4.0, 0.0]),
+        ([0, 1, 1, 2], [1, 0, 0, 0], [1.0, 0.0, 5.0, 2.0]),
+        ([2, 0, 1, 0], [0, 1, 2, 1], [1.0, 2.0, 3.0, 4.0]),
+        ([1, 2, 1], [0, 1, 0], [0.0, 1.0, 0.0]),
+    ]
+    for src, dst, w in cases:
+        columns = np.array(src), np.array(dst), np.array(w)
+        for match in IMPLEMENTATIONS.values():
+            with pytest.raises(ValueError, match="repeats"):
+                match(*columns, 3, 1)
         with pytest.raises(ValueError, match="repeats"):
-            match(np.array([0, 0]), np.array([1, 1]), np.array([2.0, 3.0]), 2, 1)
+            canonical_positions(*columns, 3)
+
+
+def test_positions_index_the_callers_columns():
+    """Shuffled columns, zero weights and self-loops included: the matched
+    positions are ascending int64 rows of the shuffled columns, and their
+    (src, dst) pairs are the circuits the (src, dst)-sorted call selects
+    at its own rows."""
+    rng = np.random.default_rng(37)
+    for _ in range(30):
+        n = int(rng.integers(2, 18))
+        bound = int(rng.integers(1, 4))
+        w = random_weights(rng, n, density=float(rng.uniform(0.2, 1.0)), max_w=8)
+        src, dst = np.nonzero(np.ones((n, n)))
+        wc = w[src, dst].astype(np.float64)
+        want = match_edges(src, dst, wc, n, bound)
+        assert list(zip(src[want].tolist(), dst[want].tolist())) == scratch(
+            *canonical_edges(w), n, bound
+        )
+        perm = rng.permutation(len(src))
+        for match in (match_edges, oracles.match_edges):
+            got = match(src[perm], dst[perm], wc[perm], n, bound)
+            assert got.dtype == np.int64 and np.all(np.diff(got) > 0)
+            assert oracles.circuits(src[perm], dst[perm], got) == oracles.circuits(
+                src, dst, want
+            )
 
 
 def test_slice_traffic_conserves_message_only_links():
@@ -305,7 +364,7 @@ def test_hypothesis_incremental_matches_scratch(n, bound, seed, steps):
     inc = all_pairs_matcher(n, bound)
     w = random_weights(rng, n, density=0.5, with_diag=False).astype(np.float64)
     for _ in range(steps):
-        assert rematch_plane(inc, w) == match_edges(*canonical_edges(w), n, bound)
+        assert rematch_plane(inc, w) == scratch(*canonical_edges(w), n, bound)
         for _ in range(int(rng.integers(0, 4))):
             w[int(rng.integers(0, n)), int(rng.integers(0, n))] = float(
                 rng.integers(0, 20)

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+from pathlib import Path
+
+import pytest
 
 from hfast.obs import manifest
 from hfast.obs.manifest import build_manifest
@@ -163,28 +168,136 @@ def test_time_breakdown_section():
     assert "| matrix_reduce | 0.5000 | 0.5000 |" in md
 
 
-def test_manifest_reads_the_git_sha_once_per_directory(monkeypatch, tmp_path):
-    """Every run_pipeline call builds a manifest; git runs once per
-    resolved directory for the life of the process."""
-    calls = []
-    real_run = manifest.subprocess.run
+REPO = Path(__file__).resolve().parents[1]
+SHA_A = "0123456789abcdef0123456789abcdef01234567"
+SHA_B = "89abcdef" * 5
+SHA_256 = "ab" * 32
 
-    def counting_run(cmd, *args, **kwargs):
-        if cmd[:1] == ["git"]:
-            calls.append(kwargs["cwd"])
-        return real_run(cmd, *args, **kwargs)
 
-    monkeypatch.setattr(manifest.subprocess, "run", counting_run)
+def forbid_processes(monkeypatch):
+    """Make every way of starting a child process raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the manifest started a process")
+
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    for name in ("fork", "posix_spawn", "posix_spawnp", "system", "popen"):
+        if hasattr(os, name):
+            monkeypatch.setattr(os, name, refuse)
+
+
+def write(path, text):
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
+def sha_at(path):
     manifest._git_sha_at.cache_clear()
-    first = build_manifest(["cactus"], {"cactus": [8]})
-    second = build_manifest(["gtc"], {"gtc": [16]})
-    assert len(calls) == 1
-    assert second["git_sha"] == first["git_sha"]
+    return manifest.git_sha(str(path))
+
+
+def test_manifest_reads_the_git_sha_once_per_directory(monkeypatch, tmp_path):
+    """Every run_pipeline call builds a manifest. It reads HEAD from the
+    repository's files without starting a process, gets the SHA ``git
+    rev-parse`` reports, and reads HEAD once per resolved directory for
+    the life of the process."""
+    try:
+        want = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=REPO, capture_output=True, text=True, timeout=30, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.SubprocessError):
+        pytest.skip("the tests do not run from a git checkout")
+    forbid_processes(monkeypatch)
+    reads = []
+    real_head_sha = manifest._head_sha
+
+    def counting_head_sha(gitdir, commondir):
+        reads.append(gitdir)
+        return real_head_sha(gitdir, commondir)
+
+    monkeypatch.setattr(manifest, "_head_sha", counting_head_sha)
+    manifest._git_sha_at.cache_clear()
+    first = build_manifest(["cactus"], {"cactus": [8]}, cwd=str(REPO))
+    second = build_manifest(["gtc"], {"gtc": [16]}, cwd=str(REPO))
+    assert first["git_sha"] == second["git_sha"] == want
+    assert len(reads) == 1
+    assert build_manifest(["gtc"], {"gtc": [16]}, cwd=str(REPO / "tests"))["git_sha"] == want
+    assert len(reads) == 2  # another directory of the same work tree
 
     real = tmp_path / "real"
-    real.mkdir()
+    write(real / ".git" / "HEAD", SHA_A)
     (tmp_path / "link").symlink_to(real)
-    build_manifest(["cactus"], {"cactus": [8]}, cwd=str(real))
-    assert calls[1:] == [str(real.resolve())]
+    assert build_manifest(["cactus"], {"cactus": [8]}, cwd=str(real))["git_sha"] == SHA_A
+    assert reads[2:] == [str(real.resolve() / ".git")]
     build_manifest(["cactus"], {"cactus": [8]}, cwd=str(tmp_path / "link"))
-    assert len(calls) == 2  # the same directory, reached through a symlink
+    assert len(reads) == 3  # the same directory, reached through a symlink
+
+
+def test_git_sha_reads_each_head_layout(monkeypatch, tmp_path):
+    forbid_processes(monkeypatch)
+    # A detached HEAD, found from a subdirectory of the work tree.
+    write(tmp_path / "detached" / ".git" / "HEAD", SHA_A + "\n")
+    (tmp_path / "detached" / "src" / "pkg").mkdir(parents=True)
+    assert sha_at(tmp_path / "detached" / "src" / "pkg") == SHA_A
+    # A branch as a loose ref, which wins over a stale packed-refs line.
+    loose = tmp_path / "loose" / ".git"
+    write(loose / "HEAD", "ref: refs/heads/main\n")
+    write(loose / "refs" / "heads" / "main", SHA_B + "\n")
+    write(loose / "packed-refs", f"{SHA_A} refs/heads/main\n")
+    assert sha_at(tmp_path / "loose") == SHA_B
+    # A branch only in packed-refs, among a header, other refs and a
+    # peeled tag line.
+    packed = tmp_path / "packed" / ".git"
+    write(packed / "HEAD", "ref: refs/heads/dev\n")
+    write(
+        packed / "packed-refs",
+        "# pack-refs with: peeled fully-peeled sorted\n"
+        f"{SHA_A} refs/heads/main\n{SHA_B} refs/heads/dev\n{SHA_A} refs/tags/v1\n^{SHA_B}\n",
+    )
+    assert sha_at(tmp_path / "packed") == SHA_B
+    # A linked worktree: its .git file names a gitdir whose commondir holds
+    # the refs.
+    main = tmp_path / "main" / ".git"
+    write(main / "HEAD", "ref: refs/heads/main\n")
+    write(main / "packed-refs", f"{SHA_A} refs/heads/main\n{SHA_B} refs/heads/feature\n")
+    write(main / "worktrees" / "wt" / "HEAD", "ref: refs/heads/feature\n")
+    write(main / "worktrees" / "wt" / "commondir", "../..\n")
+    write(tmp_path / "wt" / ".git", "gitdir: ../main/.git/worktrees/wt\n")
+    assert sha_at(tmp_path / "wt") == SHA_B
+    assert sha_at(tmp_path / "main") == SHA_A
+    # A submodule: an absolute gitdir without commondir, here with a
+    # SHA-256 object name.
+    write(tmp_path / "modules" / "sub" / "HEAD", SHA_256)
+    write(tmp_path / "sub" / ".git", f"gitdir: {tmp_path / 'modules' / 'sub'}\n")
+    assert sha_at(tmp_path / "sub") == SHA_256
+
+
+def test_git_sha_is_unknown_for_any_other_layout(monkeypatch, tmp_path):
+    forbid_processes(monkeypatch)
+    cases = {
+        "garbage": {".git/HEAD": "not a sha\n"},
+        "short": {".git/HEAD": SHA_A[:12]},
+        "upper": {".git/HEAD": SHA_A.upper()},
+        "unborn": {".git/HEAD": "ref: refs/heads/main\n"},
+        "chained": {
+            ".git/HEAD": "ref: refs/heads/a\n",
+            ".git/refs/heads/a": "ref: refs/heads/b\n",
+            ".git/refs/heads/b": SHA_A,
+        },
+        "no-head": {".git/config": ""},
+        "bad-file": {".git": "worktree elsewhere\n"},
+        "dangling": {".git": "gitdir: ../nowhere\n"},
+    }
+    for name, files in cases.items():
+        for rel, text in files.items():
+            write(tmp_path / name / rel, text)
+        assert sha_at(tmp_path / name) == "unknown", name
+    if manifest._git_dirs(str(tmp_path)) is None:
+        assert sha_at(tmp_path) == "unknown"
+
+
+def test_manifest_platform_comes_from_uname():
+    u = os.uname()
+    doc = build_manifest(["gtc"], {"gtc": [8]})
+    assert doc["platform"] == f"{u.sysname}-{u.release}-{u.machine}"

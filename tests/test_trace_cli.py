@@ -66,6 +66,22 @@ def test_critical_path_per_cell(trace_file, capsys):
     assert set(doc) == {"gtc_p8", "cactus_p8"}
 
 
+def test_weight_choices_are_the_analytics_weights(capsys):
+    """The parser spells the weights out so that building it does not
+    import the analytics layer; they must stay the ones it accepts."""
+    from hfast.obs.analytics import CRITICAL_PATH_WEIGHTS
+
+    parser = cli.build_parser()
+    for weight in CRITICAL_PATH_WEIGHTS:
+        args = parser.parse_args(["trace", "critical-path", "t.jsonl", "--weight", weight])
+        assert args.weight == weight
+    with pytest.raises(SystemExit):
+        parser.parse_args(["trace", "critical-path", "t.jsonl", "--weight", "bytes"])
+    err = capsys.readouterr().err
+    assert "invalid choice" in err
+    assert all(w in err for w in CRITICAL_PATH_WEIGHTS)
+
+
 def test_flame_folded_stdout(trace_file, capsys):
     assert cli.main(["trace", "flame", str(trace_file)]) == 0
     out = capsys.readouterr().out
