@@ -15,14 +15,18 @@ and the augment pass all read and write those arrays in place.
 The greedy seed runs as b-Suitor-style rounds (accept every edge that is
 within the remaining capacity at *both* endpoints among surviving edges,
 drop edges touching saturated nodes, repeat), which produces exactly the
-sequential greedy result under the canonical total order. Improvement
-passes follow: a 1-for-k swap pass whose candidates come from a
-vectorized lower-bound filter (a per-half-node minimum of selected
-weights), and a 2-for-1 augment pass that evaluates every attempt from
-one table of per-half-node rows (:func:`_augment_pass_vector`) instead
-of walking candidates edge by edge. :class:`IncrementalMatcher` keeps a
-persistent edge universe for re-matching evolving weights; its result is
-always byte-identical to matching from scratch.
+sequential greedy result under the canonical total order; the rounds run
+over growing prefix windows of that order and stop once capacity is
+spent. Improvement passes follow: a 1-for-k swap pass whose candidates
+come from a vectorized lower-bound filter (a per-half-node minimum of
+selected weights), and a 2-for-1 augment pass that reads every attempt
+from one table of per-half-node rows (:func:`_augment_pass_vector`)
+instead of walking candidates edge by edge. The table lasts the whole
+match: :class:`_State` fills it once, every swap and commit refreshes
+the rows it changed, and a pass re-evaluates only the attempts that
+read a refreshed row. :class:`IncrementalMatcher` keeps a persistent
+edge universe for re-matching evolving weights; its result is always
+byte-identical to matching from scratch.
 
 Every pass works in one canonical edge order — descending weight, ties
 in *stripe* order ``((dst - src) mod n, src, dst)``. The pure-Python
@@ -156,27 +160,39 @@ def greedy_seed_vector(
     order this converges to exactly the sequential greedy matching
     (Khan et al., the b-Suitor equivalence); the property suite pins the
     equality against the sequential scan in ``tests/oracles.py`` anyway.
-    Returns accepted edge indexes in canonical order.
+
+    An edge's fate depends only on the edges before it, so the rounds run
+    over growing prefix windows of the canonical order (``4 * n * bound``
+    edges, then doubling). Each window starts from the capacity the
+    earlier ones left, its edges at saturated endpoints dropped first, and
+    no window runs once every out- or every in-capacity is spent: on dense
+    traffic the first windows decide the seed and the rest of the edge
+    list is never ranked. Returns accepted edge indexes in canonical
+    order.
     """
     bound = min(bound, nranks)
     if bound <= 0 or len(w) == 0:
         return []
     cap_out = np.full(nranks, bound, dtype=np.int64)
     cap_in = np.full(nranks, bound, dtype=np.int64)
-    alive = np.arange(len(w), dtype=np.int64)
     chosen: list[np.ndarray] = []
-    while alive.size:
-        s, d = src[alive], dst[alive]
-        acc = (_group_rank(s) < cap_out[s]) & (_group_rank(d) < cap_in[d])
-        took = alive[acc]
-        if not took.size:  # cannot happen (first edge always accepted)
-            break
-        chosen.append(took)
-        cap_out -= np.bincount(src[took], minlength=nranks)
-        cap_in -= np.bincount(dst[took], minlength=nranks)
-        rest = alive[~acc]
-        rest = rest[(cap_out[src[rest]] > 0) & (cap_in[dst[rest]] > 0)]
-        alive = rest
+    lo, size = 0, 4 * nranks * bound
+    while lo < len(w) and cap_out.any() and cap_in.any():
+        alive = np.arange(lo, min(lo + size, len(w)))
+        lo, size = lo + size, 2 * size
+        while True:
+            alive = alive[(cap_out[src[alive]] > 0) & (cap_in[dst[alive]] > 0)]
+            if not alive.size:
+                break
+            # The first survivor ranks 0 at both open endpoints: every
+            # round accepts at least one edge.
+            s, d = src[alive], dst[alive]
+            acc = (_group_rank(s) < cap_out[s]) & (_group_rank(d) < cap_in[d])
+            took = alive[acc]
+            chosen.append(took)
+            cap_out -= np.bincount(src[took], minlength=nranks)
+            cap_in -= np.bincount(dst[took], minlength=nranks)
+            alive = alive[~acc]
     if not chosen:
         return []
     return np.sort(np.concatenate(chosen)).tolist()
@@ -215,26 +231,41 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+#: Table cells one batch of augment attempts may span, and about the row
+#: cells one batch of the table fill reads, so a match's temporaries stay
+#: a few MB however large it is.
+_ATTEMPT_CELLS = 1 << 16
+
+
 class _State:
     """One match: its canonical edge columns and bound, the static
-    half-node rows, and the selection, stored once.
+    half-node rows, the selection and the augment pass's table, stored
+    once.
 
     Half-node ``v < n`` is node ``v``'s egress, half-node ``n + v`` its
     ingress. Row ``h`` of the compressed table ``ptr`` lists the
     incidences at ``h``: ``edge[ptr[h]:ptr[h + 1]]`` are its edges in
     canonical order (so by non-increasing weight) and ``far`` the
     half-node at each one's other end. ``pair`` is the ``(src, dst)`` key
-    that fixes the augment pass's visit order, ``w_pad`` the weight
-    column padded with a 0.0 that the "no edge" index ``len(w)`` reads,
-    and ``width`` the longest row. The selection is the ``sel`` mask over
-    canonical edges plus its per-half-node counts ``deg``, whose halves
-    ``outdeg`` and ``indeg`` are views; the swap and augment passes read
-    and write these arrays in place.
+    that fixes the augment pass's visit order, and ``w_pad`` the weight
+    column padded with a 0.0 that the "no edge" index ``len(w)`` reads.
+    The selection is the ``sel`` mask over canonical edges plus its
+    per-half-node counts ``deg``, whose halves ``outdeg`` and ``indeg``
+    are views.
+
+    ``table`` row ``h`` holds the picks an augment attempt reads there
+    (:func:`_augment_pass_vector`): the first ``width`` edges of ``h``'s
+    row that are unselected and whose far half-node is below the bound,
+    ``width`` being the bound or the longest row, whichever is less. It
+    is filled here, once, and kept current by :meth:`move`, through which
+    every change to the selection goes. The attempts that read row ``h``
+    are the selected edges in it; ``stale`` marks those whose rows were
+    refreshed since they were last evaluated, every selected edge at first.
     """
 
     __slots__ = (
         "src", "dst", "w", "bound", "pair", "ptr", "edge", "far", "w_pad", "width",
-        "sel", "deg", "outdeg", "indeg",
+        "sel", "deg", "outdeg", "indeg", "table", "stale",
     )
 
     def __init__(
@@ -249,11 +280,80 @@ class _State:
         inc[inc >= m] -= m
         self.edge = inc
         self.w_pad = np.append(w, 0.0)
-        self.width = int(np.diff(self.ptr).max(initial=0))
+        longest = int(np.diff(self.ptr).max(initial=0))
+        self.width = min(bound, longest)
         self.sel = np.zeros(m, dtype=bool)
         self.sel[selected] = True
         self.deg = np.bincount(home[np.tile(self.sel, 2)], minlength=2 * n)
         self.outdeg, self.indeg = self.deg[:n], self.deg[n:]
+        self.table = np.full((2 * n, self.width), m, dtype=np.int64)
+        self.stale = np.zeros(m, dtype=bool)
+        step = max(1, _ATTEMPT_CELLS // max(1, longest))
+        for lo in range(0, 2 * n, step):
+            self._refill(np.arange(lo, min(lo + step, 2 * n)))
+
+    def _refill(self, rows: np.ndarray) -> np.ndarray:
+        """Rewrite table ``rows`` from the selection and mark stale the
+        attempts that read them, the selected edges in those rows, which
+        it returns (an edge in two of the rows twice)."""
+        flat, slot = _rows(self.ptr, rows)
+        edges = self.edge[flat]
+        picked = self.sel[edges]
+        ok = ~picked & (self.deg[self.far[flat]] < self.bound)
+        free, slot = edges[ok], slot[ok]
+        rank = np.arange(len(slot)) - np.searchsorted(slot, slot)
+        keep = rank < self.width
+        self.table[rows] = len(self.w)
+        self.table[rows[slot[keep]], rank[keep]] = free[keep]
+        readers = edges[picked]
+        self.stale[readers] = True
+        return readers
+
+    def move(self, drop: np.ndarray, add: np.ndarray) -> np.ndarray:
+        """Deselect the edges ``drop``, select ``add``, and refresh the
+        table rows that changed: those of the half-nodes at the moved
+        edges' ends, which hold every changed selection and degree, and
+        the rows that see one of those half-nodes cross the bound, the
+        only other rows whose picks can change. Marks their attempts
+        stale and returns them (see :meth:`_refill`)."""
+        src, dst, deg, bound, n = self.src, self.dst, self.deg, self.bound, len(self.outdeg)
+        ends = np.concatenate((src[drop], dst[drop] + n, src[add], dst[add] + n))
+        was_open = deg[ends] < bound
+        np.subtract.at(deg, ends[: 2 * len(drop)], 1)
+        np.add.at(deg, ends[2 * len(drop) :], 1)
+        self.sel[drop] = False
+        self.stale[drop] = False
+        self.sel[add] = True
+        crossed = ends[(deg[ends] < bound) != was_open]
+        rows = np.concatenate((ends, self.far[_rows(self.ptr, crossed)[0]]))
+        return self._refill(_distinct(rows))
+
+    def gains(self, edges: np.ndarray) -> np.ndarray:
+        """Whether the augment attempt on each selected edge in ``edges``
+        commits, from the table as it stands; clears their stale marks.
+        The picks' weights are summed in ascending canonical index, one
+        column at a time: sequentially, like the reference loop's ``+=``
+        in ``tests/oracles.py``, never by ``sum``, whose pairwise order
+        differs. Batches span at most ``_ATTEMPT_CELLS`` table cells."""
+        self.stale[edges] = False
+        n, bound, width = len(self.outdeg), self.bound, self.width
+        halves = np.concatenate((self.src[edges], self.dst[edges] + n)).reshape(2, -1).T
+        cols = np.arange(width)
+        batch = max(1, _ATTEMPT_CELLS // (2 * width))
+        gains = np.empty(len(edges), dtype=bool)
+        for lo in range(0, len(edges), batch):
+            h = halves[lo : lo + batch]
+            limit = (bound + 1 - self.deg[h])[..., None]
+            picks = np.where(cols < limit, self.table[h], len(self.w))
+            picks = picks.reshape(len(h), 2 * width)
+            picks.sort(axis=1)
+            # Column by column is cumsum's order, without its per-row loop.
+            weights = self.w_pad[picks]
+            total = weights[:, 0].copy()
+            for column in weights.T[1:]:
+                total += column
+            gains[lo : lo + batch] = total > self.w[edges[lo : lo + batch]]
+        return gains
 
 
 def _swap_candidates(state: _State) -> list[int]:
@@ -297,30 +397,19 @@ def _swap_pass(state: _State, candidates: list[int]) -> bool:
     state, so any caller that passes the same candidate list makes the
     same sequence of moves. A blocker is the lightest selected out-edge
     of a saturated source (ties: lowest dst) or in-edge of a saturated
-    destination (ties: lowest src).
+    destination (ties: lowest src). Each swap goes through
+    :meth:`_State.move`, which keeps the augment table current.
     """
-    src, dst, w, sel, deg = state.src, state.dst, state.w, state.sel, state.deg
+    src, dst, w, deg = state.src, state.dst, state.w, state.deg
     n, bound = len(state.outdeg), state.bound
     improved = False
     for ei in candidates:
         s, d = int(src[ei]), int(dst[ei]) + n
         victims = [_lightest(state, h) for h in (s, d) if deg[h] >= bound]
         if float(w[ei]) > sum(float(w[v]) for v in victims):
-            for v in victims:
-                sel[v] = False
-                deg[src[v]] -= 1
-                deg[dst[v] + n] -= 1
-            sel[ei] = True
-            deg[s] += 1
-            deg[d] += 1
+            state.move(np.array(victims, dtype=np.int64), np.array([ei]))
             improved = True
     return improved
-
-
-#: Table cells one batch of :func:`_augment_pass_vector` attempts may
-#: span, and about the row cells one batch of its pass-start table fill
-#: reads, so the pass's temporaries stay a few MB however large it is.
-_ATTEMPT_CELLS = 1 << 16
 
 
 def _augment_pass_vector(state: _State) -> bool:
@@ -335,102 +424,43 @@ def _augment_pass_vector(state: _State) -> bool:
     with ``outdeg(y) < bound``, and commits when their weights sum past
     ``w(s, d)``. Both sides are one rule over half-nodes: the first
     ``bound - deg(h) + 1`` unselected edges in ``h``'s row whose far
-    half-node has ``deg < bound``. So one table keeps each half-node's
-    first ``bound`` such edges in canonical order, and an attempt is a
-    lookup of its two half-nodes' rows plus a sum. The sum runs over the
-    picks in ascending canonical index, one column of picks at a time:
-    sequential, like the reference loop's ``+=`` in ``tests/oracles.py``,
-    never ``sum``, whose pairwise order differs. A row never holds more
-    edges than its half-node has, so the table is no wider than the
-    largest degree however large ``bound`` is, and attempts are evaluated
-    in batches of at most ``_ATTEMPT_CELLS`` table cells.
+    half-node has ``deg < bound``. So an attempt is a lookup of its two
+    half-nodes' rows in the state's table plus a sum
+    (:meth:`_State.gains`).
 
-    Every attempt is evaluated against the pass-start state; commits are
-    then applied to the selection in visit order. A commit changes the
-    selection only in the rows of its two half-nodes and of its picks'
-    far ends, and their degrees. It refreshes those rows and the rows
-    that see one of those half-nodes cross the bound, and re-evaluates
-    only the later attempts that read a refreshed row, so its work is
-    proportional to the rows it touches.
+    An attempt's outcome depends only on its weight, its two table rows
+    and their degrees, so the pass evaluates only the stale attempts:
+    every other one did not commit when last evaluated and reads nothing
+    that has changed since. With none stale it returns ``False`` at once.
+    Commits are then applied in visit order through :meth:`_State.move`,
+    and each re-evaluates the later attempts it marked stale; those it
+    marks earlier in the order, and the edges it selects, wait for the
+    next pass.
     """
-    src, dst, w, bound = state.src, state.dst, state.w, state.bound
-    sel, deg, ptr, edge, far = state.sel, state.deg, state.ptr, state.edge, state.far
-    visit = np.flatnonzero(sel)
-    if not visit.size:
+    if not state.stale.any():
         return False
-    n = len(state.outdeg)
-    none = len(w)
-    visit = visit[np.argsort(state.pair[visit])]
-    visit_w = w[visit]
-    # Attempt i reads rows halves[i] = (src, n + dst) of its edge.
-    halves = np.stack((src[visit], dst[visit] + n), axis=1)
-    readers_ptr, readers = _csr(halves.ravel(), 2 * n)
-    readers //= 2
-    width = min(bound, state.width)
-    table = np.full((2 * n, width), none, dtype=np.int64)
-    cols = np.arange(width)
-    batch = max(1, _ATTEMPT_CELLS // (2 * width))
-
-    def refill(rows):
-        flat, slot = _rows(ptr, rows)
-        edges = edge[flat]
-        ok = ~sel[edges] & (deg[far[flat]] < bound)
-        edges, slot = edges[ok], slot[ok]
-        rank = np.arange(len(slot)) - np.searchsorted(slot, slot)
-        keep = rank < width
-        table[rows] = none
-        table[rows[slot[keep]], rank[keep]] = edges[keep]
-
-    def commits(pos):
-        gains = np.empty(len(pos), dtype=bool)
-        for lo in range(0, len(pos), batch):
-            part = pos[lo : lo + batch]
-            h = halves[part]
-            picks = np.where(cols < (bound + 1 - deg[h])[..., None], table[h], none)
-            picks = picks.reshape(len(part), 2 * width)
-            picks.sort(axis=1)
-            # Column by column is cumsum's order, without its per-row loop.
-            weights = state.w_pad[picks]
-            total = weights[:, 0].copy()
-            for column in weights.T[1:]:
-                total += column
-            gains[lo : lo + batch] = total > visit_w[part]
-        return gains
-
-    rows_per_fill = max(1, _ATTEMPT_CELLS // max(1, state.width))
-    for lo in range(0, 2 * n, rows_per_fill):
-        refill(np.arange(lo, min(lo + rows_per_fill, 2 * n)))
-    ok = commits(np.arange(len(visit)))
+    src, dst, pair, table, deg = state.src, state.dst, state.pair, state.table, state.deg
+    n, none, bound = len(state.outdeg), len(state.w), state.bound
+    visit = np.flatnonzero(state.sel)
+    visit = visit[np.argsort(pair[visit])]
+    at = np.full(len(state.w), -1)
+    at[visit] = np.arange(len(visit))
+    ok = np.zeros(len(visit), dtype=bool)
+    todo = np.flatnonzero(state.stale[visit])
+    ok[todo] = state.gains(visit[todo])
     improved = False
     i = -1
     while i + 1 < len(ok):
         i += 1 + int(ok[i + 1 :].argmax())  # stops at the first True
         if not ok[i]:
             break
-        s, d = int(halves[i, 0]), int(halves[i, 1])
-        po = table[s, : bound + 1 - deg[s]]
-        po = po[po != none]
-        pi = table[d, : bound + 1 - deg[d]]
-        pi = pi[pi != none]
+        s, d = int(src[visit[i]]), int(dst[visit[i]]) + n
+        picks = np.concatenate((table[s, : bound + 1 - deg[s]], table[d, : bound + 1 - deg[d]]))
         improved = True
-        sel[visit[i]] = False
-        sel[po] = True
-        sel[pi] = True
-        ends = np.concatenate((dst[po] + n, src[pi]))  # each distinct: pairs are unique
-        changed = np.concatenate(((s, d), ends))
-        was_open = deg[changed] < bound
-        deg[s] += len(po) - 1
-        deg[d] += len(pi) - 1
-        deg[ends] += 1
-        # Every edge whose selection changed lies in the changed half-nodes'
-        # rows; any other row changes only where a far end crossed the bound.
-        crossed = changed[(deg[changed] < bound) != was_open]
-        rows = _distinct(np.concatenate((changed, far[_rows(ptr, crossed)[0]])))
-        refill(rows)
-        later = readers[_rows(readers_ptr, rows)[0]]
+        later = at[state.move(visit[i : i + 1], picks[picks != none])]
         later = _distinct(later[later > i])
         if later.size:
-            ok[later] = commits(later)
+            ok[later] = state.gains(visit[later])
     return improved
 
 
@@ -480,19 +510,18 @@ class IncrementalMatcher:
 
     Construct once with the fixed link structure (``src``/``dst``
     columns, e.g. the rows of a :class:`hfast.matrix.CommMatrix`; a
-    repeated pair raises ``ValueError``), then call
-    :meth:`rematch` with a full weight vector per
-    timestep. Only edges whose weight changed since the previous step
-    are re-seeded:
+    repeated pair raises ``ValueError``), then call :meth:`rematch` with
+    a full weight vector per timestep:
 
     - no changes → the cached assignment is returned outright;
     - changes that preserve the canonical order → the cached sort is
-      reused and only the match itself re-runs;
+      reused, and the whole seed and match re-run;
     - anything else → full canonical re-sort + match.
 
     Every path produces a result byte-identical to matching the same
-    weights from scratch; the delta bookkeeping is observable through
-    :attr:`stats` for benchmarks and reports.
+    weights from scratch. :attr:`stats` counts the steps on each path;
+    its ``edges_reseeded`` counts weights that changed, not work saved,
+    since every step that misses the cache re-matches every edge.
     """
 
     def __init__(self, src: np.ndarray, dst: np.ndarray, nranks: int, bound: int):

@@ -6,15 +6,20 @@ The reference matcher in ``tests/oracles.py`` keeps its selection in
 candidate edges; :func:`hfast.matcher.match_edges` keeps its selection in
 the arrays of :class:`hfast.matcher._State` and runs
 :func:`hfast.matcher._swap_pass` and
-:func:`hfast.matcher._augment_pass_vector`, which evaluates every attempt
-from one table of per-half-node rows. Started from identical selections,
-each pair of passes must leave identical selections and agree on whether
-anything improved — pass after pass, so the loop's memo and the array pass's
-commit-order repair are both exercised, and the swap passes must also
-agree on their candidate lists. The states here come from random
-selections with unsaturated endpoints, not just the greedy seed a real
-match starts from, and the weights include non-integers across 19 orders
-of magnitude, where the order of a floating-point sum decides a commit.
+:func:`hfast.matcher._augment_pass_vector`, which reads every attempt
+from one table of per-half-node rows. The table lives in the state for
+the whole match: every swap and commit refreshes the rows it changed and
+marks stale the attempts that read them, and a pass evaluates only stale
+attempts. Started from identical selections, each pair of passes must
+leave identical selections and agree on whether anything improved —
+pass after pass, so the loop's memo and the table the array passes carry
+from pass to pass are both exercised, and the swap passes must also
+agree on their candidate lists. One test pins the work itself: which
+attempts a pass evaluates and which a swap leaves stale. The states here
+come from random selections with unsaturated endpoints, not just the
+greedy seed a real match starts from, and the weights include
+non-integers across 19 orders of magnitude, where the order of a
+floating-point sum decides a commit.
 """
 
 import tracemalloc
@@ -124,6 +129,72 @@ def test_random_graphs_with_unsaturated_endpoints(bound):
         src, dst, w = canonical(src, dst, w, n)
         chosen = random_selection(rng, src, dst, bound, n)
         assert_passes_agree(src, dst, w, n, bound, chosen)
+
+
+def refreshed_attempts(state, before_sel, before_deg):
+    """The selected edges that read a row a move refreshed, from the rule:
+    the rows of the half-nodes at the moved edges' ends, and the rows that
+    see one of those half-nodes cross the bound. Also returns how many of
+    them read none of the first kind."""
+    src, dst, bound = state.src, state.dst, state.bound
+    n = len(state.outdeg)
+    moved = np.flatnonzero(before_sel != state.sel)
+    ends = set(src[moved].tolist()) | set((dst[moved] + n).tolist())
+    rows = set(ends)
+    for h in ends:
+        if (before_deg[h] < bound) != (state.deg[h] < bound):
+            rows |= set((dst[src == h] + n).tolist()) if h < n else set(src[dst + n == h].tolist())
+    reads = {e: {int(src[e]), int(dst[e]) + n} for e in np.flatnonzero(state.sel).tolist()}
+    stale = {e for e, halves in reads.items() if halves & rows}
+    return stale, sum(not reads[e] & ends for e in stale)
+
+
+def test_passes_evaluate_only_stale_attempts(monkeypatch):
+    """The table is filled once a match and every move refreshes the rows
+    it changed, so a pass evaluates only the attempts whose rows changed:
+    the first augment pass evaluates every selected edge, a pass right
+    after one that committed nothing evaluates none, and one swap leaves
+    stale exactly the attempts that read a row it refreshed, including
+    rows that only see a far end cross the bound, which are all the next
+    pass evaluates at its start."""
+    evaluated = []
+    gains = _State.gains
+
+    def counting(state, edges):
+        evaluated.append(sorted(np.asarray(edges).tolist()))
+        return gains(state, edges)
+
+    monkeypatch.setattr(_State, "gains", counting)
+    rng = np.random.default_rng(900)
+    swaps = far_only = 0
+    for _ in range(60):
+        n = int(rng.integers(4, 20))
+        bound = int(rng.integers(1, 4))
+        src, dst = random_graph(rng, n, float(rng.uniform(0.2, 1.0)))
+        w = rng.integers(1, 50, size=len(src))
+        src, dst, w = canonical(src, dst, w, n)
+        state = array_state(src, dst, w, bound, n, random_selection(rng, src, dst, bound, n))
+        selected = np.flatnonzero(state.sel).tolist()
+        evaluated.clear()
+        improved = _augment_pass_vector(state)
+        assert evaluated[:1] == ([selected] if selected else [])
+        while improved:
+            improved = _augment_pass_vector(state)
+        assert not state.stale.any()
+        evaluated.clear()
+        assert _augment_pass_vector(state) is False and evaluated == []
+        candidates = _swap_candidates(state)
+        if candidates:
+            before_sel, before_deg = state.sel.copy(), state.deg.copy()
+            assert _swap_pass(state, candidates[:1])
+            want, seen_only = refreshed_attempts(state, before_sel, before_deg)
+            assert set(np.flatnonzero(state.stale).tolist()) == want
+            evaluated.clear()
+            _augment_pass_vector(state)
+            assert evaluated[:1] == ([sorted(want)] if want else [])
+            swaps += 1
+            far_only += seen_only > 0
+    assert swaps and far_only
 
 
 def test_float_weights_spanning_magnitudes():

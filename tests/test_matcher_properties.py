@@ -11,6 +11,8 @@ sequences. The implementations are :func:`hfast.matcher.match_edges`
 (``scalar``).
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -106,18 +108,78 @@ def test_degree_bounds_random_sweep(impl):
             assert circuits == []
 
 
+def seed_windows(m, n, bound):
+    """How many of the greedy seed's prefix windows (``4 * n * bound``
+    canonical edges, then doubling) ``m`` edges span."""
+    windows, covered, size = 0, 0, 4 * n * min(bound, n)
+    while covered < m:
+        windows, covered, size = windows + 1, covered + size, 2 * size
+    return windows
+
+
+def torus_weights(rng, dims, radius, max_w):
+    """A periodic stencil: every rank of a ``dims`` torus sends to each
+    rank within ``radius`` along every axis, weights from 1..``max_w``."""
+    n = int(np.prod(dims))
+    coords = np.stack(np.unravel_index(np.arange(n), dims), axis=1)
+    w = np.zeros((n, n), dtype=np.int64)
+    for offset in itertools.product(range(-radius, radius + 1), repeat=len(dims)):
+        if any(offset):
+            peers = np.ravel_multi_index(((coords + offset) % dims).T, dims)
+            w[np.arange(n), peers] = rng.integers(1, max_w + 1, size=n)
+    return w
+
+
 def test_seed_scalar_vector_equal_random_sweep():
     rng = np.random.default_rng(13)
+    cases = []
     for _ in range(60):
         n = int(rng.integers(2, 24))
         bound = int(rng.integers(1, 5))
         # Small weight range forces heavy ties — the regime where seed
         # order equivalence is actually at risk.
         w = random_weights(rng, n, density=float(rng.uniform(0.1, 1.0)), max_w=6)
+        cases.append((w, bound))
+    # Inputs spanning several of the seed's prefix windows, tie-heavy too:
+    # all-to-all, 2D (5x5 points) and 3D (3x3x3) torus stencils, and
+    # random graphs.
+    wide = []
+    for bound in (1, 2, 3, 4):
+        for n in (48, 64, 96):
+            wide.append((random_weights(rng, n, density=1.0, max_w=4, with_diag=False) + 1, bound))
+        wide.append((torus_weights(rng, (8, 8), 2, 3), bound))
+        wide.append((torus_weights(rng, (4, 4, 4), 1, 3), bound))
+        n = int(rng.integers(48, 97))
+        wide.append((random_weights(rng, n, density=float(rng.uniform(0.4, 0.9)), max_w=4), bound))
+    for k, (w, bound) in enumerate(cases + wide):
+        n = len(w)
         src, dst, wc = canonical_edges(w)
         assert oracles.greedy_seed(src, dst, wc, n, bound) == greedy_seed_vector(
             src, dst, wc, n, bound
         )
+        assert k < len(cases) or seed_windows(len(wc), n, bound) >= 2
+
+    # Uniform all-to-all traffic spends every capacity in the first of its
+    # four windows, so the later ones are never ranked.
+    n, bound = 64, 2
+    src, dst, wc = canonical_edges(np.ones((n, n)))
+    seed = oracles.greedy_seed(src, dst, wc, n, bound)
+    assert seed_windows(len(wc), n, bound) == 4 and max(seed) < 4 * n * bound
+    assert np.all(np.bincount(src[seed], minlength=n) == bound)
+    assert greedy_seed_vector(src, dst, wc, n, bound) == seed
+
+    # The first window ends inside a run of tied weights, and the seed
+    # takes edges of that run on both sides of the boundary, the first
+    # edge of the second window among them.
+    n, bound = 48, 1
+    w = random_weights(np.random.default_rng(11), n, density=0.7, max_w=3, with_diag=False)
+    src, dst, wc = canonical_edges(w)
+    first = 4 * n * bound
+    seed = oracles.greedy_seed(src, dst, wc, n, bound)
+    tied = wc == wc[first]
+    assert tied[first - 1] and seed_windows(len(wc), n, bound) >= 3
+    assert first in seed and any(tied[ei] for ei in seed if ei < first)
+    assert greedy_seed_vector(src, dst, wc, n, bound) == seed
 
 
 def test_matched_weight_never_below_greedy():
