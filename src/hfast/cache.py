@@ -1,37 +1,49 @@
 """Repro-cache: content-addressed storage of synthesized traces.
 
 Entries live in ``.repro_cache/`` and are named
-``{app}_p{nranks}_{key}.npz`` where ``key`` is the first 12 hex chars of
+``{app}_p{nranks}_{key}.cols`` where ``key`` is the first 12 hex chars of
 the sha256 of the canonical JSON of ``{app, nranks, overrides}``.
 
-The on-disk schema is format 4: one uncompressed ``.npz`` (a zip of
-``.npy`` members) per key, holding the trace's
-:class:`~hfast.records.RecordBatch` columns exactly as stored — ``rank``,
-``call_code``, ``size``, ``peer``, ``count`` and, on timed traces,
-``total_time``/``min_time``/``max_time`` — plus one ``uint8`` member,
-``meta``, with the canonical JSON metadata: format, app, nranks,
-overrides, the timing descriptor, region, the sorted ``calls`` table that
-``call_code`` indexes, and ``call_totals``. ``np.savez`` stamps every
-member with zip's fixed 1980 date, so equal traces store as equal bytes.
+The on-disk schema is format 5: one file per key holding the trace's
+:class:`~hfast.records.RecordBatch` columns exactly as stored:
 
-Loading reads the file with ``np.load(..., allow_pickle=False)``, so no
-member is ever unpickled, and builds the batch straight from the
-columns. One vectorized pass keeps every check the per-record validator
-makes: the required members and no others; 1-D columns of equal length;
-integer dtypes for the integer columns and float64 for the times;
-non-negative values; ``rank``/``peer`` below ``nranks``; ``call_code``
-inside a sorted, duplicate-free calls table; ``min_time <= max_time``; a
-timing descriptor with ``model`` and ``seed``; and stored ``call_totals``
-equal to the per-call sum of ``count``. Any failure — a truncated or
-non-zip file included — raises :class:`CacheValidationError` naming the
-path.
+- an 8-byte little-endian header length;
+- the header, canonical JSON: format, app, nranks, overrides, the timing
+  descriptor, region, the sorted ``calls`` table that ``call_code``
+  indexes, ``call_totals``, and ``columns``, a ``[name, dtype, length]``
+  entry per column in storage order (``rank``, ``call_code``, ``size``,
+  ``peer``, ``count`` and, on timed traces,
+  ``total_time``/``min_time``/``max_time``). Dtypes come from an
+  allowlist: ``|i1``, ``<i2``, ``<i4`` or ``<i8`` for the integer
+  columns, ``<f8`` for the times;
+- each column at the next 8-byte boundary after zero padding. The file
+  ends with the last column, so equal traces store as equal bytes.
+
+``store`` writes an entry through one :func:`~hfast.atomic.atomic_write`.
+``load`` reads it with one ``read`` and builds each column as a
+read-only ``np.frombuffer`` view of that buffer. Before any byte is read
+as a column it checks the header, the column table (the required
+columns and no others, in order, of one length, with allowed dtypes),
+the exact file size and the padding. One pass per column then keeps
+every check the per-record validator makes: non-negative values (NaN
+fails), ``rank`` and ``peer`` below ``nranks`` and ``call_code`` inside
+a sorted, duplicate-free calls table, ``min_time <= max_time``, a timing
+descriptor with ``model`` and ``seed``, and stored ``call_totals`` equal
+to the per-call sum of ``count``. Any failure raises
+:class:`CacheValidationError` naming the path, and ``store`` runs the
+same checks before it writes.
+
+Format 4 stored the same columns as ``.npz`` members. Such entries are
+neither read nor listed: their key misses, and the re-synthesized trace
+is stored beside them.
 
 Formats 2 and 3 were JSON documents with one object per record. They
 are read-only now: ``load`` falls back to ``{app}_p{nranks}_{key}.json``
-only when no ``.npz`` exists for the key (the committed seed corpus is
-such documents), through the per-record :func:`validate_document` and
-:meth:`hfast.records.Trace.from_document`. Format-2 documents carry no
-timing; the deterministic LogGP model re-synthesizes it at load.
+only when no ``.cols`` entry exists for the key (the committed seed
+corpus is such documents), through the per-record
+:func:`validate_document` and :meth:`hfast.records.Trace.from_document`.
+Format-2 documents carry no timing; the deterministic LogGP model
+re-synthesizes it at load.
 
 Analysis results do not depend on the cache's bytes — a warm run equals
 the cold run that stored its traces — so the served result key's
@@ -43,31 +55,31 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, BinaryIO, Iterable, Mapping
 
 import numpy as np
-from numpy.lib.npyio import NpzFile
 
 from hfast.atomic import atomic_write
 from hfast.obs.profile import profiled
 from hfast.records import RecordBatch, Trace
 from hfast.timing import DEFAULT_TIMING_SEED, apply_timing
 
-CACHE_FORMAT = 4
+CACHE_FORMAT = 5
+#: Suffix of a format-5 entry.
+SUFFIX = ".cols"
 #: Read-only JSON document formats (``.json`` entries).
 JSON_FORMATS = (2, 3)
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 _INT_COLUMNS = ("rank", "call_code", "size", "peer", "count")
 _TIME_COLUMNS = ("total_time", "min_time", "max_time")
-_META = "meta"
-_META_KEYS = ("app", "call_totals", "calls", "format", "nranks", "overrides", "region", "timing")
-#: What reading a damaged ``.npz`` can raise: zip and ``.npy`` header
-#: errors, truncation, and refused pickles.
-_READ_ERRORS = (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile)
+_INT_DTYPES = ("|i1", "<i2", "<i4", "<i8")
+_HEADER_KEYS = ("app", "call_totals", "calls", "columns", "format", "nranks", "overrides",
+                "region", "timing")
+#: Bytes in the header-length prefix, and the alignment of every column.
+_WORD = 8
 
 _REQUIRED_TOP_KEYS = ("format", "metadata", "call_totals", "records")
 _REQUIRED_META_KEYS = ("app", "nranks", "overrides")
@@ -108,9 +120,9 @@ def cache_path(
     nranks: int,
     overrides: dict[str, Any] | None = None,
 ) -> Path:
-    """The format-4 entry of a key; its legacy JSON document is the same
+    """The format-5 entry of a key; its legacy JSON document is the same
     path with a ``.json`` suffix."""
-    return Path(cache_dir) / f"{app}_p{nranks}_{cache_key(app, nranks, overrides)}.npz"
+    return Path(cache_dir) / f"{app}_p{nranks}_{cache_key(app, nranks, overrides)}{SUFFIX}"
 
 
 def validate_document(doc: Any, path: str | os.PathLike | None = None) -> None:
@@ -211,158 +223,175 @@ class CacheStats:
         }
 
 
-def _decode_meta(path: Path, raw: Any) -> dict[str, Any]:
-    """The ``meta`` member's JSON object, its keys and types checked."""
-    if not isinstance(raw, np.ndarray) or raw.ndim != 1 or raw.dtype != np.uint8:
-        raise CacheValidationError(path, f"member '{_META}' must be a 1-D uint8 array")
-    try:
-        meta = json.loads(raw.tobytes())
-    except ValueError as exc:
-        raise CacheValidationError(path, f"member '{_META}' is not JSON: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise CacheValidationError(path, f"member '{_META}' must hold a JSON object")
-    missing = [key for key in _META_KEYS if key not in meta]
+def _check_header(path: Path, header: Any) -> tuple[list[tuple[str, np.dtype]], int]:
+    """Check the header's keys, types and column table; return the
+    columns' names and dtypes in storage order, and their length. The
+    columns of a timed entry (one with a timing descriptor or any time
+    column) include all three time columns."""
+    if not isinstance(header, dict):
+        raise CacheValidationError(path, "header must be a JSON object")
+    missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
-        raise CacheValidationError(path, f"meta missing required key(s) {missing}")
-    if meta["format"] != CACHE_FORMAT:
+        raise CacheValidationError(path, f"header missing required key(s) {missing}")
+    if header["format"] != CACHE_FORMAT:
         raise CacheValidationError(
-            path, f"unsupported format version {meta['format']!r} (expected {CACHE_FORMAT})"
+            path, f"unsupported format version {header['format']!r} (expected {CACHE_FORMAT})"
         )
-    nranks = meta["nranks"]
+    nranks = header["nranks"]
     if not isinstance(nranks, int) or isinstance(nranks, bool) or nranks <= 0:
-        raise CacheValidationError(path, f"meta.nranks must be a positive int, got {nranks!r}")
+        raise CacheValidationError(path, f"header.nranks must be a positive int, got {nranks!r}")
     for key, kind in (("app", str), ("region", str), ("overrides", dict), ("call_totals", dict)):
-        if not isinstance(meta[key], kind):
-            raise CacheValidationError(path, f"meta.{key} must be a {kind.__name__}")
-    calls = meta["calls"]
+        if not isinstance(header[key], kind):
+            raise CacheValidationError(path, f"header.{key} must be a {kind.__name__}")
+    calls = header["calls"]
     if not isinstance(calls, list) or not all(isinstance(c, str) for c in calls):
-        raise CacheValidationError(path, "meta.calls must be a list of call names")
+        raise CacheValidationError(path, "header.calls must be a list of call names")
     if calls != sorted(set(calls)):
         raise CacheValidationError(
-            path, f"meta.calls must be sorted and free of duplicates, got {calls!r}"
+            path, f"header.calls must be sorted and free of duplicates, got {calls!r}"
         )
-    timing = meta["timing"]
+    timing = header["timing"]
     if timing is not None:
         if not isinstance(timing, dict):
-            raise CacheValidationError(path, "meta.timing must be an object or null")
+            raise CacheValidationError(path, "header.timing must be an object or null")
         for key in ("model", "seed"):
             if key not in timing:
-                raise CacheValidationError(path, f"meta.timing missing required key '{key}'")
-    return meta
+                raise CacheValidationError(path, f"header.timing missing required key '{key}'")
+    table = header["columns"]
+    if not isinstance(table, list):
+        raise CacheValidationError(path, "header.columns must be a list")
+    for i, entry in enumerate(table):
+        if not (isinstance(entry, list) and len(entry) == 3
+                and isinstance(entry[0], str) and isinstance(entry[1], str)):
+            raise CacheValidationError(
+                path, f"header.columns[{i}] must be a [name, dtype, length] entry, got {entry!r}"
+            )
+    names = [entry[0] for entry in table]
+    timed = timing is not None or any(c in names for c in _TIME_COLUMNS)
+    columns = list(_INT_COLUMNS + (_TIME_COLUMNS if timed else ()))
+    missing, unexpected = sorted(set(columns) - set(names)), sorted(set(names) - set(columns))
+    if missing:
+        raise CacheValidationError(path, f"missing required column(s) {missing}")
+    if unexpected:
+        raise CacheValidationError(path, f"unexpected column(s) {unexpected}")
+    if names != columns:
+        raise CacheValidationError(path, f"columns must be stored once each, in the order {columns}")
+    n = table[0][2]
+    for name, dtype, length in table:
+        if name in _TIME_COLUMNS and dtype != "<f8":
+            raise CacheValidationError(path, f"{name} must be float64 ('<f8'), got {dtype!r}")
+        if name in _INT_COLUMNS and dtype not in _INT_DTYPES:
+            raise CacheValidationError(
+                path, f"{name} must have an integer dtype {_INT_DTYPES}, got {dtype!r}"
+            )
+        if not isinstance(length, int) or isinstance(length, bool) or length < 0:
+            raise CacheValidationError(path, f"{name} length must be a non-negative int, got {length!r}")
+        if length != n:
+            raise CacheValidationError(path, f"{name} has {length} rows, rank has {n}")
+    return [(name, np.dtype(dtype)) for name, dtype, _ in table], n
 
 
 def _first(mask: np.ndarray) -> int:
     return int(np.flatnonzero(mask)[0])
 
 
-def _check_columns(path: Path, members: Mapping[str, Any], meta: dict[str, Any]) -> bool:
-    """Check the column members in one vectorized pass; True on a timed
-    entry. The columns of a timed entry (one with a timing descriptor or
-    any time column) include all three time columns."""
-    timed = meta["timing"] is not None or any(c in members for c in _TIME_COLUMNS)
-    columns = _INT_COLUMNS + (_TIME_COLUMNS if timed else ())
-    missing = sorted(set(columns) - set(members))
-    if missing:
-        raise CacheValidationError(path, f"missing required member(s) {missing}")
-    unexpected = sorted(set(members) - set(columns) - {_META})
-    if unexpected:
-        raise CacheValidationError(path, f"unexpected member(s) {unexpected}")
-    n = None
-    for name in columns:
-        col = members[name]
-        if not isinstance(col, np.ndarray) or col.ndim != 1:
-            raise CacheValidationError(path, f"member '{name}' must be a 1-D array")
-        if name in _TIME_COLUMNS and col.dtype != np.float64:
-            raise CacheValidationError(path, f"{name} must be float64, got {col.dtype}")
-        if name in _INT_COLUMNS and col.dtype.kind not in "iu":
-            raise CacheValidationError(path, f"{name} must have an integer dtype, got {col.dtype}")
-        n = len(col) if n is None else n
-        if len(col) != n:
-            raise CacheValidationError(path, f"{name} has {len(col)} rows, rank has {n}")
-        # ``not min >= 0`` also catches NaN, which compares false.
-        if n and not col.min() >= 0:
-            i = _first(~(col >= 0))
-            raise CacheValidationError(
-                path, f"{name}[{i}] must be non-negative, got {col[i].item()!r}"
-            )
-    nranks, ncalls = meta["nranks"], len(meta["calls"])
-    for name, bound, what in (
-        ("rank", nranks, f"nranks={nranks}"),
-        ("peer", nranks, f"nranks={nranks}"),
-        ("call_code", ncalls, f"a calls table of {ncalls}"),
-    ):
-        col = members[name]
-        if n and col.max() >= bound:
-            i = _first(col >= bound)
-            raise CacheValidationError(
-                path, f"{name}[{i}]={col[i].item()} out of range for {what}"
-            )
-    if timed and n:
-        tmin, tmax = members["min_time"], members["max_time"]
-        over = tmin > tmax
-        if over.any():
-            i = _first(over)
+def _check_values(path: Path, header: dict[str, Any], cols: Mapping[str, np.ndarray]) -> None:
+    """Check the columns' values, reading each column once (``min_time``
+    twice). Only a failed check looks for the first bad row."""
+    if not len(cols["rank"]):
+        return
+    nranks, ncalls = header["nranks"], len(header["calls"])
+    bounds = {"rank": (nranks, f"nranks={nranks}"), "peer": (nranks, f"nranks={nranks}"),
+              "call_code": (ncalls, f"a calls table of {ncalls}")}
+    for name in _INT_COLUMNS:
+        col = cols[name]
+        # Through an unsigned view a negative value reads as 2**(bits-1)
+        # or more, so one maximum bounds the column on both sides.
+        limit = 1 << (8 * col.itemsize - 1)
+        bound, what = bounds.get(name, (limit, ""))
+        if col.view(col.dtype.str.replace("i", "u")).max() >= min(bound, limit):
+            i = _first((col < 0) | (col >= bound))
+            if col[i] < 0:
+                raise CacheValidationError(
+                    path, f"{name}[{i}] must be non-negative, got {col[i].item()!r}"
+                )
+            raise CacheValidationError(path, f"{name}[{i}]={col[i].item()} out of range for {what}")
+    if "total_time" in cols:
+        tmin, tmax = cols["min_time"], cols["max_time"]
+        # ``not min >= 0`` also catches NaN, which compares false. With
+        # ``min_time >= 0``, ``min_time <= max_time`` bounds ``max_time``.
+        if not (cols["total_time"].min() >= 0 and tmin.min() >= 0 and (tmin <= tmax).all()):
+            for name in _TIME_COLUMNS:
+                col = cols[name]
+                if not col.min() >= 0:
+                    i = _first(~(col >= 0))
+                    raise CacheValidationError(
+                        path, f"{name}[{i}] must be non-negative, got {col[i].item()!r}"
+                    )
+            i = _first(tmin > tmax)
             raise CacheValidationError(
                 path, f"min_time[{i}]={tmin[i].item()!r} exceeds max_time={tmax[i].item()!r}"
             )
-    return timed
 
 
-def _trace_from_members(path: Path, members: Mapping[str, Any]) -> Trace:
-    """Validate a format-4 entry's members and build its trace."""
-    if _META not in members:
-        raise CacheValidationError(path, f"missing required member(s) ['{_META}']")
-    meta = _decode_meta(path, members[_META])
-    timed = _check_columns(path, members, meta)
-    batch = RecordBatch(
-        *(members[name] for name in _INT_COLUMNS),
-        calls=tuple(meta["calls"]),
-        region=meta["region"],
-    )
-    if timed:
-        batch.set_times(*(members[name] for name in _TIME_COLUMNS))
-    if batch.call_totals != meta["call_totals"]:
-        raise CacheValidationError(path, "call_totals does not match the per-call sum of count")
-    return Trace(
-        app=meta["app"],
-        nranks=meta["nranks"],
-        overrides=meta["overrides"],
-        batch=batch,
-        timing=meta["timing"],
-    )
-
-
-def _entry_members(trace: Trace) -> dict[str, np.ndarray]:
-    """The format-4 members of a trace, in the order they are stored."""
-    batch = trace.ensure_batch()
-    columns = _INT_COLUMNS + (_TIME_COLUMNS if batch.has_times else ())
-    meta = {
-        "format": CACHE_FORMAT,
-        "app": trace.app,
-        "nranks": trace.nranks,
-        "overrides": dict(trace.overrides),
-        "timing": trace.timing,
-        "region": batch.region,
-        "calls": list(batch.calls),
-        "call_totals": batch.call_totals,
-    }
-    raw = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    members = {name: getattr(batch, name) for name in columns}
-    members[_META] = np.frombuffer(raw, dtype=np.uint8)
-    return members
+def _align(offset: int) -> int:
+    return -(-offset // _WORD) * _WORD
 
 
 def _read_entry(path: Path) -> Trace:
-    """Load and validate a format-4 ``.npz`` entry; nothing is unpickled."""
+    """Load and validate a format-5 entry from one read of its file; the
+    batch's columns are views of the bytes read."""
     try:
-        npz = np.load(path, allow_pickle=False)
-        if not isinstance(npz, NpzFile):
-            raise ValueError("a bare .npy array, not an .npz archive")
-        with npz:
-            members = {name: npz[name] for name in npz.files}
-    except _READ_ERRORS as exc:
-        raise CacheValidationError(path, f"unreadable .npz entry: {exc}") from exc
-    return _trace_from_members(path, members)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise CacheValidationError(path, f"unreadable entry: {exc}") from exc
+    if len(raw) < _WORD:
+        raise CacheValidationError(path, f"truncated: {len(raw)} bytes, no header length")
+    pos = _WORD + int.from_bytes(raw[:_WORD], "little")
+    if pos > len(raw):
+        raise CacheValidationError(
+            path, f"header length {pos - _WORD} runs past the end of the {len(raw)}-byte file"
+        )
+    try:
+        header = json.loads(raw[_WORD:pos])
+    except ValueError as exc:
+        raise CacheValidationError(path, f"header is not JSON: {exc}") from exc
+    table, n = _check_header(path, header)
+    spans = []  # (name, dtype, end of what precedes the column, its start)
+    for name, dtype in table:
+        spans.append((name, dtype, pos, _align(pos)))
+        pos = spans[-1][3] + n * dtype.itemsize
+    if pos > len(raw):
+        raise CacheValidationError(path, f"truncated: {len(raw)} bytes, the columns end at {pos}")
+    if pos < len(raw):
+        raise CacheValidationError(path, f"{len(raw) - pos} trailing byte(s) after the last column")
+    cols = {}
+    for name, dtype, end, start in spans:
+        if raw[end:start] != bytes(start - end):
+            raise CacheValidationError(path, f"non-zero padding before column {name}")
+        cols[name] = np.frombuffer(raw, dtype=dtype, count=n, offset=start)
+    _check_values(path, header, cols)
+    batch = RecordBatch(*(cols[c] for c in _INT_COLUMNS), tuple(header["calls"]), header["region"])
+    if "total_time" in cols:
+        batch.set_times(*(cols[c] for c in _TIME_COLUMNS))
+    if batch.call_totals != header["call_totals"]:
+        raise CacheValidationError(path, "call_totals does not match the per-call sum of count")
+    return Trace(header["app"], header["nranks"], overrides=header["overrides"], batch=batch,
+                 timing=header["timing"])
+
+
+def _write_entry(fh: BinaryIO, header: bytes, cols: Iterable[np.ndarray]) -> None:
+    """Write the layout: header length, header, then each column at the
+    next 8-byte boundary after zero padding."""
+    fh.write(len(header).to_bytes(_WORD, "little"))
+    fh.write(header)
+    pos = _WORD + len(header)
+    for col in cols:
+        start = _align(pos)
+        fh.write(bytes(start - pos))
+        fh.write(col)
+        pos = start + col.nbytes
 
 
 def _read_document(path: Path) -> Trace:
@@ -384,7 +413,7 @@ class ReproCache:
         self.stats = CacheStats()
 
     def path_for(self, app: str, nranks: int, overrides: dict[str, Any] | None = None) -> Path:
-        """The key's format-4 entry: what ``store`` writes and ``load``
+        """The key's format-5 entry: what ``store`` writes and ``load``
         reads first."""
         return cache_path(self.cache_dir, app, nranks, overrides)
 
@@ -398,8 +427,8 @@ class ReproCache:
     ) -> Trace | None:
         """Return the cached trace, or None on a miss.
 
-        Reads the key's ``.npz`` entry, or its legacy JSON document when
-        no ``.npz`` exists. Unless ``timing_seed`` is None, the loaded
+        Reads the key's ``.cols`` entry, or its legacy JSON document when
+        no ``.cols`` exists. Unless ``timing_seed`` is None, the loaded
         trace is guaranteed to carry timing at that seed: format-2
         documents (and entries timed at a different seed) are
         deterministically re-timed in memory.
@@ -414,7 +443,7 @@ class ReproCache:
             )
             return None
         try:
-            trace = _read_entry(path) if path.suffix == ".npz" else _read_document(path)
+            trace = _read_entry(path) if path.suffix == SUFFIX else _read_document(path)
         except CacheValidationError:
             self.stats.validation_failures += 1
             raise
@@ -430,16 +459,37 @@ class ReproCache:
 
     @profiled("cache_store")
     def store(self, trace: Trace) -> Path:
-        """Write ``trace`` as the key's format-4 entry (never JSON)."""
+        """Write ``trace`` as the key's format-5 entry (never JSON)."""
         path = self.path_for(trace.app, trace.nranks, trace.overrides)
         if self.readonly:
             return path
-        members = _entry_members(trace)
-        _trace_from_members(path, members)
+        batch = trace.ensure_batch()
+        cols = {}
+        for name in _INT_COLUMNS + (_TIME_COLUMNS if batch.has_times else ()):
+            col = getattr(batch, name)
+            # Contiguous and little-endian, as stored: no copy on a
+            # little-endian host.
+            cols[name] = np.ascontiguousarray(col, col.dtype.newbyteorder("<"))
+        header = {
+            "format": CACHE_FORMAT,
+            "app": trace.app,
+            "nranks": trace.nranks,
+            "overrides": dict(trace.overrides),
+            "timing": trace.timing,
+            "region": batch.region,
+            "calls": list(batch.calls),
+            "call_totals": {},
+            "columns": [[name, col.dtype.str, len(col)] for name, col in cols.items()],
+        }
+        _check_header(path, header)
+        _check_values(path, header, cols)
+        # Summed once the codes are known to index the calls table.
+        header["call_totals"] = batch.call_totals
+        raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         # Concurrent stores of one cell (say, two served jobs with
         # different timing seeds) each replace the entry whole.
-        atomic_write(path, lambda fh: np.savez(fh, allow_pickle=False, **members))
+        atomic_write(path, lambda fh: _write_entry(fh, raw, cols.values()))
         self.stats.stores += 1
         self.stats.entries.append(
             {
@@ -452,10 +502,11 @@ class ReproCache:
         return path
 
     def list_entries(self) -> list[Path]:
-        """One file per key, sorted: its ``.npz`` entry, or its legacy
-        ``.json`` document when it has no ``.npz``."""
+        """One file per key, sorted: its ``.cols`` entry, or its legacy
+        ``.json`` document when it has no ``.cols``. Format-4 ``.npz``
+        entries are not listed."""
         if not self.cache_dir.is_dir():
             return []
         entries = {p.stem: p for p in self.cache_dir.glob("*.json")}
-        entries.update((p.stem, p) for p in self.cache_dir.glob("*.npz"))
+        entries.update((p.stem, p) for p in self.cache_dir.glob(f"*{SUFFIX}"))
         return sorted(entries.values())

@@ -157,23 +157,30 @@ def _observe_latencies(b: RecordBatch, app: str, obs: Observability) -> dict[int
     """Per-call mean-latency bucket table (microseconds), log2-bucketed.
 
     The mean latency of an aggregated record is ``total_time / count``;
-    each record contributes its ``count`` calls at that latency. Like
-    :func:`_observe_sizes`, duplicate latencies collapse before touching
-    the histogram instruments. An untimed batch has no latencies.
+    each record contributes its ``count`` calls at that latency. The
+    table is one ``bincount`` of the counts by bucket, with no sort of
+    the latencies. Only the obs histograms need the distinct latencies:
+    like :func:`_observe_sizes`, duplicates collapse before touching the
+    instruments. An untimed batch has no latencies.
     """
-    local_buckets: dict[int, int] = {}
     lat_hist = obs.metrics.histogram("call_latency_usec") if obs.enabled else None
     app_hist = obs.metrics.histogram(f"call_latency_usec.{app}") if obs.enabled else None
     mask = b.count > 0
-    if b.has_times and mask.any():
-        mean_usec = (b.total_time[mask] / b.count[mask]) * 1e6
+    if not (b.has_times and mask.any()):
+        return {}
+    counts = b.count[mask].astype(np.float64)
+    mean_usec = (b.total_time[mask] / counts) * 1e6
+    # Bucket 2**k lands in slot k + 1 and bucket 0 in slot 0. Every count
+    # is positive, so a slot with calls has a nonzero total.
+    _, slot = np.frexp(log2_bucket_array(mean_usec))
+    totals = np.bincount(slot, weights=counts).astype(np.int64)
+    filled = np.flatnonzero(totals).tolist()
+    if lat_hist is not None:
         uniq, inv = np.unique(mean_usec, return_inverse=True)
-        weights = np.bincount(inv, weights=b.count[mask].astype(np.float64)).astype(np.int64)
-        local_buckets = _bucket_table(uniq, weights)
-        if lat_hist is not None:
-            lat_hist.observe_many(uniq, weights)
-            app_hist.observe_many(uniq, weights)
-    return local_buckets
+        weights = np.bincount(inv, weights=counts).astype(np.int64)
+        lat_hist.observe_many(uniq, weights)
+        app_hist.observe_many(uniq, weights)
+    return {(1 << s) >> 1: t for s, t in zip(filled, totals[filled].tolist())}
 
 
 def _timing_summary(

@@ -339,12 +339,11 @@ class RecordBatch:
 
     @property
     def call_totals(self) -> dict[str, int]:
-        totals: dict[str, int] = {}
-        for i, call in enumerate(self.calls):
-            t = int(self.count[self.call_code == i].sum())
-            if t:
-                totals[call] = t
-        return totals
+        """The per-call sum of ``count`` over calls with any, as one exact
+        int64 pass."""
+        totals = np.zeros(len(self.calls), dtype=np.int64)
+        np.add.at(totals, self.call_code, self.count.astype(np.int64, copy=False))
+        return {call: t for call, t in zip(self.calls, totals.tolist()) if t}
 
     def to_records(self) -> list[CommRecord]:
         if self.has_times:

@@ -12,8 +12,11 @@ correct:
   :func:`aggregate` into canonical record order and timed by the same
   LogGP model;
 - :func:`to_document` — the format-3 JSON cache document writer. The
-  repro-cache now stores format-4 ``.npz`` entries and only reads JSON
+  repro-cache now stores format-5 column files and only reads JSON
   documents, which the legacy-reader tests build with it;
+- :func:`to_entry` and :func:`from_entry` — a format-5 entry written and
+  read from the documented layout alone, with no checks, so the
+  rejection tests can write entries ``hfast`` would refuse;
 - :func:`match_edges` — the sequential greedy seed (:func:`greedy_seed`),
   the dict/set selection state (:class:`MatchState`), the edge-by-edge
   swap filter (:func:`swap_candidates`) and swap pass (:func:`swap_pass`),
@@ -36,6 +39,7 @@ oracles.match_edges)``.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
@@ -236,6 +240,30 @@ def to_document(trace: Trace) -> dict[str, Any]:
             else [r.to_dict() for r in trace.records]
         ),
     }
+
+
+def to_entry(header: dict[str, Any], columns: Iterable[bytes | np.ndarray]) -> bytes:
+    """A format-5 entry: the 8-byte little-endian length of ``header`` as
+    canonical JSON, that JSON, then each column's bytes at the next
+    8-byte boundary after zero padding. Nothing is checked: the header's
+    column table is written as given."""
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    out = bytearray(len(head).to_bytes(8, "little") + head)
+    for col in columns:
+        out += bytes(-len(out) % 8) + bytes(col)
+    return bytes(out)
+
+
+def from_entry(raw: bytes) -> tuple[dict[str, Any], dict[str, np.ndarray]]:
+    """The header and the columns (writable copies) of a format-5 entry."""
+    end = 8 + int.from_bytes(raw[:8], "little")
+    header = json.loads(raw[8:end])
+    columns = {}
+    for name, dtype, length in header["columns"]:
+        start = -(-end // 8) * 8
+        columns[name] = np.frombuffer(raw, dtype=dtype, count=length, offset=start).copy()
+        end = start + columns[name].nbytes
+    return header, columns
 
 
 # -- matching -----------------------------------------------------------------

@@ -57,7 +57,7 @@ class TestKeying:
 
     def test_path_layout(self, tmp_path):
         p = cache_path(tmp_path, "cactus", 8)
-        assert p.name == "cactus_p8_d0f189f7c632.npz"
+        assert p.name == "cactus_p8_d0f189f7c632.cols"
 
     def test_overrides_change_key(self):
         assert cache_key("gtc", 16, {}) != cache_key("gtc", 16, {"steps": 2})

@@ -26,12 +26,12 @@ def warm_cache(tmp_path):
     """A cache dir holding valid gtc p4 and p8 entries."""
     run_pipeline(apps=APPS, scales=SCALES, cache_dir=str(tmp_path),
                  obs=Observability.disabled(), argv=["test"])
-    assert len(list(tmp_path.glob("gtc_p*.npz"))) == 2
+    assert len(list(tmp_path.glob("gtc_p*.cols"))) == 2
     return tmp_path
 
 
 def corrupt(cache_dir, pattern):
-    """Truncate the matching ``.npz`` entries to half their length."""
+    """Truncate the matching ``.cols`` entries to half their length."""
     paths = list(cache_dir.glob(pattern))
     assert paths
     for path in paths:
@@ -41,7 +41,7 @@ def corrupt(cache_dir, pattern):
 
 @pytest.mark.parametrize("workers", [1, 4])
 def test_failed_cell_is_surfaced_not_fatal(warm_cache, workers):
-    corrupt(warm_cache, "gtc_p4_*.npz")
+    corrupt(warm_cache, "gtc_p4_*.cols")
     obs = Observability(enabled=True)
     out = run_pipeline(apps=APPS, scales=SCALES, cache_dir=str(warm_cache),
                        obs=obs, argv=["test"], workers=workers,
@@ -63,7 +63,7 @@ def test_failed_cell_is_surfaced_not_fatal(warm_cache, workers):
 def test_multi_region_cache_file_fails_its_cell(warm_cache):
     """A legacy JSON document naming two regions fails validation on load:
     its cell fails with the validator's message and the other cell runs."""
-    (entry,) = warm_cache.glob("gtc_p4_*.npz")
+    (entry,) = warm_cache.glob("gtc_p4_*.cols")
     entry.unlink()
     path = entry.with_suffix(".json")
     doc = oracles.to_document(synthesize("gtc", 4))
@@ -82,7 +82,7 @@ def test_multi_region_cache_file_fails_its_cell(warm_cache):
 
 
 def test_partial_failure_exits_zero(warm_cache, capsys):
-    corrupt(warm_cache, "gtc_p4_*.npz")
+    corrupt(warm_cache, "gtc_p4_*.cols")
     rc = main(["analyze", "--cache-dir", str(warm_cache), "--no-store",
                "--apps", "gtc", "--scales", "4,8"])
     assert rc == 0
@@ -92,7 +92,7 @@ def test_partial_failure_exits_zero(warm_cache, capsys):
 
 
 def test_partial_failure_with_strict_exits_nonzero(warm_cache, capsys):
-    corrupt(warm_cache, "gtc_p4_*.npz")
+    corrupt(warm_cache, "gtc_p4_*.cols")
     rc = main(["analyze", "--cache-dir", str(warm_cache), "--no-store",
                "--apps", "gtc", "--scales", "4,8", "--strict"])
     assert rc == 1
@@ -100,7 +100,7 @@ def test_partial_failure_with_strict_exits_nonzero(warm_cache, capsys):
 
 
 def test_all_cells_failing_exits_nonzero(warm_cache, capsys):
-    corrupt(warm_cache, "gtc_p*.npz")
+    corrupt(warm_cache, "gtc_p*.cols")
     rc = main(["analyze", "--cache-dir", str(warm_cache), "--no-store",
                "--apps", "gtc", "--scales", "4,8"])
     assert rc == 1

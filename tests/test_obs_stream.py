@@ -306,7 +306,7 @@ def test_failed_attempts_with_events_graft_as_attempt_tagged_siblings(tmp_path):
     cache_dir = tmp_path / "c"
     run_pipeline(apps=["gtc"], scales={"gtc": [8]}, cache_dir=str(cache_dir),
                  obs=Observability.disabled(), argv=["warm"], bench_dir=None)
-    (path,) = cache_dir.glob("gtc_p8_*.npz")
+    (path,) = cache_dir.glob("gtc_p8_*.cols")
     path.write_bytes(path.read_bytes()[:100])  # truncated: fails validation
 
     obs = Observability(enabled=True)

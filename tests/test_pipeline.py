@@ -1,10 +1,21 @@
+import hashlib
 import json
 
 import numpy as np
 
+import oracles
 from hfast.cache import ReproCache
+from hfast.cli import main
+from hfast.obs.metrics import Histogram
 from hfast.obs.profile import Observability
-from hfast.pipeline import analyze_app, discover_scales, run_pipeline
+from hfast.pipeline import (
+    _bucket_table,
+    _observe_latencies,
+    analyze_app,
+    discover_scales,
+    run_pipeline,
+)
+from hfast.records import RecordBatch
 
 
 def test_discover_scales_from_seed_cache(repo_cache_dir):
@@ -71,11 +82,10 @@ def test_run_pipeline_synthesizes_and_stores_on_miss(tmp_path):
     assert out["manifest"]["cache"]["stores"] == 1
     stored = ReproCache(tmp_path).list_entries()
     assert [p.name for p in stored] == [ReproCache(tmp_path).path_for("gtc", 4).name]
-    # stored file is a format-4 entry with a timing descriptor
-    with np.load(stored[0], allow_pickle=False) as npz:
-        meta = json.loads(npz["meta"].tobytes())
-    assert meta["format"] == 4
-    assert meta["timing"]["model"] == "loggp"
+    # stored file is a format-5 entry with a timing descriptor
+    header, _ = oracles.from_entry(stored[0].read_bytes())
+    assert header["format"] == 5
+    assert header["timing"]["model"] == "loggp"
     # second run hits the cache
     obs2 = Observability(enabled=True)
     out2 = run_pipeline(
@@ -103,3 +113,56 @@ def test_run_pipeline_disabled_obs_produces_same_results(repo_cache_dir):
         argv=["test"],
     )
     assert enabled["results"] == disabled["results"]
+
+
+def latency_batch(rng, n):
+    """A timed batch whose mean latencies (``total_time / count`` in
+    microseconds) mix zeros, powers of two from 2**-4 to 2**11, values in
+    (0, 1] and larger ones, with some zero counts."""
+    pool = np.concatenate(([0.0], 2.0 ** np.arange(-4, 12), rng.uniform(0, 1, 8),
+                           rng.uniform(1, 5000, 8)))
+    count = rng.integers(0, 40, n)
+    zeros = np.zeros(n, dtype=np.int32)
+    b = RecordBatch(zeros, zeros.astype(np.int16), zeros, zeros, count, calls=("MPI_Isend",))
+    total = rng.choice(pool, n) * count / 1e6
+    b.set_times(total, total, total)
+    return b
+
+
+def test_latency_table_equals_the_sorted_distinct_latency_path():
+    """The latency table, one bincount by bucket, equals the table built
+    from the sorted distinct latencies, with obs off and on; with obs on
+    the histograms get the distinct latencies and their weights."""
+    rng = np.random.default_rng(20)
+    for trial in range(40):
+        b = latency_batch(rng, int(rng.integers(1, 300)))
+        mask = b.count > 0
+        mean = (b.total_time[mask] / b.count[mask]) * 1e6
+        uniq, inv = np.unique(mean, return_inverse=True)
+        weights = np.bincount(inv, weights=b.count[mask].astype(np.float64)).astype(np.int64)
+        want = _bucket_table(uniq, weights) if mask.any() else {}
+        assert _observe_latencies(b, "toy", Observability.disabled()) == want
+        obs = Observability(enabled=True)
+        assert _observe_latencies(b, "toy", obs) == want
+        hist = Histogram("call_latency_usec")
+        hist.observe_many(uniq, weights)
+        for name in ("call_latency_usec", "call_latency_usec.toy"):
+            assert obs.metrics.histogram(name).to_dict() == hist.to_dict()
+    # The seeded batches reach every edge case.
+    b = latency_batch(np.random.default_rng(20), 300)
+    mean = (b.total_time / np.maximum(b.count, 1)) * 1e6
+    assert (mean == 0).any() and ((mean > 0) & (mean < 1)).any() and (mean == 1).any()
+    assert np.isin(mean, 2.0 ** np.arange(-4, 12)).sum() > 10
+
+
+#: sha256 of the ``--metrics-out`` document of an obs-on paratec@128 run
+#: (synthesized, not stored), as written when the latency table came from
+#: the sorted distinct latencies.
+PARATEC_128_METRICS = "4f8e54d81208fdbea56e40972e06eb7dc164f0a09272bbdbeb59aa01a5c47107"
+
+
+def test_obs_on_metrics_bytes_for_paratec_128(tmp_path, capsys):
+    out = tmp_path / "metrics.json"
+    assert main(["analyze", "--apps", "paratec", "--scales", "128", "--no-store",
+                 "--cache-dir", str(tmp_path / "cache"), "--metrics-out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PARATEC_128_METRICS

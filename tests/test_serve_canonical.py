@@ -129,7 +129,7 @@ def test_trace_cache_key_matches_repro_cache_contract(tmp_path):
         cache_dir=str(tmp_path), argv=["test"], bench_dir=None,
     )
     key = cache_key("cactus", 8, {"steps": 2})
-    assert [p.name for p in ReproCache(tmp_path).list_entries()] == [f"cactus_p8_{key}.npz"]
+    assert [p.name for p in ReproCache(tmp_path).list_entries()] == [f"cactus_p8_{key}.cols"]
 
 
 def test_interconnect_config_carries_every_knob():
