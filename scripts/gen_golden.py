@@ -67,7 +67,7 @@ def build_fixture(app: str, nranks: int) -> dict:
     return {
         "app": app,
         "nranks": nranks,
-        "call_totals": trace.call_totals,
+        "call_totals": batch.call_totals,
         "total_bytes": cm.total_bytes,
         "total_messages": cm.total_messages,
         "max_degree": topo.max_degree,

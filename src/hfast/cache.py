@@ -24,10 +24,10 @@ The on-disk schema is format 5: one file per key holding the trace's
 read-only ``np.frombuffer`` view of that buffer. Before any byte is read
 as a column it checks the header, the column table (the required
 columns and no others, in order, of one length, with allowed dtypes),
-the exact file size and the padding. One pass per column then keeps
-every check the per-record validator makes: non-negative values (NaN
-fails), ``rank`` and ``peer`` below ``nranks`` and ``call_code`` inside
-a sorted, duplicate-free calls table, ``min_time <= max_time``, a timing
+the exact file size and the padding. One pass per column then checks
+the values: non-negative (NaN fails), ``rank`` and ``peer`` below
+``nranks`` and ``call_code`` inside a sorted, duplicate-free calls
+table, and ``min_time <= max_time``; the header needs a timing
 descriptor with ``model`` and ``seed``, and stored ``call_totals`` equal
 to the per-call sum of ``count``. Any failure raises
 :class:`CacheValidationError` naming the path, and ``store`` runs the
@@ -40,10 +40,13 @@ is stored beside them.
 Formats 2 and 3 were JSON documents with one object per record. They
 are read-only now: ``load`` falls back to ``{app}_p{nranks}_{key}.json``
 only when no ``.cols`` entry exists for the key (the committed seed
-corpus is such documents), through the per-record
-:func:`validate_document` and :meth:`hfast.records.Trace.from_document`.
-Format-2 documents carry no timing; the deterministic LogGP model
-re-synthesizes it at load.
+corpus is such documents). :func:`validate_document` checks each
+record's fields and their types (the integer fields must fit in 64
+bits, ``call`` and ``region`` are strings, one region per document),
+builds the batch one column at a time, and checks the columns with the
+same value and ``call_totals`` checks as a format-5 entry. Format-2
+documents carry no timing; the deterministic LogGP model re-synthesizes
+it at load.
 
 Analysis results do not depend on the cache's bytes — a warm run equals
 the cold run that stored its traces — so the served result key's
@@ -57,7 +60,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Iterable, Mapping
+from typing import Any, BinaryIO, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -83,18 +86,35 @@ _WORD = 8
 
 _REQUIRED_TOP_KEYS = ("format", "metadata", "call_totals", "records")
 _REQUIRED_META_KEYS = ("app", "nranks", "overrides")
-_REQUIRED_RECORD_KEYS = (
-    "rank",
-    "call",
-    "size",
-    "peer",
-    "region",
-    "count",
-    "total_time",
-    "min_time",
-    "max_time",
-)
-_NON_NEGATIVE_RECORD_KEYS = ("rank", "size", "peer", "count", "total_time", "min_time", "max_time")
+_INT_RECORD_KEYS = ("rank", "size", "peer", "count")
+
+
+def _is_int64(value: Any) -> bool:
+    # ``type``, not ``isinstance``: a JSON ``true`` is not a count.
+    return type(value) is int and -(1 << 63) <= value < 1 << 63
+
+
+def _is_str(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, float) or _is_int64(value)
+
+
+#: A record's required fields, in the order they are checked: what each
+#: must hold, and its test.
+_RECORD_FIELDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "rank": ("a 64-bit integer", _is_int64),
+    "call": ("a string", _is_str),
+    "size": ("a 64-bit integer", _is_int64),
+    "peer": ("a 64-bit integer", _is_int64),
+    "region": ("a string", _is_str),
+    "count": ("a 64-bit integer", _is_int64),
+    "total_time": ("a number", _is_number),
+    "min_time": ("a number", _is_number),
+    "max_time": ("a number", _is_number),
+}
 
 
 class CacheValidationError(ValueError):
@@ -125,8 +145,12 @@ def cache_path(
     return Path(cache_dir) / f"{app}_p{nranks}_{cache_key(app, nranks, overrides)}{SUFFIX}"
 
 
-def validate_document(doc: Any, path: str | os.PathLike | None = None) -> None:
-    """Validate a legacy format-2/3 JSON document, record by record."""
+def validate_document(doc: Any, path: str | os.PathLike | None = None) -> RecordBatch:
+    """Validate a legacy format-2/3 JSON document and return its batch.
+
+    Each record is checked for its fields and their types; the batch is
+    then built one column at a time, and its values go through the
+    checks a format-5 entry's columns do."""
     if not isinstance(doc, dict):
         raise CacheValidationError(path, f"document must be an object, got {type(doc).__name__}")
     for key in _REQUIRED_TOP_KEYS:
@@ -157,7 +181,7 @@ def validate_document(doc: Any, path: str | os.PathLike | None = None) -> None:
                         path, f"metadata.timing missing required key '{key}'"
                     )
     nranks = meta["nranks"]
-    if not isinstance(nranks, int) or nranks <= 0:
+    if not isinstance(nranks, int) or isinstance(nranks, bool) or nranks <= 0:
         raise CacheValidationError(path, f"metadata.nranks must be a positive int, got {nranks!r}")
     if not isinstance(doc["call_totals"], dict):
         raise CacheValidationError(path, "'call_totals' must be an object")
@@ -167,20 +191,12 @@ def validate_document(doc: Any, path: str | os.PathLike | None = None) -> None:
     for i, rec in enumerate(records):
         if not isinstance(rec, dict):
             raise CacheValidationError(path, f"records[{i}] must be an object")
-        for key in _REQUIRED_RECORD_KEYS:
+        for key, (kind, ok) in _RECORD_FIELDS.items():
             if key not in rec:
                 raise CacheValidationError(path, f"records[{i}] missing required field '{key}'")
-        for key in _NON_NEGATIVE_RECORD_KEYS:
-            value = rec[key]
-            if not isinstance(value, (int, float)) or isinstance(value, bool) or value < 0:
+            if not ok(rec[key]):
                 raise CacheValidationError(
-                    path, f"records[{i}].{key} must be non-negative, got {value!r}"
-                )
-        for key in ("rank", "peer"):
-            if rec[key] >= nranks:
-                raise CacheValidationError(
-                    path,
-                    f"records[{i}].{key}={rec[key]} out of range for nranks={nranks}",
+                    path, f"records[{i}].{key} must be {kind}, got {rec[key]!r}"
                 )
         if rec["region"] != records[0]["region"]:
             raise CacheValidationError(
@@ -188,19 +204,19 @@ def validate_document(doc: Any, path: str | os.PathLike | None = None) -> None:
                 f"records[{i}].region={rec['region']!r} differs from "
                 f"records[0].region={records[0]['region']!r}; a document holds one region",
             )
-        if rec["min_time"] > rec["max_time"]:
-            raise CacheValidationError(
-                path,
-                f"records[{i}].min_time={rec['min_time']!r} exceeds "
-                f"max_time={rec['max_time']!r}",
-            )
-    totals: dict[str, int] = {}
-    for rec in records:
-        totals[rec["call"]] = totals.get(rec["call"], 0) + rec["count"]
-    if totals != doc["call_totals"]:
-        raise CacheValidationError(
-            path, "call_totals does not match the sum of record counts"
-        )
+    calls = sorted({rec["call"] for rec in records})
+    code_of = {call: i for i, call in enumerate(calls)}
+    cols = {key: np.array([rec[key] for rec in records], dtype=np.int64) for key in _INT_RECORD_KEYS}
+    cols["call_code"] = np.array([code_of[rec["call"]] for rec in records], dtype=np.int16)
+    for key in _TIME_COLUMNS:
+        cols[key] = np.array([rec[key] for rec in records], dtype=np.float64)
+    _check_values(path, {"nranks": nranks, "calls": calls}, cols)
+    batch = RecordBatch(*(cols[c] for c in _INT_COLUMNS), tuple(calls),
+                        records[0]["region"] if records else "steady")
+    batch.set_times(*(cols[c] for c in _TIME_COLUMNS))
+    if batch.call_totals != doc["call_totals"]:
+        raise CacheValidationError(path, "call_totals does not match the sum of record counts")
+    return batch
 
 
 @dataclass
@@ -400,8 +416,10 @@ def _read_document(path: Path) -> Trace:
         doc = json.loads(path.read_bytes())
     except ValueError as exc:
         raise CacheValidationError(path, f"invalid JSON: {exc}") from exc
-    validate_document(doc, path)
-    return Trace.from_document(doc)
+    batch = validate_document(doc, path)
+    meta = doc["metadata"]
+    return Trace(str(meta["app"]), meta["nranks"], batch, overrides=meta["overrides"],
+                 timing=meta.get("timing"))
 
 
 class ReproCache:

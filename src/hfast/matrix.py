@@ -14,12 +14,11 @@ double-counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from hfast.obs.profile import profiled
-from hfast.records import RECV_CALLS, SEND_CALLS, CommRecord, RecordBatch
+from hfast.records import RECV_CALLS, SEND_CALLS, RecordBatch
 
 
 @dataclass
@@ -69,24 +68,21 @@ def run_starts(keys: np.ndarray) -> np.ndarray:
 
 
 @profiled("matrix_reduce")
-def reduce_matrix(records: Iterable[CommRecord] | RecordBatch, nranks: int) -> CommMatrix:
-    """Build the communication matrix from point-to-point records.
+def reduce_matrix(batch: RecordBatch, nranks: int) -> CommMatrix:
+    """Build the communication matrix from a batch's point-to-point records.
 
-    Accepts a columnar :class:`RecordBatch` or a single-region iterable
-    of :class:`CommRecord`, which is columnarized first. Sends count as
-    ``rank -> peer`` and receives as ``peer -> rank``; self-traffic and
-    zero-size records are dropped. One sort groups the records by
-    ``(src, dst, side)``, int64 sums reduce each group, and each pair
-    keeps the larger of its send-side and receive-side totals (bytes and
-    messages independently).
+    Sends count as ``rank -> peer`` and receives as ``peer -> rank``;
+    self-traffic and zero-size records are dropped. One sort groups the
+    records by ``(src, dst, side)``, int64 sums reduce each group, and
+    each pair keeps the larger of its send-side and receive-side totals
+    (bytes and messages independently).
     """
-    b = records if isinstance(records, RecordBatch) else RecordBatch.from_records(list(records))
-    active = (b.size > 0) & (b.rank != b.peer)
-    send = np.flatnonzero(b.call_mask(SEND_CALLS) & active)
-    recv = np.flatnonzero(b.call_mask(RECV_CALLS) & active)
+    active = (batch.size > 0) & (batch.rank != batch.peer)
+    send = np.flatnonzero(batch.call_mask(SEND_CALLS) & active)
+    recv = np.flatnonzero(batch.call_mask(RECV_CALLS) & active)
     n = np.int64(max(1, nranks))
-    src = np.concatenate((b.rank[send], b.peer[recv])).astype(np.int64)
-    dst = np.concatenate((b.peer[send], b.rank[recv])).astype(np.int64)
+    src = np.concatenate((batch.rank[send], batch.peer[recv])).astype(np.int64)
+    dst = np.concatenate((batch.peer[send], batch.rank[recv])).astype(np.int64)
     # Sort key (pair, side): a pair's receive-side records follow its sends.
     key = (src * n + dst) * 2
     key[len(send) :] += 1
@@ -94,9 +90,9 @@ def reduce_matrix(records: Iterable[CommRecord] | RecordBatch, nranks: int) -> C
     order = np.argsort(key, kind="stable")
     key = key[order]
     rows = np.concatenate((send, recv))[order]
-    count = b.count[rows].astype(np.int64)
+    count = batch.count[rows].astype(np.int64)
     sides = run_starts(key)
-    side_bytes = np.add.reduceat(b.size[rows].astype(np.int64) * count, sides)
+    side_bytes = np.add.reduceat(batch.size[rows].astype(np.int64) * count, sides)
     side_msgs = np.add.reduceat(count, sides)
     pair = key[sides] // 2
     pairs = run_starts(pair)

@@ -4,10 +4,11 @@ PR 5 made every run emit one span tree (the serial and stealing
 backends produce the same shape); this module is the analysis layer
 the paper's methodology actually needs on top of it:
 
-- :func:`load_events` — tolerant loader for ``--trace-out`` files and
-  scheduler run journals (a directory picks the newest journal). A
-  truncated final line — exactly what a crash mid-write leaves behind —
-  is warned about and skipped, never fatal.
+- :func:`load_events` — tolerant loader for one ``--trace-out`` file or
+  scheduler run journal (a directory picks the newest journal); neither
+  is ever rotated into a chain of files. A truncated final line —
+  exactly what a crash mid-write leaves behind — is warned about and
+  skipped, never fatal.
 - :class:`TraceTree` — spans linked into a tree, plus the non-span
   events (manifest, ``cell_timing``, anomalies) analytics cares about.
   Orphaned spans (their parent never made it to disk) are promoted to
@@ -62,10 +63,6 @@ def load_events(
     event shape a live run would have produced, via the same grafting
     code the pipeline uses.
 
-    A rotated sink (``JsonlSink(max_bytes=...)``) leaves a chain of
-    siblings — ``<trace>.2``, ``<trace>.1``, ``<trace>`` — which is read
-    back oldest-first so the merged event order survives rollover.
-
     Tolerance contract: a truncated *final* line (crash mid-write, e.g.
     under fault injection) is always skipped with a warning. Other
     malformed lines are skipped with a warning unless ``strict=True``.
@@ -80,34 +77,28 @@ def load_events(
     if not path.is_file():
         raise TraceError(f"{path}: no such trace file")
 
-    # Imported lazily (see events_from_journal) to avoid an import cycle.
-    from hfast.obs.logs import rotated_paths
-
-    parts = [Path(p) for p in rotated_paths(path)] or [path]
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise TraceError(f"{path}: {exc}") from exc
     records: list[dict[str, Any]] = []
-    for part_no, part in enumerate(parts, start=1):
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
         try:
-            lines = part.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
-            raise TraceError(f"{part}: {exc}") from exc
-        is_last_part = part_no == len(parts)
-        for lineno, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped:
+            rec = json.loads(stripped)
+            if not isinstance(rec, dict):
+                raise json.JSONDecodeError("not an object", stripped, 0)
+        except json.JSONDecodeError as exc:
+            if lineno == len(lines):
+                warn(f"{path}:{lineno}: ignoring truncated final line")
                 continue
-            try:
-                rec = json.loads(stripped)
-                if not isinstance(rec, dict):
-                    raise json.JSONDecodeError("not an object", stripped, 0)
-            except json.JSONDecodeError as exc:
-                if is_last_part and lineno == len(lines):
-                    warn(f"{part}:{lineno}: ignoring truncated final line")
-                    continue
-                if strict:
-                    raise TraceError(f"{part}:{lineno}: malformed JSONL line: {exc}") from exc
-                warn(f"{part}:{lineno}: skipping malformed line")
-                continue
-            records.append(rec)
+            if strict:
+                raise TraceError(f"{path}:{lineno}: malformed JSONL line: {exc}") from exc
+            warn(f"{path}:{lineno}: skipping malformed line")
+            continue
+        records.append(rec)
 
     if records and records[0].get("kind") == "run":
         return events_from_journal(records)

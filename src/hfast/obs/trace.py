@@ -5,6 +5,10 @@ decorator. Each finished span is emitted as one structured JSONL event
 (stage name, wall time, peak RSS, nesting ids, custom attributes) to a
 pluggable sink. When the tracer is disabled, ``span()`` returns a shared
 no-op context manager, so instrumented hot paths cost almost nothing.
+
+:class:`JsonlSink` appends to one file per run and never rotates it;
+size-based rotation belongs to the structured log
+(:class:`hfast.obs.logs.RotatingJsonlWriter`), which outlives a run.
 """
 
 from __future__ import annotations
@@ -69,57 +73,24 @@ class JsonlSink:
     buffer, and ``flush()``/``close()`` push them out. A per-event flush
     costs a syscall per span — measurable on traces with thousands of
     events — and the only consumer that needs bytes promptly (the live
-    streaming path) calls ``flush()`` itself.
-
-    ``max_bytes`` turns on size-based rollover for owned file targets:
-    when the next event would push the file past the cap, the file
-    shifts to ``<path>.1`` (older siblings to ``.2``, ``.3``, ... up to
-    ``max_files``) and a fresh file is opened. Rollover happens between
-    whole lines, so every file in the chain is independently valid JSONL
-    and the analytics loader can stitch the chain back together.
+    streaming path) calls ``flush()`` itself. A trace file is never
+    rotated: it grows for the one run that writes it.
     """
 
-    def __init__(
-        self,
-        target: str | os.PathLike | io.TextIOBase,
-        max_bytes: int | None = None,
-        max_files: int = 5,
-    ):
-        self._max_bytes = max_bytes
-        self._max_files = max(1, int(max_files))
+    def __init__(self, target: str | os.PathLike | io.TextIOBase):
         if isinstance(target, (str, os.PathLike)):
-            self._path: str | None = os.fspath(target)
-            parent = os.path.dirname(self._path)
+            path = os.fspath(target)
+            parent = os.path.dirname(path)
             if parent:
                 os.makedirs(parent, exist_ok=True)
-            self._fh: io.TextIOBase = open(self._path, "a", encoding="utf-8")
+            self._fh: io.TextIOBase = open(path, "a", encoding="utf-8")
             self._owns = True
-            self._size = os.path.getsize(self._path)
         else:
-            self._path = None
             self._fh = target
             self._owns = False
-            self._size = 0
 
     def emit(self, event: dict[str, Any]) -> None:
-        line = json.dumps(event, sort_keys=True) + "\n"
-        if self._max_bytes is not None and self._path is not None:
-            nbytes = len(line.encode("utf-8"))
-            if self._size > 0 and self._size + nbytes > self._max_bytes:
-                self._rotate()
-            self._size += nbytes
-        self._fh.write(line)
-
-    def _rotate(self) -> None:
-        # Local import: logs.py does not import trace, so no cycle.
-        from hfast.obs.logs import rotate_siblings
-
-        self._fh.flush()
-        self._fh.close()
-        assert self._path is not None
-        rotate_siblings(self._path, self._max_files)
-        self._fh = open(self._path, "a", encoding="utf-8")
-        self._size = 0
+        self._fh.write(json.dumps(event, sort_keys=True) + "\n")
 
     def flush(self) -> None:
         self._fh.flush()

@@ -225,9 +225,6 @@ def analyze_app(
             trace = synthesize(app, nranks, overrides, timing_seed=timing_seed)
             if store:
                 cache.store(trace)
-        # Cache entries load with their batch; only a legacy JSON document
-        # loads as a record list, columnarized here so it runs the same
-        # vectorized reductions.
         batch = trace.ensure_batch()
         cm = reduce_matrix(batch, trace.nranks)
         topo = analyze_topology(cm)
@@ -237,7 +234,7 @@ def analyze_app(
         local_buckets = _observe_sizes(batch, app, obs)
         latency_buckets = _observe_latencies(batch, app, obs)
         if obs.enabled:
-            for call, total in trace.call_totals.items():
+            for call, total in batch.call_totals.items():
                 obs.metrics.counter(f"calls.{call}").inc(total)
             obs.metrics.counter("pipeline.bytes_total").inc(cm.total_bytes)
             obs.metrics.counter("pipeline.messages_total").inc(cm.total_messages)
@@ -256,7 +253,7 @@ def analyze_app(
             "app": app,
             "nranks": nranks,
             "overrides": dict(overrides or {}),
-            "call_totals": trace.call_totals,
+            "call_totals": batch.call_totals,
             "total_bytes": cm.total_bytes,
             "total_messages": cm.total_messages,
             "nonzero_links": cm.nonzero_links(),

@@ -1,28 +1,24 @@
 """Trace record model.
 
-A trace is a list of aggregated per-rank MPI call records, the same shape
+A trace is a set of aggregated per-rank MPI call records, the same shape
 IPM emits after reduction: one record per distinct
 (rank, call, message size, peer, region) tuple with a repeat count and
 timing aggregates.
 
-Two representations coexist:
-
-- :class:`CommRecord` — one Python object per aggregated record; what
-  legacy JSON cache documents load as.
-- :class:`RecordBatch` — a columnar struct-of-arrays view, what the
-  synthesizers build and the repro-cache stores, where a 1K–4K-rank
-  all-to-all would otherwise mean tens of millions of Python objects.
+Records live in one representation, :class:`RecordBatch`: a columnar
+struct-of-arrays view that the synthesizers build, the repro-cache
+stores and loads, and the legacy JSON reader fills one column at a time.
+A 1K–4K-rank all-to-all is tens of millions of records, so there is no
+per-record object; the record-by-record reference the columns were
+proven equal to lives with the differential tests.
 
 Records are kept in one canonical order (sorted by
 (rank, call, size, peer, region)): :meth:`RecordBatch.aggregate` sorts a
-batch into it, and a legacy document loaded back as records is
-columnarized in it (:meth:`RecordBatch.from_records`), so the analysis
-sees the same columns either way.
+batch into it, and cache entries and documents store it.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import Any, Iterable
 
 import numpy as np
@@ -60,58 +56,6 @@ COLLECTIVE_CALLS = frozenset(
 COMPLETION_CALLS = frozenset({"MPI_Wait", "MPI_Waitall", "MPI_Waitany", "MPI_Test"})
 
 
-@dataclass
-class CommRecord:
-    """One aggregated IPM-style call record."""
-
-    rank: int
-    call: str
-    size: int
-    peer: int
-    region: str = "steady"
-    count: int = 1
-    total_time: float = 0.0
-    min_time: float = 0.0
-    max_time: float = 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "CommRecord":
-        return cls(
-            rank=int(d["rank"]),
-            call=str(d["call"]),
-            size=int(d["size"]),
-            peer=int(d["peer"]),
-            region=str(d.get("region", "steady")),
-            count=int(d.get("count", 1)),
-            total_time=float(d.get("total_time", 0.0)),
-            min_time=float(d.get("min_time", 0.0)),
-            max_time=float(d.get("max_time", 0.0)),
-        )
-
-    @property
-    def bytes_moved(self) -> int:
-        return self.size * self.count
-
-    @property
-    def is_ptp(self) -> bool:
-        return self.call in PTP_CALLS
-
-    @property
-    def is_send(self) -> bool:
-        return self.call in SEND_CALLS
-
-    @property
-    def is_recv(self) -> bool:
-        return self.call in RECV_CALLS
-
-    @property
-    def is_collective(self) -> bool:
-        return self.call in COLLECTIVE_CALLS
-
-
 class RecordBatch:
     """Columnar (struct-of-arrays) view of aggregated call records.
 
@@ -134,6 +78,7 @@ class RecordBatch:
         "total_time",
         "min_time",
         "max_time",
+        "_call_totals",
     )
 
     def __init__(
@@ -158,6 +103,7 @@ class RecordBatch:
         self.total_time: np.ndarray | None = None
         self.min_time: np.ndarray | None = None
         self.max_time: np.ndarray | None = None
+        self._call_totals: dict[str, int] | None = None
 
     def __len__(self) -> int:
         return int(self.rank.shape[0])
@@ -178,36 +124,6 @@ class RecordBatch:
         self.total_time = total
         self.min_time = tmin
         self.max_time = tmax
-
-    @classmethod
-    def from_records(cls, records: list["CommRecord"]) -> "RecordBatch":
-        """Columnarize an already-canonical record list (timing included).
-
-        Used when a legacy JSON cache document loads back as record
-        dicts: analysis paths then run the same vectorized code — and
-        produce the same float64 reductions — as a freshly synthesized
-        batch. Records must share one region (all cache documents do).
-        """
-        regions = {r.region for r in records}
-        if len(regions) > 1:
-            raise ValueError(f"from_records needs a single region, got {sorted(regions)}")
-        calls = tuple(sorted({r.call for r in records}))
-        code_of = {c: i for i, c in enumerate(calls)}
-        batch = cls(
-            rank=np.array([r.rank for r in records], dtype=np.int64),
-            call_code=np.array([code_of[r.call] for r in records], dtype=np.int16),
-            size=np.array([r.size for r in records], dtype=np.int64),
-            peer=np.array([r.peer for r in records], dtype=np.int64),
-            count=np.array([r.count for r in records], dtype=np.int64),
-            calls=calls,
-            region=next(iter(regions)) if records else "steady",
-        )
-        batch.set_times(
-            np.array([r.total_time for r in records], dtype=np.float64),
-            np.array([r.min_time for r in records], dtype=np.float64),
-            np.array([r.max_time for r in records], dtype=np.float64),
-        )
-        return batch
 
     @classmethod
     def from_parts(
@@ -340,108 +256,38 @@ class RecordBatch:
     @property
     def call_totals(self) -> dict[str, int]:
         """The per-call sum of ``count`` over calls with any, as one exact
-        int64 pass."""
+        int64 pass, summed on first use: nothing changes a batch's
+        ``count`` or calls after construction."""
+        if self._call_totals is None:
+            self._call_totals = self._sum_calls()
+        return dict(self._call_totals)
+
+    def _sum_calls(self) -> dict[str, int]:
         totals = np.zeros(len(self.calls), dtype=np.int64)
         np.add.at(totals, self.call_code, self.count.astype(np.int64, copy=False))
         return {call: t for call, t in zip(self.calls, totals.tolist()) if t}
 
-    def to_records(self) -> list[CommRecord]:
-        if self.has_times:
-            times = (self.total_time, self.min_time, self.max_time)
-            totals, mins, maxs = (c.tolist() for c in times)
-        else:
-            totals = mins = maxs = [0.0] * len(self)
-        return [
-            CommRecord(
-                rank=r,
-                call=self.calls[c],
-                size=s,
-                peer=p,
-                region=self.region,
-                count=n,
-                total_time=tt,
-                min_time=tn,
-                max_time=tx,
-            )
-            for r, c, s, p, n, tt, tn, tx in zip(
-                self.rank.tolist(),
-                self.call_code.tolist(),
-                self.size.tolist(),
-                self.peer.tolist(),
-                self.count.tolist(),
-                totals,
-                mins,
-                maxs,
-            )
-        ]
-
 
 class Trace:
-    """A complete synthetic (or cached) application trace.
-
-    Holds either a materialized record list, a columnar batch, or both;
-    ``records`` materializes lazily from the batch so vectorized analysis
-    paths never pay for millions of per-record Python objects.
-    """
+    """A complete synthetic (or cached) application trace: one
+    :class:`RecordBatch` plus the cell it belongs to."""
 
     def __init__(
         self,
         app: str,
         nranks: int,
-        records: list[CommRecord] | None = None,
+        batch: RecordBatch,
         overrides: dict[str, Any] | None = None,
-        batch: RecordBatch | None = None,
         timing: dict[str, Any] | None = None,
     ):
-        if records is None and batch is None:
-            raise ValueError("Trace needs records or a batch")
         self.app = app
         self.nranks = nranks
-        self.overrides = dict(overrides or {})
         self.batch = batch
-        self._records = records
+        self.overrides = dict(overrides or {})
         # Timing-model descriptor ({"model", "seed", "params"}) once a
         # hfast.timing model has been applied; None on untimed traces.
         self.timing = dict(timing) if timing else None
 
-    @property
-    def records(self) -> list[CommRecord]:
-        if self._records is None:
-            assert self.batch is not None
-            self._records = self.batch.to_records()
-        return self._records
-
     def ensure_batch(self) -> RecordBatch:
-        """Columnarize the record list if no batch exists yet.
-
-        Returns the batch, so analysis paths run vectorized — with
-        identical reductions — whether the trace was freshly synthesized,
-        loaded from a cache entry (which carries its batch) or loaded from
-        a legacy JSON document (a record list). A multi-region record
-        list raises ``ValueError``; the cache validator rejects such
-        documents.
-        """
-        if self.batch is None:
-            self.batch = RecordBatch.from_records(self._records)
+        """The trace's batch (every trace holds one)."""
         return self.batch
-
-    @property
-    def call_totals(self) -> dict[str, int]:
-        if self.batch is not None:
-            return self.batch.call_totals
-        totals: dict[str, int] = {}
-        for r in self.records:
-            totals[r.call] = totals.get(r.call, 0) + r.count
-        return dict(sorted(totals.items()))
-
-    @classmethod
-    def from_document(cls, doc: dict[str, Any]) -> "Trace":
-        """Rebuild a trace from a legacy format-2/3 JSON cache document."""
-        meta = doc["metadata"]
-        return cls(
-            app=str(meta["app"]),
-            nranks=int(meta["nranks"]),
-            overrides=dict(meta.get("overrides", {})),
-            records=[CommRecord.from_dict(r) for r in doc["records"]],
-            timing=meta.get("timing"),
-        )

@@ -16,11 +16,11 @@ fully deterministic jitter:
 - with ``count > 1`` repeats, ``min_time``/``max_time`` spread around the
   mean using two more hash streams; with ``count == 1`` they equal it.
 
-The per-record path (:meth:`TimingModel.time_record`, taken by traces
-loaded back from record-list cache documents) and the columnar path
-(:meth:`TimingModel.time_batch`) evaluate the exact same IEEE-754 double
-expressions, so a trace gets bit-identical times whichever representation
-it holds.
+:meth:`TimingModel.time_batch` times a whole :class:`RecordBatch` at
+once, whether the batch was synthesized, loaded from a cache entry or
+read from a legacy JSON document. The differential tests keep a scalar
+record-by-record evaluation of the same IEEE-754 double expressions and
+require bit-identical times from both.
 
 Every model uses the built-in ``APP_PARAMS`` unless its caller passes
 params explicitly. A ``hfast calibrate`` artifact is only ever read and
@@ -41,7 +41,6 @@ from hfast.records import (
     COLLECTIVE_CALLS,
     COMPLETION_CALLS,
     PTP_CALLS,
-    CommRecord,
     RecordBatch,
     Trace,
 )
@@ -76,9 +75,9 @@ def mix64_vec(x: np.ndarray) -> np.ndarray:
         return x ^ (x >> np.uint64(31))
 
 
-# Stable small integer per MPI call, shared by both paths. Unknown
-# calls collapse onto one reserved id — they still get deterministic
-# jitter, just a shared stream.
+# Stable small integer per MPI call, the call's part of the jitter key.
+# Unknown calls collapse onto one reserved id — they still get
+# deterministic jitter, just a shared stream.
 _CALL_IDS: dict[str, int] = {
     name: i
     for i, name in enumerate(sorted(PTP_CALLS | COLLECTIVE_CALLS | COMPLETION_CALLS))
@@ -237,41 +236,8 @@ class TimingModel:
         # Log-tree collective schedule depth.
         self._stages = float(max(1, math.ceil(math.log2(self.nranks)))) if self.nranks > 1 else 1.0
 
-    # -- scalar path -------------------------------------------------------
-
-    def _jitter_hash(self, rank: int, peer: int, call: str) -> int:
-        key = (
-            ((rank & 0xFFFFFFF) << 28)
-            ^ ((peer & 0xFFFFF) << 8)
-            ^ _CALL_IDS.get(call, _UNKNOWN_CALL_ID)
-        )
-        return mix64(self._seed_base ^ key)
-
-    def mean_call_time(self, call: str, size: int, rank: int, peer: int) -> float:
-        """Jittered mean time of one call of ``size`` bytes."""
-        p = self.params
-        wire = (p.L + p.g) + float(size) * p.G
-        stages = self._stages if call in COLLECTIVE_CALLS else 1.0
-        base = p.o * _CALL_OVERHEAD.get(call, _DEFAULT_OVERHEAD) + wire * stages
-        u = (self._jitter_hash(rank, peer, call) >> 11) * _INV_2_53
-        return base * (1.0 + p.jitter * (2.0 * u - 1.0))
-
-    def time_record(self, rec: CommRecord) -> tuple[float, float, float]:
-        """(total_time, min_time, max_time) for one aggregated record."""
-        mean = self.mean_call_time(rec.call, rec.size, rec.rank, rec.peer)
-        total = mean * float(rec.count)
-        if rec.count <= 1:
-            return total, mean, mean
-        h = self._jitter_hash(rec.rank, rec.peer, rec.call)
-        umin = (mix64(h ^ _STREAM_MIN) >> 11) * _INV_2_53
-        umax = (mix64(h ^ _STREAM_MAX) >> 11) * _INV_2_53
-        jit = self.params.jitter
-        return total, mean * (1.0 - 0.5 * jit * umin), mean * (1.0 + 0.5 * jit * umax)
-
-    # -- vector path -------------------------------------------------------
-
     def time_batch(self, batch: RecordBatch) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Columnar (total, min, max) arrays, bit-identical to the scalar path."""
+        """Columnar (total, min, max) arrays: one value per record."""
         p = self.params
         n = len(batch)
         if n == 0:
@@ -314,8 +280,6 @@ class TimingModel:
         tmax = np.where(repeated, mean * (1.0 + 0.5 * p.jitter * umax), mean)
         return total, tmin, tmax
 
-    # -- aggregates --------------------------------------------------------
-
     def compute_time(self, overrides: dict[str, Any] | None = None) -> float:
         """Per-rank compute seconds, the denominator side of %comm."""
         key, default = _STEP_KNOBS.get(self.app, ("steps", 10))
@@ -335,19 +299,10 @@ def apply_timing(
     seed: int = DEFAULT_TIMING_SEED,
     params: LogGPParams | None = None,
 ) -> Trace:
-    """Synthesize timing onto a trace in place (idempotent per seed).
-
-    Works on whichever representation the trace holds — the columnar
-    batch, the materialized record list, or both — and stamps
-    ``trace.timing`` with the model descriptor so cache documents record
-    how their times were produced.
-    """
+    """Synthesize timing onto a trace's batch in place (idempotent per
+    seed), and stamp ``trace.timing`` with the model descriptor so cache
+    entries record how their times were produced."""
     model = TimingModel(trace.app, trace.nranks, seed=seed, params=params)
-    if trace.batch is not None:
-        total, tmin, tmax = model.time_batch(trace.batch)
-        trace.batch.set_times(total, tmin, tmax)
-    if trace._records is not None:
-        for rec in trace._records:
-            rec.total_time, rec.min_time, rec.max_time = model.time_record(rec)
+    trace.batch.set_times(*model.time_batch(trace.batch))
     trace.timing = model.to_dict()
     return trace

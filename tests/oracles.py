@@ -1,16 +1,25 @@
 """Reference implementations the differential suites compare against.
 
-``hfast`` runs one synthesis path, the ``RecordBatch`` generators in
-:mod:`hfast.apps`, one matching path, :func:`hfast.matcher.match_edges`,
-and one traffic representation, the edge columns of
-:class:`hfast.matrix.CommMatrix`. This module keeps the pure-Python and
-dense implementations they were proven byte-identical to, written record
-by record, edge by edge and cell by cell so they are slow but obviously
-correct:
+``hfast`` keeps one record representation, the columns of
+:class:`hfast.records.RecordBatch`, and runs one synthesis path, the
+batch generators in :mod:`hfast.apps`, one timing path,
+:meth:`hfast.timing.TimingModel.time_batch`, one matching path,
+:func:`hfast.matcher.match_edges`, and one traffic representation, the
+edge columns of :class:`hfast.matrix.CommMatrix`. This module keeps the
+pure-Python and dense implementations they were proven byte-identical
+to, written record by record, edge by edge and cell by cell so they are
+slow but obviously correct:
 
+- :class:`CommRecord`, one Python object per aggregated record, with
+  :func:`from_records` and :func:`to_records` converting to and from the
+  :class:`hfast.records.RecordBatch` columns that are ``hfast``'s only
+  record representation;
+- :func:`time_record` — the LogGP model evaluated one record at a time
+  (:func:`mean_call_time`, :func:`jitter_hash`), the reference
+  :meth:`hfast.timing.TimingModel.time_batch` is bit-identical to;
 - :func:`synthesize` — per-record generators for the four apps, merged by
-  :func:`aggregate` into canonical record order and timed by the same
-  LogGP model;
+  :func:`aggregate` into canonical record order, timed by
+  :func:`time_record` and columnarized by :func:`from_records`;
 - :func:`to_document` — the format-3 JSON cache document writer. The
   repro-cache now stores format-5 column files and only reads JSON
   documents, which the legacy-reader tests build with it;
@@ -40,7 +49,7 @@ oracles.match_edges)``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterable
 
 import numpy as np
@@ -55,9 +64,150 @@ from hfast.interconnect import (
 )
 from hfast.matcher import DEFAULT_MAX_PASSES, canon_key, canonical_positions
 from hfast.matrix import CommMatrix
-from hfast.records import CommRecord, RecordBatch, Trace
-from hfast.timing import DEFAULT_TIMING_SEED, apply_timing
+from hfast.records import COLLECTIVE_CALLS, RECV_CALLS, SEND_CALLS, RecordBatch, Trace
+from hfast.timing import (
+    _CALL_IDS,
+    _CALL_OVERHEAD,
+    _DEFAULT_OVERHEAD,
+    _INV_2_53,
+    _STREAM_MAX,
+    _STREAM_MIN,
+    _UNKNOWN_CALL_ID,
+    DEFAULT_TIMING_SEED,
+    TimingModel,
+    mix64,
+)
 from hfast.topology import TopologyStats
+
+# -- records ------------------------------------------------------------------
+
+
+@dataclass
+class CommRecord:
+    """One aggregated IPM-style call record."""
+
+    rank: int
+    call: str
+    size: int
+    peer: int
+    region: str = "steady"
+    count: int = 1
+    total_time: float = 0.0
+    min_time: float = 0.0
+    max_time: float = 0.0
+
+    def to_dict(self) -> dict[str, Any]:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict[str, Any]) -> "CommRecord":
+        return cls(
+            rank=int(d["rank"]),
+            call=str(d["call"]),
+            size=int(d["size"]),
+            peer=int(d["peer"]),
+            region=str(d.get("region", "steady")),
+            count=int(d.get("count", 1)),
+            total_time=float(d.get("total_time", 0.0)),
+            min_time=float(d.get("min_time", 0.0)),
+            max_time=float(d.get("max_time", 0.0)),
+        )
+
+    @property
+    def bytes_moved(self) -> int:
+        return self.size * self.count
+
+    @property
+    def is_send(self) -> bool:
+        return self.call in SEND_CALLS
+
+    @property
+    def is_recv(self) -> bool:
+        return self.call in RECV_CALLS
+
+
+def from_records(records: list[CommRecord]) -> RecordBatch:
+    """Columnarize an already-canonical, single-region record list,
+    timing included: int64 columns, an int16 ``call_code`` into the
+    sorted calls table, float64 times."""
+    regions = {r.region for r in records}
+    if len(regions) > 1:
+        raise ValueError(f"from_records needs a single region, got {sorted(regions)}")
+    calls = tuple(sorted({r.call for r in records}))
+    code_of = {c: i for i, c in enumerate(calls)}
+    batch = RecordBatch(
+        rank=np.array([r.rank for r in records], dtype=np.int64),
+        call_code=np.array([code_of[r.call] for r in records], dtype=np.int16),
+        size=np.array([r.size for r in records], dtype=np.int64),
+        peer=np.array([r.peer for r in records], dtype=np.int64),
+        count=np.array([r.count for r in records], dtype=np.int64),
+        calls=calls,
+        region=next(iter(regions)) if records else "steady",
+    )
+    batch.set_times(
+        np.array([r.total_time for r in records], dtype=np.float64),
+        np.array([r.min_time for r in records], dtype=np.float64),
+        np.array([r.max_time for r in records], dtype=np.float64),
+    )
+    return batch
+
+
+def to_records(batch: RecordBatch) -> list[CommRecord]:
+    """One record per batch row; an untimed batch's times read 0.0."""
+    if batch.has_times:
+        totals, mins, maxs = (c.tolist() for c in (batch.total_time, batch.min_time, batch.max_time))
+    else:
+        totals = mins = maxs = [0.0] * len(batch)
+    return [
+        CommRecord(r, batch.calls[c], s, p, batch.region, k, tt, tn, tx)
+        for r, c, s, p, k, tt, tn, tx in zip(
+            batch.rank.tolist(), batch.call_code.tolist(), batch.size.tolist(),
+            batch.peer.tolist(), batch.count.tolist(), totals, mins, maxs,
+        )
+    ]
+
+
+# -- timing -------------------------------------------------------------------
+
+
+def jitter_hash(model: TimingModel, rank: int, peer: int, call: str) -> int:
+    key = (
+        ((rank & 0xFFFFFFF) << 28)
+        ^ ((peer & 0xFFFFF) << 8)
+        ^ _CALL_IDS.get(call, _UNKNOWN_CALL_ID)
+    )
+    return mix64(model._seed_base ^ key)
+
+
+def mean_call_time(model: TimingModel, call: str, size: int, rank: int, peer: int) -> float:
+    """Jittered mean time of one call of ``size`` bytes."""
+    p = model.params
+    wire = (p.L + p.g) + float(size) * p.G
+    stages = model._stages if call in COLLECTIVE_CALLS else 1.0
+    base = p.o * _CALL_OVERHEAD.get(call, _DEFAULT_OVERHEAD) + wire * stages
+    u = (jitter_hash(model, rank, peer, call) >> 11) * _INV_2_53
+    return base * (1.0 + p.jitter * (2.0 * u - 1.0))
+
+
+def time_record(model: TimingModel, rec: CommRecord) -> tuple[float, float, float]:
+    """The reference for one row of :meth:`hfast.timing.TimingModel.time_batch`:
+    (total_time, min_time, max_time) of one aggregated record."""
+    mean = mean_call_time(model, rec.call, rec.size, rec.rank, rec.peer)
+    total = mean * float(rec.count)
+    if rec.count <= 1:
+        return total, mean, mean
+    h = jitter_hash(model, rec.rank, rec.peer, rec.call)
+    umin = (mix64(h ^ _STREAM_MIN) >> 11) * _INV_2_53
+    umax = (mix64(h ^ _STREAM_MAX) >> 11) * _INV_2_53
+    jit = model.params.jitter
+    return total, mean * (1.0 - 0.5 * jit * umin), mean * (1.0 + 0.5 * jit * umax)
+
+
+def time_records(model: TimingModel, records: list[CommRecord]) -> None:
+    """Time each record in place, one at a time."""
+    for rec in records:
+        rec.total_time, rec.min_time, rec.max_time = time_record(model, rec)
+
 
 # -- synthesis ----------------------------------------------------------------
 
@@ -200,14 +350,17 @@ def synthesize(
     overrides: dict[str, Any] | None = None,
     timing_seed: int | None = DEFAULT_TIMING_SEED,
 ) -> Trace:
-    """The reference for :func:`hfast.apps.synthesize`: an aggregated
-    record-list trace, timed unless ``timing_seed`` is None."""
+    """The reference for :func:`hfast.apps.synthesize`: aggregated
+    records, timed one at a time unless ``timing_seed`` is None, then
+    columnarized."""
     overrides = dict(overrides or {})
     records = aggregate(GENERATORS[app](nranks, overrides))
-    trace = Trace(app=app, nranks=nranks, records=records, overrides=overrides)
+    timing = None
     if timing_seed is not None:
-        apply_timing(trace, seed=timing_seed)
-    return trace
+        model = TimingModel(app, nranks, seed=timing_seed)
+        time_records(model, records)
+        timing = model.to_dict()
+    return Trace(app, nranks, from_records(records), overrides=overrides, timing=timing)
 
 
 # -- JSON cache documents -----------------------------------------------------
@@ -215,7 +368,7 @@ def synthesize(
 
 def to_dicts(batch: RecordBatch) -> list[dict[str, Any]]:
     """Record dicts, in the field order ``CommRecord.to_dict`` uses."""
-    return [r.to_dict() for r in batch.to_records()]
+    return [r.to_dict() for r in to_records(batch)]
 
 
 def to_document(trace: Trace) -> dict[str, Any]:
@@ -233,12 +386,8 @@ def to_document(trace: Trace) -> dict[str, Any]:
             "overrides": dict(trace.overrides),
             "timing": dict(trace.timing) if trace.timing else None,
         },
-        "call_totals": trace.call_totals,
-        "records": (
-            to_dicts(trace.batch)
-            if trace.batch is not None
-            else [r.to_dict() for r in trace.records]
-        ),
+        "call_totals": trace.batch.call_totals,
+        "records": to_dicts(trace.batch),
     }
 
 
@@ -596,17 +745,15 @@ def to_planes(cm: CommMatrix) -> DenseMatrix:
     return DenseMatrix(n, planes[0], planes[1])
 
 
-def reduce_matrix(records: RecordBatch | Iterable[CommRecord], nranks: int) -> DenseMatrix:
+def reduce_matrix(batch: RecordBatch, nranks: int) -> DenseMatrix:
     """The reference for :func:`hfast.matrix.reduce_matrix`, record by
     record: send-side and receive-side planes, combined by elementwise max."""
-    if isinstance(records, RecordBatch):
-        records = records.to_records()
     send_bytes = np.zeros((nranks, nranks), dtype=np.int64)
     send_msgs = np.zeros((nranks, nranks), dtype=np.int64)
     recv_bytes = np.zeros((nranks, nranks), dtype=np.int64)
     recv_msgs = np.zeros((nranks, nranks), dtype=np.int64)
-    for r in records:
-        if not r.is_ptp or r.size <= 0 or r.rank == r.peer:
+    for r in to_records(batch):
+        if r.size <= 0 or r.rank == r.peer:
             continue
         if r.is_send:
             send_bytes[r.rank, r.peer] += r.bytes_moved

@@ -2,6 +2,8 @@ import pytest
 
 from hfast.apps import available_apps, synthesize
 from hfast.matrix import reduce_matrix
+from hfast.records import Trace
+from oracles import to_dicts, to_records
 
 
 def test_available_apps_cover_paper_suite():
@@ -18,11 +20,18 @@ def test_bad_nranks_raises():
         synthesize("cactus", 0)
 
 
+def test_a_trace_is_one_batch():
+    trace = synthesize("gtc", 4)
+    assert trace.ensure_batch() is trace.batch
+    with pytest.raises(TypeError):
+        Trace("gtc", 4)  # no batch, no trace
+
+
 @pytest.mark.parametrize("app", ["cactus", "gtc", "lbmhd", "paratec"])
 def test_deterministic(app):
     a = synthesize(app, 16)
     b = synthesize(app, 16)
-    assert [r.to_dict() for r in a.records] == [r.to_dict() for r in b.records]
+    assert to_dicts(a.batch) == to_dicts(b.batch)
 
 
 @pytest.mark.parametrize("app", ["cactus", "gtc", "lbmhd", "paratec"])
@@ -31,7 +40,7 @@ def test_send_recv_conservation(app):
     trace = synthesize(app, 16)
     sends = {}
     recvs = {}
-    for r in trace.records:
+    for r in to_records(trace.batch):
         if r.size <= 0:
             continue
         if r.is_send:
@@ -44,18 +53,18 @@ def test_send_recv_conservation(app):
 def test_overrides_scale_volume():
     small = synthesize("cactus", 8, {"steps": 4})
     big = synthesize("cactus", 8, {"steps": 12})
-    cm_small = reduce_matrix(small.records, 8)
-    cm_big = reduce_matrix(big.records, 8)
+    cm_small = reduce_matrix(small.batch, 8)
+    cm_big = reduce_matrix(big.batch, 8)
     assert cm_big.total_bytes == 3 * cm_small.total_bytes
 
 
 def test_paratec_is_all_to_all():
     trace = synthesize("paratec", 8)
-    cm = reduce_matrix(trace.records, 8)
+    cm = reduce_matrix(trace.batch, 8)
     assert cm.nonzero_links() == 8 * 7
 
 
 def test_gtc_is_ring():
     trace = synthesize("gtc", 8)
-    cm = reduce_matrix(trace.records, 8)
+    cm = reduce_matrix(trace.batch, 8)
     assert cm.nonzero_links() == 8  # each rank sends to exactly one neighbour

@@ -5,8 +5,10 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import oracles
 from hfast.apps import synthesize
 from hfast.atomic import atomic_write
 from hfast.cache import (
@@ -16,6 +18,7 @@ from hfast.cache import (
     cache_path,
     validate_document,
 )
+from hfast.timing import TimingModel
 
 
 def valid_doc(nranks=2):
@@ -101,6 +104,12 @@ class TestValidator:
         with pytest.raises(CacheValidationError, match="non-negative"):
             validate_document(doc, "f.json")
 
+    def test_rejects_boolean_nranks(self):
+        doc = valid_doc()
+        doc["metadata"]["nranks"] = True
+        with pytest.raises(CacheValidationError, match="nranks must be a positive int"):
+            validate_document(doc, "f.json")
+
     def test_rejects_out_of_range_peer(self):
         doc = valid_doc(nranks=2)
         doc["records"][0]["peer"] = 5
@@ -162,6 +171,69 @@ class TestValidator:
     def test_format2_does_not_require_timing(self):
         validate_document(valid_doc(), "x.json")  # no metadata.timing key
 
+    def test_rejects_nan_time(self, tmp_path):
+        doc = valid_doc_v3()
+        doc["records"][0]["total_time"] = float("nan")
+        assert_rejected(tmp_path, doc, r"total_time\[0\] must be non-negative, got nan")
+
+    def test_rejects_integer_beyond_64_bits(self, tmp_path):
+        doc = valid_doc()
+        doc["records"][0]["size"] = 2**64
+        assert_rejected(tmp_path, doc, r"records\[0\]\.size must be a 64-bit integer, got 18446744073709551616")
+
+    def test_rejects_non_integer_rank(self, tmp_path):
+        doc = valid_doc()
+        doc["records"][0]["rank"] = 0.5
+        assert_rejected(tmp_path, doc, r"records\[0\]\.rank must be a 64-bit integer, got 0\.5")
+
+    def test_rejects_non_string_call(self, tmp_path):
+        doc = valid_doc()
+        doc["records"][0]["call"] = 5
+        assert_rejected(tmp_path, doc, r"records\[0\]\.call must be a string, got 5")
+
+
+def assert_rejected(cache_dir, doc, match):
+    """``doc`` fails validation with ``match``, naming its path, both on
+    its own and as the legacy document of a key that ``load`` reads."""
+    with pytest.raises(CacheValidationError, match=r"^f\.json: " + match):
+        validate_document(doc, "f.json")
+    cache = ReproCache(cache_dir)
+    meta = doc["metadata"]
+    path = cache.path_for(meta["app"], meta["nranks"]).with_suffix(".json")
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CacheValidationError, match=match) as exc:
+        cache.load(meta["app"], meta["nranks"])
+    assert exc.value.path == str(path)
+    assert (cache.stats.hits, cache.stats.validation_failures) == (0, 1)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 3])
+def test_legacy_reader_matches_the_per_record_reference(repo_cache_dir, seed):
+    """Each committed document's batch, as the legacy reader builds and
+    times it, equals the reference path: record dicts to records,
+    columnarized by ``from_records`` and timed one record at a time."""
+    cache = ReproCache(repo_cache_dir, readonly=True)
+    docs = sorted(repo_cache_dir.glob("*.json"))
+    assert len(docs) == 16
+    for path in docs:
+        doc = json.loads(path.read_text())
+        meta = doc["metadata"]
+        trace = cache.load(meta["app"], meta["nranks"], meta["overrides"], timing_seed=seed)
+        assert cache.stats.entries[-1]["path"] == str(path)
+        records = [oracles.CommRecord.from_dict(d) for d in doc["records"]]
+        timing = meta.get("timing")
+        if seed is not None and (timing is None or timing["seed"] != seed):
+            model = TimingModel(meta["app"], meta["nranks"], seed=seed)
+            oracles.time_records(model, records)
+            timing = model.to_dict()
+        want, got = oracles.from_records(records), trace.batch
+        for name in ("rank", "call_code", "size", "peer", "count",
+                     "total_time", "min_time", "max_time"):
+            a, b = getattr(want, name), getattr(got, name)
+            assert (b.dtype, b.tobytes()) == (a.dtype, a.tobytes()), (path.name, name)
+        assert (got.calls, got.region) == (want.calls, want.region), path.name
+        assert trace.timing == timing, path.name
+
 
 class TestReproCache:
     def test_miss_then_store_then_hit(self, tmp_path):
@@ -172,7 +244,7 @@ class TestReproCache:
         assert path.exists()
         again = cache.load("cactus", 8)
         assert again is not None
-        assert again.call_totals == trace.call_totals
+        assert again.batch.call_totals == trace.batch.call_totals
         assert cache.stats.hits == 1
         assert cache.stats.misses == 1
         assert cache.stats.stores == 1
@@ -206,17 +278,17 @@ class TestReproCache:
         trace = cache.load("cactus", 16)
         assert trace is not None
         assert trace.nranks == 16
-        assert trace.call_totals["MPI_Isend"] == 672
+        assert trace.batch.call_totals["MPI_Isend"] == 672
 
     def test_legacy_format2_load_retimes(self, repo_cache_dir):
         """Format-2 seed documents gain deterministic timing at load."""
         cache = ReproCache(repo_cache_dir, readonly=True)
         trace = cache.load("cactus", 16, timing_seed=0)
         assert trace.timing == {"model": "loggp", "seed": 0, "params": trace.timing["params"]}
-        assert all(r.total_time > 0 for r in trace.records)
+        assert (trace.batch.total_time > 0).all()
         untimed = cache.load("cactus", 16, timing_seed=None)
         assert untimed.timing is None
-        assert all(r.total_time == 0.0 for r in untimed.records)
+        assert (untimed.batch.total_time == 0.0).all()
 
     def test_seed_mismatch_retimes_on_load(self, tmp_path):
         cache = ReproCache(tmp_path)
@@ -224,12 +296,11 @@ class TestReproCache:
         at1 = cache.load("gtc", 4, timing_seed=1)
         at2 = cache.load("gtc", 4, timing_seed=2)
         assert at1.timing["seed"] == 1 and at2.timing["seed"] == 2
-        t1 = [r.total_time for r in at1.records]
-        t2 = [r.total_time for r in at2.records]
-        assert t1 != t2
+        t1, t2 = at1.batch.total_time, at2.batch.total_time
+        assert not np.array_equal(t1, t2)
         # same seed round-trips the stored values untouched
         again = cache.load("gtc", 4, timing_seed=1)
-        assert [r.total_time for r in again.records] == t1
+        assert np.array_equal(again.batch.total_time, t1)
 
     def test_concurrent_stores_of_one_cell_stay_readable(self, tmp_path):
         """Writers racing on one cell (different timing seeds, as two

@@ -206,7 +206,7 @@ def test_entry_decodes_from_the_documented_layout(tmp_path, app, nranks, seed):
     assert (header["app"], header["nranks"], header["overrides"]) == (app, nranks, {})
     assert header["timing"] == trace.timing
     assert header["calls"] == list(trace.batch.calls)
-    assert header["call_totals"] == trace.call_totals
+    assert header["call_totals"] == trace.batch.call_totals
     names = INT_COLUMNS + (TIME_COLUMNS if seed is not None else ())
     assert [name for name, _, _ in header["columns"]] == list(names)
     pos = 8 + length

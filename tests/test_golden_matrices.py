@@ -65,7 +65,7 @@ def test_matrix_matches_golden(app, nranks):
     assert dense.msg_matrix.tolist() == golden["msg_matrix"]
     assert cm.total_bytes == golden["total_bytes"]
     assert cm.total_messages == golden["total_messages"]
-    assert trace.call_totals == golden["call_totals"]
+    assert trace.batch.call_totals == golden["call_totals"]
     assert analyze_topology(cm).max_degree == golden["max_degree"]
 
 
@@ -75,10 +75,10 @@ def test_scalar_backend_matches_golden(app, nranks):
     numbers."""
     golden = load_fixture(app, nranks)
     trace = oracles.synthesize(app, nranks)
-    cm = reduce_matrix(trace.records, nranks)
+    cm = reduce_matrix(trace.batch, nranks)
     assert oracles.to_planes(cm).bytes_matrix.tolist() == golden["bytes_matrix"]
     assert cm.total_bytes == golden["total_bytes"]
-    assert trace.call_totals == golden["call_totals"]
+    assert trace.batch.call_totals == golden["call_totals"]
 
 
 @pytest.mark.parametrize("app,nranks", CASES)
@@ -114,7 +114,7 @@ def test_format2_shim_roundtrips_to_format3(app, nranks):
         rec["total_time"] = rec["min_time"] = rec["max_time"] = 0.0
     validate_document(legacy)
 
-    loaded = Trace.from_document(legacy)
+    loaded = Trace(app, nranks, validate_document(legacy))
     assert loaded.timing is None
     apply_timing(loaded, seed=doc3["metadata"]["timing"]["seed"])
     assert json.dumps(oracles.to_document(loaded), sort_keys=True) == json.dumps(

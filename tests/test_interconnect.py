@@ -15,7 +15,6 @@ from hfast.interconnect import (
 )
 from hfast.matcher import match_edges
 from hfast.matrix import CommMatrix, reduce_matrix
-from hfast.records import CommRecord
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CASES = [(app, n) for app in ("cactus", "gtc", "lbmhd", "paratec") for n in (8, 16)]
@@ -32,8 +31,8 @@ def circuits(cm: CommMatrix, budget: int, strategy: str = "greedy") -> list[tupl
 
 
 def ring_matrix(n=8):
-    recs = [CommRecord(r, "MPI_Isend", 1000, (r + 1) % n) for r in range(n)]
-    return reduce_matrix(recs, n)
+    recs = [oracles.CommRecord(r, "MPI_Isend", 1000, (r + 1) % n) for r in range(n)]
+    return reduce_matrix(oracles.from_records(recs), n)
 
 
 def test_ring_fully_provisionable():
@@ -46,7 +45,7 @@ def test_ring_fully_provisionable():
 
 def test_budget_limits_circuits():
     # paratec all-to-all at 8 ranks: 56 links, budget 2 -> 16 circuits max
-    cm = reduce_matrix(synthesize("paratec", 8).records, 8)
+    cm = reduce_matrix(synthesize("paratec", 8).batch, 8)
     greedy = circuits(cm, 2)
     assert len(greedy) == 16
     egress = [0] * 8
@@ -58,7 +57,7 @@ def test_budget_limits_circuits():
 
 
 def test_coverage_between_zero_and_one():
-    cm = reduce_matrix(synthesize("lbmhd", 16).records, 16)
+    cm = reduce_matrix(synthesize("lbmhd", 16).batch, 16)
     ev = evaluate_hybrid(cm, InterconnectConfig(circuits_per_node=4))
     assert 0.0 < ev.coverage < 1.0
     assert ev.circuit_bytes + ev.packet_bytes == cm.total_bytes
@@ -67,20 +66,20 @@ def test_coverage_between_zero_and_one():
 
 def test_hybrid_never_slower_than_packet_only():
     for app in ("cactus", "gtc", "lbmhd", "paratec"):
-        cm = reduce_matrix(synthesize(app, 16).records, 16)
+        cm = reduce_matrix(synthesize(app, 16).batch, 16)
         ev = evaluate_hybrid(cm)
         assert ev.hybrid_time <= ev.packet_only_time
         assert ev.speedup >= 1.0
 
 
 def test_empty_matrix_is_trivially_provisionable():
-    ev = evaluate_hybrid(reduce_matrix([], 4))
+    ev = evaluate_hybrid(reduce_matrix(oracles.from_records([]), 4))
     assert ev.fully_provisionable
     assert ev.coverage == 0.0
 
 
 def test_more_circuits_more_coverage():
-    cm = reduce_matrix(synthesize("paratec", 8).records, 8)
+    cm = reduce_matrix(synthesize("paratec", 8).batch, 8)
     low = evaluate_hybrid(cm, InterconnectConfig(circuits_per_node=1))
     high = evaluate_hybrid(cm, InterconnectConfig(circuits_per_node=4))
     assert high.coverage > low.coverage
@@ -253,7 +252,7 @@ def test_reconfig_cost_discourages_switching():
 
 
 def test_temporal_empty_matrix():
-    ev = evaluate_temporal(reduce_matrix([], 4), InterconnectConfig(timesteps=4))
+    ev = evaluate_temporal(reduce_matrix(oracles.from_records([]), 4), InterconnectConfig(timesteps=4))
     assert ev.coverage == 0.0
     assert ev.n_reconfigs == 0
     assert ev.per_step == []

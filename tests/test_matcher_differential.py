@@ -81,7 +81,7 @@ def test_temporal_evaluation_identity_on_goldens(app, nranks):
 def test_identity_on_synthesized_apps(app):
     """Beyond the goldens: freshly synthesized traces at a scale the
     fixtures don't pin."""
-    cm = reduce_matrix(synthesize(app, 32).records, 32)
+    cm = reduce_matrix(synthesize(app, 32).batch, 32)
     assert_same(lambda: hybrid_doc(cm))
     assert_same(lambda: temporal_doc(cm))
 

@@ -1,7 +1,7 @@
 import numpy as np
 
 from hfast.matrix import reduce_matrix
-from hfast.records import CommRecord
+from oracles import CommRecord, from_records
 
 
 def links(cm):
@@ -11,7 +11,7 @@ def links(cm):
 
 def test_send_side_attribution():
     recs = [CommRecord(0, "MPI_Isend", 100, 1, count=2)]
-    cm = reduce_matrix(recs, 2)
+    cm = reduce_matrix(from_records(recs), 2)
     assert links(cm) == [(0, 1, 200, 2)]
 
 
@@ -23,7 +23,7 @@ def test_recv_records_fill_missing_sends_without_double_count():
         # Recv-only exchange: still lands in the matrix as (2 -> 1).
         CommRecord(1, "MPI_Irecv", 50, 2, count=1),
     ]
-    cm = reduce_matrix(recs, 3)
+    cm = reduce_matrix(from_records(recs), 3)
     assert links(cm) == [(0, 1, 200, 2), (2, 1, 50, 1)]
     assert cm.total_bytes == 250
 
@@ -34,7 +34,7 @@ def test_non_ptp_and_self_records_ignored():
         CommRecord(0, "MPI_Wait", 0, 0, count=5),
         CommRecord(1, "MPI_Isend", 64, 1, count=5),  # self-send
     ]
-    cm = reduce_matrix(recs, 2)
+    cm = reduce_matrix(from_records(recs), 2)
     assert cm.total_bytes == 0
     assert cm.total_messages == 0
     assert links(cm) == []
@@ -46,7 +46,7 @@ def test_top_peers_by_total_volume():
         CommRecord(0, "MPI_Isend", 10, 2),
         CommRecord(2, "MPI_Isend", 500, 0),
     ]
-    cm = reduce_matrix(recs, 3)
+    cm = reduce_matrix(from_records(recs), 3)
     # rank 0's heaviest partner by total (send+recv) volume is rank 1
     assert cm.top_peers(0, k=1) == [(1, 1000)]
     assert cm.top_peers(0) == [(1, 1000), (2, 510)]
@@ -54,7 +54,7 @@ def test_top_peers_by_total_volume():
 
 
 def test_matrix_dtype_and_shape():
-    cm = reduce_matrix([], 4)
+    cm = reduce_matrix(from_records([]), 4)
     for col in (cm.src, cm.dst, cm.bytes, cm.msgs):
         assert col.shape == (0,)
         assert col.dtype == np.int64
@@ -68,7 +68,7 @@ def test_top_peers_breaks_ties_by_lowest_peer():
     lower rank id comes first, however the array sort orders ties."""
     for n in (8, 64):
         recs = [CommRecord(r, "MPI_Isend", 1000, (r + 1) % n) for r in range(n)]
-        cm = reduce_matrix(recs, n)
+        cm = reduce_matrix(from_records(recs), n)
         for r in range(n):
             lo, hi = sorted(((r - 1) % n, (r + 1) % n))
             assert cm.top_peers(r, k=1) == [(lo, 1000)]

@@ -8,17 +8,13 @@ Contracts under test:
   every record; the ambient ``configure_logging``/``get_logger`` pair is
   a strict no-op until configured;
 - :func:`read_log_records` stitches the rotation chain oldest-first and
-  survives a crash-truncated final line;
-- the trace :class:`JsonlSink` shares the same rollover, and the
-  analytics loader recovers a trace that rotated mid-run (the
-  rollover-boundary recovery contract).
+  survives a crash-truncated final line.
 """
 
 import json
 
 import pytest
 
-from hfast.obs import analytics
 from hfast.obs.logs import (
     DISABLED_LOGGER,
     RotatingJsonlWriter,
@@ -30,7 +26,6 @@ from hfast.obs.logs import (
     rotate_siblings,
     rotated_paths,
 )
-from hfast.obs.trace import JsonlSink, SpanTracer
 
 
 @pytest.fixture(autouse=True)
@@ -139,65 +134,3 @@ def test_reader_level_filter(tmp_path):
     get_logger().error("broken")
     reset_logging()
     assert [r["event"] for r in read_log_records(path, level="error")] == ["broken"]
-
-
-# ---------------------------------------------------------------------------
-# Trace-sink rotation + analytics rollover-boundary recovery
-
-
-def emit_n_events(sink, n):
-    tracer = SpanTracer(sink=sink, enabled=True)
-    for i in range(n):
-        with tracer.span("cell_run", cell=f"app_p{i}"):
-            pass
-    tracer.flush()
-    tracer.close()
-
-
-def test_jsonl_sink_rotates_and_loader_stitches_the_chain(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    sink = JsonlSink(str(path), max_bytes=512, max_files=50)
-    emit_n_events(sink, 40)
-
-    parts = rotated_paths(path)
-    assert len(parts) > 1, "expected the trace to rotate"
-    # Every part holds only whole lines.
-    for part in parts:
-        for line in open(part, encoding="utf-8"):
-            json.loads(line)
-    # The loader must see every event across the whole chain, in order.
-    events = analytics.load_events(str(path))
-    spans = [e for e in events if e.get("event") == "span"]
-    assert len(spans) == 40
-    span_ids = [e["span_id"] for e in spans]
-    assert span_ids == sorted(span_ids)
-
-
-def test_loader_tolerates_truncation_only_in_final_part(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    sink = JsonlSink(str(path), max_bytes=512, max_files=50)
-    emit_n_events(sink, 40)
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write('{"event": "span", "torn": tru')  # crash mid-write
-
-    events = analytics.load_events(str(path))
-    assert len([e for e in events if e.get("event") == "span"]) == 40
-    # But a torn line in an *interior* part is real corruption.
-    interior = rotated_paths(path)[0]
-    with open(interior, "a", encoding="utf-8") as fh:
-        fh.write('{"event": "span", "torn": tru\n')
-    with pytest.raises(analytics.TraceError):
-        analytics.load_events(str(path), strict=True)
-
-
-def test_unrotated_sink_is_byte_identical_to_no_max_bytes(tmp_path):
-    """Rotation config alone must not perturb the trace bytes."""
-    plain, capped = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    for target in (plain, capped):
-        sink = JsonlSink(str(target), max_bytes=10_000_000 if target is capped else None)
-        tracer = SpanTracer(sink=sink, enabled=True)
-        for i in range(10):
-            tracer.emit_event("manifest", {"i": i, "pad": "x" * 20})
-        tracer.close()
-    assert plain.read_bytes() == capped.read_bytes()
-    assert rotated_paths(capped) == [str(capped)]

@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 import oracles
 from hfast.cache import ReproCache
@@ -166,3 +167,28 @@ def test_obs_on_metrics_bytes_for_paratec_128(tmp_path, capsys):
     assert main(["analyze", "--apps", "paratec", "--scales", "128", "--no-store",
                  "--cache-dir", str(tmp_path / "cache"), "--metrics-out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PARATEC_128_METRICS
+
+
+@pytest.mark.parametrize("profiled", [False, True])
+def test_call_totals_are_summed_once_per_cell(tmp_path, repo_cache_dir, monkeypatch, profiled):
+    """A batch sums its per-call counts once, however many of the cache
+    check, the summary and the metrics counters read them."""
+    sums = []
+    real = RecordBatch._sum_calls
+    monkeypatch.setattr(RecordBatch, "_sum_calls", lambda b: sums.append(len(b)) or real(b))
+
+    def cell(app, nranks, cache, **kw):
+        sums.clear()
+        obs = Observability(enabled=True) if profiled else Observability.disabled()
+        summary = analyze_app(app, nranks, cache, obs, **kw)
+        assert summary["call_totals"] and len(sums) == 1, (app, nranks, kw, sums)
+
+    cache = ReproCache(tmp_path)
+    cell("gtc", 16, cache, store=True)  # cold: synthesized, then stored
+    assert (cache.stats.misses, cache.stats.stores) == (1, 1)
+    cell("gtc", 16, cache, store=True)  # warm: the stored entry
+    cell("gtc", 16, cache, store=False, timing_seed=3)  # warm, re-timed
+    assert cache.stats.hits == 2
+    legacy = ReproCache(repo_cache_dir, readonly=True)
+    cell("cactus", 8, legacy, store=False)  # a legacy JSON document
+    assert legacy.stats.entries[-1]["path"].endswith(".json")

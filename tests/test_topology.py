@@ -1,12 +1,12 @@
 from hfast.apps import synthesize
 from hfast.matrix import reduce_matrix
-from hfast.records import CommRecord
 from hfast.topology import analyze_topology
+from oracles import CommRecord, from_records
 
 
 def ring_matrix(n=8):
     recs = [CommRecord(r, "MPI_Isend", 100, (r + 1) % n) for r in range(n)]
-    return reduce_matrix(recs, n)
+    return reduce_matrix(from_records(recs), n)
 
 
 def test_ring_degree_is_two():
@@ -18,7 +18,7 @@ def test_ring_degree_is_two():
 
 def test_concentration_monotonic_and_bounded():
     trace = synthesize("lbmhd", 16)
-    cm = reduce_matrix(trace.records, 16)
+    cm = reduce_matrix(trace.batch, 16)
     ts = analyze_topology(cm)
     ks = sorted(ts.concentration)
     values = [ts.concentration[k] for k in ks]
@@ -34,7 +34,7 @@ def test_ring_concentration_top2_covers_all():
 
 
 def test_empty_matrix():
-    ts = analyze_topology(reduce_matrix([], 4))
+    ts = analyze_topology(reduce_matrix(from_records([]), 4))
     assert ts.max_degree == 0
     assert all(v == 0.0 for v in ts.concentration.values())
 
