@@ -100,8 +100,7 @@ def rotate_siblings(path: str | os.PathLike, max_files: int) -> None:
     """Shift ``path`` -> ``path.1`` -> ``path.2`` ... keeping ``max_files`` siblings.
 
     The sibling at ``path.max_files`` (the oldest) is overwritten by the
-    shift; callers re-open ``path`` fresh afterwards. Shared by the log
-    writer and the trace :class:`~hfast.obs.trace.JsonlSink`.
+    shift; callers re-open ``path`` fresh afterwards.
     """
     path = os.fspath(path)
     for k in range(max(1, int(max_files)) - 1, 0, -1):
