@@ -27,26 +27,17 @@ columns and no others, in order, of one length, with allowed dtypes),
 the exact file size and the padding. One pass per column then checks
 the values: non-negative (NaN fails), ``rank`` and ``peer`` below
 ``nranks`` and ``call_code`` inside a sorted, duplicate-free calls
-table, and ``min_time <= max_time``; the header needs a timing
-descriptor with ``model`` and ``seed``, and stored ``call_totals`` equal
-to the per-call sum of ``count``. Any failure raises
-:class:`CacheValidationError` naming the path, and ``store`` runs the
-same checks before it writes.
+table, times finite and ``min_time <= max_time``; the header needs a
+timing descriptor with ``model`` and ``seed``, and stored
+``call_totals`` equal to the per-call sum of ``count``. Any failure
+raises :class:`CacheValidationError` naming the path, and ``store`` runs
+the same checks before it writes.
 
-Format 4 stored the same columns as ``.npz`` members. Such entries are
-neither read nor listed: their key misses, and the re-synthesized trace
-is stored beside them.
-
-Formats 2 and 3 were JSON documents with one object per record. They
-are read-only now: ``load`` falls back to ``{app}_p{nranks}_{key}.json``
-only when no ``.cols`` entry exists for the key (the committed seed
-corpus is such documents). :func:`validate_document` checks each
-record's fields and their types (the integer fields must fit in 64
-bits, ``call`` and ``region`` are strings, one region per document),
-builds the batch one column at a time, and checks the columns with the
-same value and ``call_totals`` checks as a format-5 entry. Format-2
-documents carry no timing; the deterministic LogGP model re-synthesizes
-it at load.
+The cache is a memo of synthesis: every entry is a trace that
+:func:`~hfast.apps.synthesize` made. Files of older formats under an
+entry's name (format 4's ``.npz``, the JSON documents of formats 2 and
+3) are neither read nor listed: their key misses, and the re-synthesized
+trace is stored beside them.
 
 Analysis results do not depend on the cache's bytes — a warm run equals
 the cold run that stored its traces — so the served result key's
@@ -60,7 +51,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, Mapping
+from typing import Any, BinaryIO, Iterable, Mapping
 
 import numpy as np
 
@@ -72,8 +63,6 @@ from hfast.timing import DEFAULT_TIMING_SEED, apply_timing
 CACHE_FORMAT = 5
 #: Suffix of a format-5 entry.
 SUFFIX = ".cols"
-#: Read-only JSON document formats (``.json`` entries).
-JSON_FORMATS = (2, 3)
 DEFAULT_CACHE_DIR = ".repro_cache"
 
 _INT_COLUMNS = ("rank", "call_code", "size", "peer", "count")
@@ -83,39 +72,6 @@ _HEADER_KEYS = ("app", "call_totals", "calls", "columns", "format", "nranks", "o
                 "region", "timing")
 #: Bytes in the header-length prefix, and the alignment of every column.
 _WORD = 8
-
-_REQUIRED_TOP_KEYS = ("format", "metadata", "call_totals", "records")
-_REQUIRED_META_KEYS = ("app", "nranks", "overrides")
-_INT_RECORD_KEYS = ("rank", "size", "peer", "count")
-
-
-def _is_int64(value: Any) -> bool:
-    # ``type``, not ``isinstance``: a JSON ``true`` is not a count.
-    return type(value) is int and -(1 << 63) <= value < 1 << 63
-
-
-def _is_str(value: Any) -> bool:
-    return isinstance(value, str)
-
-
-def _is_number(value: Any) -> bool:
-    return isinstance(value, float) or _is_int64(value)
-
-
-#: A record's required fields, in the order they are checked: what each
-#: must hold, and its test.
-_RECORD_FIELDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
-    "rank": ("a 64-bit integer", _is_int64),
-    "call": ("a string", _is_str),
-    "size": ("a 64-bit integer", _is_int64),
-    "peer": ("a 64-bit integer", _is_int64),
-    "region": ("a string", _is_str),
-    "count": ("a 64-bit integer", _is_int64),
-    "total_time": ("a number", _is_number),
-    "min_time": ("a number", _is_number),
-    "max_time": ("a number", _is_number),
-}
-
 
 class CacheValidationError(ValueError):
     """A cache entry failed validation."""
@@ -140,83 +96,8 @@ def cache_path(
     nranks: int,
     overrides: dict[str, Any] | None = None,
 ) -> Path:
-    """The format-5 entry of a key; its legacy JSON document is the same
-    path with a ``.json`` suffix."""
+    """The format-5 entry of a key."""
     return Path(cache_dir) / f"{app}_p{nranks}_{cache_key(app, nranks, overrides)}{SUFFIX}"
-
-
-def validate_document(doc: Any, path: str | os.PathLike | None = None) -> RecordBatch:
-    """Validate a legacy format-2/3 JSON document and return its batch.
-
-    Each record is checked for its fields and their types; the batch is
-    then built one column at a time, and its values go through the
-    checks a format-5 entry's columns do."""
-    if not isinstance(doc, dict):
-        raise CacheValidationError(path, f"document must be an object, got {type(doc).__name__}")
-    for key in _REQUIRED_TOP_KEYS:
-        if key not in doc:
-            raise CacheValidationError(path, f"missing required top-level key '{key}'")
-    if doc["format"] not in JSON_FORMATS:
-        raise CacheValidationError(
-            path,
-            f"unsupported format version {doc['format']!r} "
-            f"(expected one of {JSON_FORMATS})",
-        )
-    meta = doc["metadata"]
-    if not isinstance(meta, dict):
-        raise CacheValidationError(path, "'metadata' must be an object")
-    for key in _REQUIRED_META_KEYS:
-        if key not in meta:
-            raise CacheValidationError(path, f"metadata missing required key '{key}'")
-    if doc["format"] >= 3:
-        if "timing" not in meta:
-            raise CacheValidationError(path, "format-3 metadata missing required key 'timing'")
-        timing = meta["timing"]
-        if timing is not None:
-            if not isinstance(timing, dict):
-                raise CacheValidationError(path, "metadata.timing must be an object or null")
-            for key in ("model", "seed"):
-                if key not in timing:
-                    raise CacheValidationError(
-                        path, f"metadata.timing missing required key '{key}'"
-                    )
-    nranks = meta["nranks"]
-    if not isinstance(nranks, int) or isinstance(nranks, bool) or nranks <= 0:
-        raise CacheValidationError(path, f"metadata.nranks must be a positive int, got {nranks!r}")
-    if not isinstance(doc["call_totals"], dict):
-        raise CacheValidationError(path, "'call_totals' must be an object")
-    records = doc["records"]
-    if not isinstance(records, list):
-        raise CacheValidationError(path, "'records' must be a list")
-    for i, rec in enumerate(records):
-        if not isinstance(rec, dict):
-            raise CacheValidationError(path, f"records[{i}] must be an object")
-        for key, (kind, ok) in _RECORD_FIELDS.items():
-            if key not in rec:
-                raise CacheValidationError(path, f"records[{i}] missing required field '{key}'")
-            if not ok(rec[key]):
-                raise CacheValidationError(
-                    path, f"records[{i}].{key} must be {kind}, got {rec[key]!r}"
-                )
-        if rec["region"] != records[0]["region"]:
-            raise CacheValidationError(
-                path,
-                f"records[{i}].region={rec['region']!r} differs from "
-                f"records[0].region={records[0]['region']!r}; a document holds one region",
-            )
-    calls = sorted({rec["call"] for rec in records})
-    code_of = {call: i for i, call in enumerate(calls)}
-    cols = {key: np.array([rec[key] for rec in records], dtype=np.int64) for key in _INT_RECORD_KEYS}
-    cols["call_code"] = np.array([code_of[rec["call"]] for rec in records], dtype=np.int16)
-    for key in _TIME_COLUMNS:
-        cols[key] = np.array([rec[key] for rec in records], dtype=np.float64)
-    _check_values(path, {"nranks": nranks, "calls": calls}, cols)
-    batch = RecordBatch(*(cols[c] for c in _INT_COLUMNS), tuple(calls),
-                        records[0]["region"] if records else "steady")
-    batch.set_times(*(cols[c] for c in _TIME_COLUMNS))
-    if batch.call_totals != doc["call_totals"]:
-        raise CacheValidationError(path, "call_totals does not match the sum of record counts")
-    return batch
 
 
 @dataclass
@@ -312,8 +193,9 @@ def _first(mask: np.ndarray) -> int:
 
 
 def _check_values(path: Path, header: dict[str, Any], cols: Mapping[str, np.ndarray]) -> None:
-    """Check the columns' values, reading each column once (``min_time``
-    twice). Only a failed check looks for the first bad row."""
+    """Check the columns' values, reading each integer column once and
+    each time column twice. Only a failed check looks for the first bad
+    row."""
     if not len(cols["rank"]):
         return
     nranks, ncalls = header["nranks"], len(header["calls"])
@@ -333,16 +215,22 @@ def _check_values(path: Path, header: dict[str, Any], cols: Mapping[str, np.ndar
                 )
             raise CacheValidationError(path, f"{name}[{i}]={col[i].item()} out of range for {what}")
     if "total_time" in cols:
-        tmin, tmax = cols["min_time"], cols["max_time"]
-        # ``not min >= 0`` also catches NaN, which compares false. With
-        # ``min_time >= 0``, ``min_time <= max_time`` bounds ``max_time``.
-        if not (cols["total_time"].min() >= 0 and tmin.min() >= 0 and (tmin <= tmax).all()):
+        total, tmin, tmax = cols["total_time"], cols["min_time"], cols["max_time"]
+        # ``not x >= 0`` and ``not x < inf`` also catch NaN, which compares
+        # false. ``0 <= min_time <= max_time < inf`` bounds both columns.
+        if not (total.min() >= 0 and total.max() < np.inf and tmin.min() >= 0
+                and tmax.max() < np.inf and (tmin <= tmax).all()):
             for name in _TIME_COLUMNS:
                 col = cols[name]
                 if not col.min() >= 0:
                     i = _first(~(col >= 0))
                     raise CacheValidationError(
                         path, f"{name}[{i}] must be non-negative, got {col[i].item()!r}"
+                    )
+                if not col.max() < np.inf:
+                    i = _first(~(col < np.inf))
+                    raise CacheValidationError(
+                        path, f"{name}[{i}] must be finite, got {col[i].item()!r}"
                     )
             i = _first(tmin > tmax)
             raise CacheValidationError(
@@ -410,18 +298,6 @@ def _write_entry(fh: BinaryIO, header: bytes, cols: Iterable[np.ndarray]) -> Non
         pos = start + col.nbytes
 
 
-def _read_document(path: Path) -> Trace:
-    """Load and validate a legacy format-2/3 JSON document."""
-    try:
-        doc = json.loads(path.read_bytes())
-    except ValueError as exc:
-        raise CacheValidationError(path, f"invalid JSON: {exc}") from exc
-    batch = validate_document(doc, path)
-    meta = doc["metadata"]
-    return Trace(str(meta["app"]), meta["nranks"], batch, overrides=meta["overrides"],
-                 timing=meta.get("timing"))
-
-
 class ReproCache:
     """Load/store traces keyed by (app, nranks, overrides)."""
 
@@ -432,7 +308,7 @@ class ReproCache:
 
     def path_for(self, app: str, nranks: int, overrides: dict[str, Any] | None = None) -> Path:
         """The key's format-5 entry: what ``store`` writes and ``load``
-        reads first."""
+        reads."""
         return cache_path(self.cache_dir, app, nranks, overrides)
 
     @profiled("cache_load")
@@ -443,17 +319,13 @@ class ReproCache:
         overrides: dict[str, Any] | None = None,
         timing_seed: int | None = DEFAULT_TIMING_SEED,
     ) -> Trace | None:
-        """Return the cached trace, or None on a miss.
+        """Return the key's cached trace, or None on a miss.
 
-        Reads the key's ``.cols`` entry, or its legacy JSON document when
-        no ``.cols`` exists. Unless ``timing_seed`` is None, the loaded
-        trace is guaranteed to carry timing at that seed: format-2
-        documents (and entries timed at a different seed) are
-        deterministically re-timed in memory.
+        Unless ``timing_seed`` is None, the loaded trace is guaranteed to
+        carry timing at that seed: an untimed entry, or one timed at a
+        different seed, is deterministically re-timed in memory.
         """
         path = self.path_for(app, nranks, overrides)
-        if not path.exists() and path.with_suffix(".json").exists():
-            path = path.with_suffix(".json")
         if not path.exists():
             self.stats.misses += 1
             self.stats.entries.append(
@@ -461,7 +333,7 @@ class ReproCache:
             )
             return None
         try:
-            trace = _read_entry(path) if path.suffix == SUFFIX else _read_document(path)
+            trace = _read_entry(path)
         except CacheValidationError:
             self.stats.validation_failures += 1
             raise
@@ -477,7 +349,7 @@ class ReproCache:
 
     @profiled("cache_store")
     def store(self, trace: Trace) -> Path:
-        """Write ``trace`` as the key's format-5 entry (never JSON)."""
+        """Write ``trace`` as the key's format-5 entry."""
         path = self.path_for(trace.app, trace.nranks, trace.overrides)
         if self.readonly:
             return path
@@ -520,11 +392,7 @@ class ReproCache:
         return path
 
     def list_entries(self) -> list[Path]:
-        """One file per key, sorted: its ``.cols`` entry, or its legacy
-        ``.json`` document when it has no ``.cols``. Format-4 ``.npz``
-        entries are not listed."""
+        """The format-5 entries, sorted."""
         if not self.cache_dir.is_dir():
             return []
-        entries = {p.stem: p for p in self.cache_dir.glob("*.json")}
-        entries.update((p.stem, p) for p in self.cache_dir.glob(f"*{SUFFIX}"))
-        return sorted(entries.values())
+        return sorted(self.cache_dir.glob(f"*{SUFFIX}"))

@@ -12,9 +12,6 @@ as search variables and the temporal evaluator as a fitness function:
   candidate evaluation is dispatched as a pipeline cell through the
   existing serial / work-stealing backends, so searches retry, journal,
   and resume exactly like analysis sweeps.
-- :mod:`hfast.dse.calibrate` — fits the LogGP ``APP_PARAMS`` compute
-  constants against the paper's %comm tables and emits a
-  provenance-stamped params artifact ``hfast apps --params`` reads.
 
 The repo throughline holds here too: the frontier artifact is a function
 of (workload, space, seed, strategy) alone — same inputs on any

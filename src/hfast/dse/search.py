@@ -59,8 +59,11 @@ from hfast.spec import RunSpec, SpecError, check_cell, check_int, content_key
 from hfast.timing import DEFAULT_TIMING_SEED, mix64
 
 #: Search/frontier document schema version; it participates in the
-#: search key, so bump it on any change to the canonical layout.
-FRONTIER_FORMAT = 2
+#: search key, so bump it on any change to the canonical layout, or to
+#: the frontier a key addresses (3: a search over a cell whose cache dir
+#: held a committed JSON seed document evaluated that document, where it
+#: now evaluates the synthesized trace).
+FRONTIER_FORMAT = 3
 FRONTIER_KIND = "hfast-dse-frontier"
 STRATEGIES = ("grid", "evolution")
 MAX_POPULATION = 4096

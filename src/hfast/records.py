@@ -6,15 +6,15 @@ IPM emits after reduction: one record per distinct
 timing aggregates.
 
 Records live in one representation, :class:`RecordBatch`: a columnar
-struct-of-arrays view that the synthesizers build, the repro-cache
-stores and loads, and the legacy JSON reader fills one column at a time.
+struct-of-arrays view that the synthesizers build and the repro-cache
+stores and loads.
 A 1K–4K-rank all-to-all is tens of millions of records, so there is no
 per-record object; the record-by-record reference the columns were
 proven equal to lives with the differential tests.
 
 Records are kept in one canonical order (sorted by
 (rank, call, size, peer, region)): :meth:`RecordBatch.aggregate` sorts a
-batch into it, and cache entries and documents store it.
+batch into it, and cache entries store it.
 """
 
 from __future__ import annotations

@@ -41,8 +41,12 @@ from hfast.timing import DEFAULT_TIMING_SEED
 #: the change cannot serve the old result under the new code (3: the
 #: ``top_peers`` tie-break became lowest peer id; 4: served jobs ran
 #: without their ``overrides`` while keying and echoing them, so format-3
-#: entries with overrides hold the results of the defaults).
-SPEC_FORMAT = 4
+#: entries with overrides hold the results of the defaults; 5:
+#: ``APP_PARAMS`` took the fitted ``compute_step_s``, which moves
+#: ``compute_time_s``, ``wall_time_s`` and ``pct_comm``, and a cell whose
+#: cache dir held a committed JSON seed document analyzed that document,
+#: where it now analyzes the synthesized trace).
+SPEC_FORMAT = 5
 
 MAX_NRANKS = 1 << 20
 MAX_TIMESTEPS = 4096

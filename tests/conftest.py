@@ -24,11 +24,6 @@ def cache_digests(cache_dir: Path) -> dict[str, str]:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in entries}
 
 
-@pytest.fixture
-def repo_cache_dir() -> Path:
-    return REPO_ROOT / ".repro_cache"
-
-
 @pytest.fixture(autouse=True)
 def reset_ambient_obs():
     """Keep the process-wide ambient observability disabled between tests."""

@@ -21,8 +21,9 @@ slow but obviously correct:
   :func:`aggregate` into canonical record order, timed by
   :func:`time_record` and columnarized by :func:`from_records`;
 - :func:`to_document` — the format-3 JSON cache document writer. The
-  repro-cache now stores format-5 column files and only reads JSON
-  documents, which the legacy-reader tests build with it;
+  repro-cache reads no JSON document; the invariant tests compare
+  documents, and the stale-document test writes one where an entry
+  belongs;
 - :func:`to_entry` and :func:`from_entry` — a format-5 entry written and
   read from the documented layout alone, with no checks, so the
   rejection tests can write entries ``hfast`` would refuse;

@@ -7,12 +7,8 @@ produces results, and the CLI exit code follows the policy: nonzero only
 when *every* cell failed or ``--strict`` was passed.
 """
 
-import json
-
 import pytest
 
-import oracles
-from hfast.apps import synthesize
 from hfast.cli import main
 from hfast.obs.profile import Observability
 from hfast.pipeline import run_pipeline
@@ -58,27 +54,6 @@ def test_failed_cell_is_surfaced_not_fatal(warm_cache, workers):
     # The re-emitted manifest event carries the failure for report builders.
     manifests = [e for e in obs.events if e["event"] == "manifest"]
     assert manifests[-1]["failed_cells"] == ["gtc_p4"]
-
-
-def test_multi_region_cache_file_fails_its_cell(warm_cache):
-    """A legacy JSON document naming two regions fails validation on load:
-    its cell fails with the validator's message and the other cell runs."""
-    (entry,) = warm_cache.glob("gtc_p4_*.cols")
-    entry.unlink()
-    path = entry.with_suffix(".json")
-    doc = oracles.to_document(synthesize("gtc", 4))
-    doc["records"][-1]["region"] = "init"
-    path.write_text(json.dumps(doc))
-    out = run_pipeline(apps=APPS, scales=SCALES, cache_dir=str(warm_cache),
-                       obs=Observability.disabled(), argv=["test"], store=False)
-    assert [r["nranks"] for r in out["results"]] == [8]
-    (bad,) = [c for c in out["manifest"]["cells"] if not c["ok"]]
-    assert bad["nranks"] == 4
-    last = len(doc["records"]) - 1
-    assert bad["error"] == (
-        f"CacheValidationError: {path}: records[{last}].region='init' differs from "
-        "records[0].region='steady'; a document holds one region"
-    )
 
 
 def test_partial_failure_exits_zero(warm_cache, capsys):

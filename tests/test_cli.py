@@ -4,14 +4,15 @@ import pytest
 
 from hfast.cli import main
 from hfast.obs.trace import read_events
+from hfast.timing import APP_PARAMS
 
 
 @pytest.fixture
-def seed_cache(repo_cache_dir):
-    return str(repo_cache_dir)
+def cache_dir(tmp_path):
+    return str(tmp_path / "cache")
 
 
-def test_analyze_profiled_produces_all_artifacts(tmp_path, seed_cache, capsys):
+def test_analyze_profiled_produces_all_artifacts(tmp_path, cache_dir, capsys):
     trace_out = tmp_path / "trace.jsonl"
     metrics_out = tmp_path / "metrics.json"
     report_dir = tmp_path / "reports"
@@ -19,7 +20,7 @@ def test_analyze_profiled_produces_all_artifacts(tmp_path, seed_cache, capsys):
     rc = main(
         [
             "analyze",
-            "--cache-dir", seed_cache,
+            "--cache-dir", cache_dir,
             "--no-store",
             "--profile",
             "--trace-out", str(trace_out),
@@ -37,7 +38,9 @@ def test_analyze_profiled_produces_all_artifacts(tmp_path, seed_cache, capsys):
 
     metrics = json.loads(metrics_out.read_text())
     assert metrics["msg_size_bytes"]["type"] == "histogram"
-    assert metrics["pipeline.apps_analyzed"]["value"] == 13
+    # A bare analyze of an empty cache runs the four apps at the default
+    # scales, 16 and 64 ranks.
+    assert metrics["pipeline.apps_analyzed"]["value"] == 8
 
     report = json.loads((report_dir / "report.json").read_text())
     assert {r["app"] for r in report["runs"]} == {"cactus", "gtc", "lbmhd", "paratec"}
@@ -51,9 +54,9 @@ def test_analyze_profiled_produces_all_artifacts(tmp_path, seed_cache, capsys):
     assert "coverage=" in out
 
 
-def test_analyze_unprofiled_writes_nothing(tmp_path, seed_cache, capsys):
+def test_analyze_unprofiled_writes_nothing(tmp_path, cache_dir, capsys):
     rc = main(
-        ["analyze", "--cache-dir", seed_cache, "--no-store", "--apps", "gtc", "--scales", "16"]
+        ["analyze", "--cache-dir", cache_dir, "--no-store", "--apps", "gtc", "--scales", "16"]
     )
     assert rc == 0
     out = capsys.readouterr().out
@@ -77,8 +80,8 @@ def test_workers_run_on_the_stealing_scheduler(tmp_path, capsys, command):
     assert "scheduler: stealing run " in capsys.readouterr().out
 
 
-def test_analyze_rejects_unknown_app(seed_cache, capsys):
-    rc = main(["analyze", "--cache-dir", seed_cache, "--apps", "nosuch"])
+def test_analyze_rejects_unknown_app(cache_dir, capsys):
+    rc = main(["analyze", "--cache-dir", cache_dir, "--apps", "nosuch"])
     assert rc == 2
     assert "unknown app" in capsys.readouterr().err
 
@@ -92,11 +95,11 @@ def test_analyze_rejects_unknown_app(seed_cache, capsys):
     ],
 )
 def test_analyze_rejects_out_of_range_interconnect_params(
-    tmp_path, seed_cache, capsys, flags, fields
+    tmp_path, cache_dir, capsys, flags, fields
 ):
     trace_out = tmp_path / "trace.jsonl"
     rc = main(
-        ["analyze", "--cache-dir", seed_cache, "--no-store", "--apps", "cactus",
+        ["analyze", "--cache-dir", cache_dir, "--no-store", "--apps", "cactus",
          "--scales", "16", "--trace-out", str(trace_out), *flags]
     )
     assert rc == 2
@@ -107,13 +110,13 @@ def test_analyze_rejects_out_of_range_interconnect_params(
     assert not trace_out.exists()  # refused before any output opened
 
 
-def test_report_from_existing_trace(tmp_path, seed_cache):
+def test_report_from_existing_trace(tmp_path, cache_dir):
     trace_out = tmp_path / "trace.jsonl"
     assert (
         main(
             [
                 "analyze",
-                "--cache-dir", seed_cache,
+                "--cache-dir", cache_dir,
                 "--no-store",
                 "--apps", "cactus",
                 "--scales", "8",
@@ -130,8 +133,21 @@ def test_report_from_existing_trace(tmp_path, seed_cache):
     assert first["runs"] == second["runs"]
 
 
-def test_apps_listing(seed_cache, capsys):
-    rc = main(["apps", "--cache-dir", seed_cache])
+def test_apps_listing(cache_dir, capsys):
+    assert main(["analyze", "--cache-dir", cache_dir, "--apps", "cactus", "--scales", "8,27"]) == 0
+    capsys.readouterr()
+    rc = main(["apps", "--cache-dir", cache_dir])
     assert rc == 0
     listing = json.loads(capsys.readouterr().out)
-    assert listing["cactus"]["cached_scales"] == [8, 16, 27, 64, 256]
+    assert listing["cactus"]["cached_scales"] == [8, 27]
+    assert listing["gtc"]["cached_scales"] == [16, 64]  # the default scales
+    assert listing["cactus"]["loggp"] == APP_PARAMS["cactus"].to_dict()
+
+
+@pytest.mark.parametrize("argv", [["calibrate"], ["apps", "--params", "params.json"]])
+def test_parser_rejects_removed_params_commands(argv, capsys):
+    """``APP_PARAMS`` is the one params table: no command fits or reads
+    another."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

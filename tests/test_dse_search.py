@@ -3,8 +3,8 @@
 The acceptance contract for the DSE subsystem: a fixed-seed search
 produces a byte-identical frontier artifact on the serial and
 work-stealing backends, and the journal-backed resume path replays
-to the same bytes. gtc @ p8 is in the repo cache, so candidate
-evaluations are warm cache hits and the differentials stay fast.
+to the same bytes. Candidates evaluate gtc @ p8, synthesized with the
+store off, so the differentials stay fast.
 """
 
 from __future__ import annotations
@@ -32,11 +32,11 @@ def _spec(**overrides):
     return SearchSpec(**kwargs)
 
 
-def _run(spec, cache_dir, tmp_path, **kwargs):
+def _run(spec, tmp_path, **kwargs):
     kwargs.setdefault("journal_dir", str(tmp_path / "journal"))
     kwargs.setdefault("store", False)
     kwargs.setdefault("bench_dir", str(tmp_path))
-    return run_search(spec, cache_dir=str(cache_dir), **kwargs)
+    return run_search(spec, cache_dir=str(tmp_path / "cache"), **kwargs)
 
 
 # -- spec validation --------------------------------------------------------
@@ -58,10 +58,10 @@ def test_spec_key_is_content_addressed():
 # -- the acceptance differential -------------------------------------------
 
 
-def test_grid_frontier_byte_identical_across_backends(repo_cache_dir, tmp_path):
+def test_grid_frontier_byte_identical_across_backends(tmp_path):
     spec = _spec()
-    serial = _run(spec, repo_cache_dir, tmp_path / "a", scheduler="static", workers=1)
-    steal = _run(spec, repo_cache_dir, tmp_path / "c", scheduler="stealing", workers=2)
+    serial = _run(spec, tmp_path / "a", scheduler="static", workers=1)
+    steal = _run(spec, tmp_path / "c", scheduler="stealing", workers=2)
 
     blob = frontier_bytes(serial["frontier"])
     assert frontier_bytes(steal["frontier"]) == blob
@@ -75,15 +75,14 @@ def test_grid_frontier_byte_identical_across_backends(repo_cache_dir, tmp_path):
     assert blob == (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
 
 
-def test_evolution_frontier_byte_identical_and_seeded(repo_cache_dir, tmp_path):
+def test_evolution_frontier_byte_identical_and_seeded(tmp_path):
     spec = _spec(strategy="evolution", seed=7, population=4, generations=2)
-    serial = _run(spec, repo_cache_dir, tmp_path / "a", scheduler="static")
-    steal = _run(spec, repo_cache_dir, tmp_path / "b", scheduler="stealing", workers=2)
+    serial = _run(spec, tmp_path / "a", scheduler="static")
+    steal = _run(spec, tmp_path / "b", scheduler="stealing", workers=2)
     assert frontier_bytes(serial["frontier"]) == frontier_bytes(steal["frontier"])
 
     other = _run(
         _spec(strategy="evolution", seed=8, population=4, generations=2),
-        repo_cache_dir,
         tmp_path / "c",
         scheduler="static",
     )
@@ -91,32 +90,32 @@ def test_evolution_frontier_byte_identical_and_seeded(repo_cache_dir, tmp_path):
     assert frontier_bytes(other["frontier"]) != frontier_bytes(serial["frontier"])
 
 
-def test_resume_replays_to_identical_bytes(repo_cache_dir, tmp_path):
+def test_resume_replays_to_identical_bytes(tmp_path):
     spec = _spec()
-    first = _run(spec, repo_cache_dir, tmp_path, scheduler="stealing")
+    first = _run(spec, tmp_path, scheduler="stealing")
     run_id = first["sched"]["run_id"]
     resumed = _run(
-        spec, repo_cache_dir, tmp_path, scheduler="stealing", resume=run_id
+        spec, tmp_path, scheduler="stealing", resume=run_id
     )
     assert resumed["sched"]["cells_from_journal"] == SPACE.size
     assert frontier_bytes(resumed["frontier"]) == frontier_bytes(first["frontier"])
 
 
-def test_resume_requires_stealing(repo_cache_dir, tmp_path):
+def test_resume_requires_stealing(tmp_path):
     with pytest.raises(ValueError):
-        _run(_spec(), repo_cache_dir, tmp_path, scheduler="static", resume="r-123")
+        _run(_spec(), tmp_path, scheduler="static", resume="r-123")
 
 
-def test_parallel_search_requires_stealing(repo_cache_dir, tmp_path):
+def test_parallel_search_requires_stealing(tmp_path):
     with pytest.raises(ValueError, match="stealing"):
-        _run(_spec(), repo_cache_dir, tmp_path, scheduler="static", workers=2)
+        _run(_spec(), tmp_path, scheduler="static", workers=2)
 
 
 # -- frontier structure -----------------------------------------------------
 
 
-def test_objectives_and_frontier_invariants(repo_cache_dir, tmp_path):
-    out = _run(_spec(), repo_cache_dir, tmp_path, scheduler="static")
+def test_objectives_and_frontier_invariants(tmp_path):
+    out = _run(_spec(), tmp_path, scheduler="static")
     doc = out["frontier"]
     names = [o["name"] for o in doc["objectives"]]
     assert names == [o.name for o in OBJECTIVES]
@@ -132,10 +131,10 @@ def test_objectives_and_frontier_invariants(repo_cache_dir, tmp_path):
     assert out["evaluations"]  # ... and live here instead
 
 
-def test_trace_carries_candidate_spans_and_frontier_event(repo_cache_dir, tmp_path):
+def test_trace_carries_candidate_spans_and_frontier_event(tmp_path):
     obs = Observability(enabled=True, keep_events=True)
     spec = _spec()
-    out = _run(spec, repo_cache_dir, tmp_path, scheduler="static", obs=obs)
+    out = _run(spec, tmp_path, scheduler="static", obs=obs)
     events = obs.events
     roots = [e for e in events if e.get("event") == "span" and e.get("name") == "dse_search"]
     assert len(roots) == 1

@@ -17,10 +17,7 @@ import pytest
 
 import oracles
 from hfast.apps import available_apps, synthesize
-from hfast.cache import validate_document
 from hfast.matrix import reduce_matrix
-from hfast.records import Trace
-from hfast.timing import apply_timing
 from hfast.topology import analyze_topology
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -91,32 +88,3 @@ def test_timing_matches_golden(app, nranks):
     assert float(np.sum(batch.total_time)) == golden["comm_time_s"]
     assert golden["comm_time_s"] > 0.0
     assert 0.0 < golden["pct_comm"] < 100.0
-
-
-@pytest.mark.parametrize("app,nranks", CASES)
-def test_format2_shim_roundtrips_to_format3(app, nranks):
-    """A legacy format-2 document re-times to the exact format-3 bytes.
-
-    Downgrading a format-3 document (strip the timing descriptor, zero the
-    per-record times) and loading it through the read shim must reproduce
-    the original format-3 serialization byte for byte — the guarantee that
-    keeps the committed format-2 seed corpus equivalent to fresh caches.
-    """
-    trace = synthesize(app, nranks)
-    doc3 = oracles.to_document(trace)
-    validate_document(doc3)
-    assert doc3["format"] == 3
-
-    legacy = json.loads(json.dumps(doc3))
-    legacy["format"] = 2
-    del legacy["metadata"]["timing"]
-    for rec in legacy["records"]:
-        rec["total_time"] = rec["min_time"] = rec["max_time"] = 0.0
-    validate_document(legacy)
-
-    loaded = Trace(app, nranks, validate_document(legacy))
-    assert loaded.timing is None
-    apply_timing(loaded, seed=doc3["metadata"]["timing"]["seed"])
-    assert json.dumps(oracles.to_document(loaded), sort_keys=True) == json.dumps(
-        doc3, sort_keys=True
-    )

@@ -1,5 +1,4 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -19,23 +18,15 @@ from hfast.pipeline import (
 from hfast.records import RecordBatch
 
 
-def test_discover_scales_from_seed_cache(repo_cache_dir):
-    cache = ReproCache(repo_cache_dir, readonly=True)
-    scales = discover_scales(cache, ["cactus", "gtc", "lbmhd", "paratec"])
-    assert scales["cactus"] == [8, 16, 27, 64, 256]
-    assert scales["gtc"] == [16, 32, 64, 256]
-    assert scales["paratec"] == [16]
-
-
 def test_discover_scales_fallback_for_uncached_app(tmp_path):
     cache = ReproCache(tmp_path)
     scales = discover_scales(cache, ["cactus"])
     assert scales["cactus"] == [16, 64]
 
 
-def test_analyze_app_emits_summary(repo_cache_dir):
+def test_analyze_app_emits_summary(tmp_path):
     obs = Observability(enabled=True)
-    cache = ReproCache(repo_cache_dir, readonly=True)
+    cache = ReproCache(tmp_path)
     summary = analyze_app("cactus", 16, cache, obs, store=False)
     assert summary["total_bytes"] > 0
     assert summary["topology"]["max_degree"] == 4
@@ -48,26 +39,31 @@ def test_analyze_app_emits_summary(repo_cache_dir):
     assert obs.metrics.histogram("msg_size_bytes").count > 0
 
 
-def test_run_pipeline_all_seed_apps(repo_cache_dir):
+def test_run_pipeline_all_apps_from_a_warm_cache(tmp_path):
+    apps = ["cactus", "gtc", "lbmhd", "paratec"]
+    scales = {app: [8, 16] for app in apps}
+    run_pipeline(apps=apps, scales=scales, cache_dir=str(tmp_path),
+                 obs=Observability.disabled(), argv=["test"])
     obs = Observability(enabled=True)
     out = run_pipeline(
-        apps=["cactus", "gtc", "lbmhd", "paratec"],
-        cache_dir=str(repo_cache_dir),
+        apps=apps,
+        scales=scales,
+        cache_dir=str(tmp_path),
         obs=obs,
         store=False,
         argv=["test"],
     )
     results = out["results"]
-    assert len(results) == 13  # one per cached (app, nranks) with default overrides
+    assert len(results) == 8  # one per (app, nranks) cell
     man = out["manifest"]
     assert man["git_sha"] != ""
-    assert man["cache"]["hits"] == 13
+    assert man["cache"]["hits"] == 8
     assert man["cache"]["misses"] == 0
     # manifest emitted first and re-emitted with cache stats at the end
     assert obs.events[0]["event"] == "manifest"
     assert obs.events[0]["cache"] is None or obs.events[0]["cache"]  # start emit
     manifests = [e for e in obs.events if e["event"] == "manifest"]
-    assert manifests[-1]["cache"]["hits"] == 13
+    assert manifests[-1]["cache"]["hits"] == 8
 
 
 def test_run_pipeline_synthesizes_and_stores_on_miss(tmp_path):
@@ -96,11 +92,11 @@ def test_run_pipeline_synthesizes_and_stores_on_miss(tmp_path):
     assert out2["results"][0]["total_bytes"] == out["results"][0]["total_bytes"]
 
 
-def test_run_pipeline_disabled_obs_produces_same_results(repo_cache_dir):
+def test_run_pipeline_disabled_obs_produces_same_results(tmp_path):
     enabled = run_pipeline(
         apps=["cactus"],
         scales={"cactus": [16]},
-        cache_dir=str(repo_cache_dir),
+        cache_dir=str(tmp_path),
         obs=Observability(enabled=True),
         store=False,
         argv=["test"],
@@ -108,7 +104,7 @@ def test_run_pipeline_disabled_obs_produces_same_results(repo_cache_dir):
     disabled = run_pipeline(
         apps=["cactus"],
         scales={"cactus": [16]},
-        cache_dir=str(repo_cache_dir),
+        cache_dir=str(tmp_path),
         obs=Observability.disabled(),
         store=False,
         argv=["test"],
@@ -170,7 +166,7 @@ def test_obs_on_metrics_bytes_for_paratec_128(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("profiled", [False, True])
-def test_call_totals_are_summed_once_per_cell(tmp_path, repo_cache_dir, monkeypatch, profiled):
+def test_call_totals_are_summed_once_per_cell(tmp_path, monkeypatch, profiled):
     """A batch sums its per-call counts once, however many of the cache
     check, the summary and the metrics counters read them."""
     sums = []
@@ -189,6 +185,3 @@ def test_call_totals_are_summed_once_per_cell(tmp_path, repo_cache_dir, monkeypa
     cell("gtc", 16, cache, store=True)  # warm: the stored entry
     cell("gtc", 16, cache, store=False, timing_seed=3)  # warm, re-timed
     assert cache.stats.hits == 2
-    legacy = ReproCache(repo_cache_dir, readonly=True)
-    cell("cactus", 8, legacy, store=False)  # a legacy JSON document
-    assert legacy.stats.entries[-1]["path"].endswith(".json")

@@ -13,7 +13,6 @@ The acceptance contract for service mode:
 """
 
 import json
-import threading
 
 import pytest
 
