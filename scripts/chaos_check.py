@@ -38,6 +38,7 @@ from hfast.cache import ReproCache  # noqa: E402
 from hfast.obs.profile import Observability  # noqa: E402
 from hfast.pipeline import run_pipeline  # noqa: E402
 from hfast.sched.faults import FAULT_ENV_VAR  # noqa: E402
+from hfast.spec import ExecOptions  # noqa: E402
 
 DEFAULT_APPS = ["cactus", "gtc", "lbmhd", "paratec"]
 
@@ -55,12 +56,11 @@ def run_sweep(
     cache_dir: Path,
     apps: list[str],
     scale: int,
-    scheduler: str = "static",
-    workers: int = 1,
     fault: str | None = None,
-    **kwargs,
+    **options,
 ) -> dict:
-    """One pipeline run; ``fault`` is set in the env only for its duration."""
+    """One pipeline run under ``options`` (:class:`~hfast.spec.ExecOptions`
+    fields); ``fault`` is set in the env only for its duration."""
     old = os.environ.get(FAULT_ENV_VAR)
     if fault is not None:
         os.environ[FAULT_ENV_VAR] = fault
@@ -73,10 +73,7 @@ def run_sweep(
             cache_dir=str(cache_dir),
             obs=Observability.disabled(),
             argv=["chaos_check"],
-            workers=workers,
-            scheduler=scheduler,
-            bench_dir=None,
-            **kwargs,
+            options=ExecOptions(bench_dir=None, **options),
         )
     finally:
         if old is None:

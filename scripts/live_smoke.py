@@ -54,6 +54,7 @@ from hfast.obs.report import build_report, write_report  # noqa: E402
 from hfast.obs.stream import EventBus  # noqa: E402
 from hfast.pipeline import run_pipeline  # noqa: E402
 from hfast.sched.faults import FAULT_ENV_VAR  # noqa: E402
+from hfast.spec import ExecOptions  # noqa: E402
 
 DEFAULT_APPS = ["cactus", "gtc", "lbmhd", "paratec"]
 
@@ -93,7 +94,7 @@ def main(argv: list[str] | None = None) -> int:
         os.environ.pop(FAULT_ENV_VAR, None)
         reference = run_pipeline(
             apps=apps, scales=scales, cache_dir=str(base / "plain"),
-            obs=ref_obs, argv=["live_smoke"], workers=1, bench_dir=None,
+            obs=ref_obs, argv=["live_smoke"], options=ExecOptions(workers=1, bench_dir=None),
         )
         print(f"plain reference: {len(reference['results'])} cells ok")
 
@@ -117,8 +118,9 @@ def main(argv: list[str] | None = None) -> int:
         try:
             live = run_pipeline(
                 apps=apps, scales=scales, cache_dir=str(base / "live"),
-                obs=obs, argv=["live_smoke"], workers=args.workers,
-                scheduler="stealing", retry_backoff=0.05, bench_dir=None, bus=bus,
+                obs=obs, argv=["live_smoke"], bus=bus,
+                options=ExecOptions(scheduler="stealing", workers=args.workers,
+                                    retry_backoff=0.05, bench_dir=None),
             )
         finally:
             view.stop()

@@ -49,7 +49,7 @@ from hfast.obs.prom import parse_prometheus  # noqa: E402
 from hfast.pipeline import run_pipeline  # noqa: E402
 from hfast.sched.faults import FAULT_ENV_VAR  # noqa: E402
 from hfast.serve.daemon import ServeConfig, ServiceThread  # noqa: E402
-from hfast.spec import RunSpec  # noqa: E402
+from hfast.spec import ExecOptions, RunSpec  # noqa: E402
 
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 #: One iteration: cactus, gtc and lbmhd read ``steps``, paratec ``fft_cycles``.
@@ -88,7 +88,7 @@ def direct_bytes(args, cache_dir: Path, overrides: dict | None = None) -> bytes:
     """The result-store bytes of the cell run directly through ``run_pipeline``."""
     direct = run_pipeline(
         apps=[args.app], scales={args.app: [args.scale]}, overrides=overrides,
-        cache_dir=str(cache_dir), argv=["serve_smoke"], bench_dir=None,
+        cache_dir=str(cache_dir), argv=["serve_smoke"], options=ExecOptions(bench_dir=None),
     )
     return (json.dumps(direct["results"][0], sort_keys=True) + "\n").encode("utf-8")
 

@@ -37,7 +37,10 @@ The cache is a memo of synthesis: every entry is a trace that
 :func:`~hfast.apps.synthesize` made. Files of older formats under an
 entry's name (format 4's ``.npz``, the JSON documents of formats 2 and
 3) are neither read nor listed: their key misses, and the re-synthesized
-trace is stored beside them.
+trace is stored beside them. A ``.cols`` entry whose header names another
+integer ``format`` misses too, and a store-on run replaces it, so a
+``CACHE_FORMAT`` bump invalidates every stored entry. A hit whose timing
+descriptor is not the model's at the requested seed is re-timed.
 
 Analysis results do not depend on the cache's bytes — a warm run equals
 the cold run that stored its traces — so the served result key's
@@ -58,7 +61,7 @@ import numpy as np
 from hfast.atomic import atomic_write
 from hfast.obs.profile import profiled
 from hfast.records import RecordBatch, Trace
-from hfast.timing import DEFAULT_TIMING_SEED, apply_timing
+from hfast.timing import DEFAULT_TIMING_SEED, TimingModel, apply_timing
 
 CACHE_FORMAT = 5
 #: Suffix of a format-5 entry.
@@ -242,9 +245,10 @@ def _align(offset: int) -> int:
     return -(-offset // _WORD) * _WORD
 
 
-def _read_entry(path: Path) -> Trace:
+def _read_entry(path: Path) -> Trace | None:
     """Load and validate a format-5 entry from one read of its file; the
-    batch's columns are views of the bytes read."""
+    batch's columns are views of the bytes read. An entry whose header
+    names another integer format is None, a miss."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -261,6 +265,9 @@ def _read_entry(path: Path) -> Trace:
         header = json.loads(raw[_WORD:pos])
     except ValueError as exc:
         raise CacheValidationError(path, f"header is not JSON: {exc}") from exc
+    fmt = header.get("format") if isinstance(header, dict) else CACHE_FORMAT
+    if isinstance(fmt, int) and not isinstance(fmt, bool) and fmt != CACHE_FORMAT:
+        return None
     table, n = _check_header(path, header)
     spans = []  # (name, dtype, end of what precedes the column, its start)
     for name, dtype in table:
@@ -319,32 +326,34 @@ class ReproCache:
         overrides: dict[str, Any] | None = None,
         timing_seed: int | None = DEFAULT_TIMING_SEED,
     ) -> Trace | None:
-        """Return the key's cached trace, or None on a miss.
+        """Return the key's cached trace, or None on a miss (no entry, or
+        one of another format).
 
         Unless ``timing_seed`` is None, the loaded trace is guaranteed to
-        carry timing at that seed: an untimed entry, or one timed at a
-        different seed, is deterministically re-timed in memory.
+        carry the timing model's times at that seed: an entry whose timing
+        descriptor differs from the model's (untimed, another seed, other
+        parameters) is deterministically re-timed in memory.
         """
         path = self.path_for(app, nranks, overrides)
-        if not path.exists():
+        try:
+            trace = _read_entry(path) if path.exists() else None
+        except CacheValidationError:
+            self.stats.validation_failures += 1
+            raise
+        if trace is None:
             self.stats.misses += 1
             self.stats.entries.append(
                 {"app": app, "nranks": nranks, "outcome": "miss", "path": str(path)}
             )
             return None
-        try:
-            trace = _read_entry(path)
-        except CacheValidationError:
-            self.stats.validation_failures += 1
-            raise
         self.stats.hits += 1
         self.stats.entries.append(
             {"app": app, "nranks": nranks, "outcome": "hit", "path": str(path)}
         )
-        if timing_seed is not None and (
-            trace.timing is None or trace.timing.get("seed") != timing_seed
-        ):
-            apply_timing(trace, seed=timing_seed)
+        if timing_seed is not None:
+            model = TimingModel(app, nranks, seed=timing_seed)
+            if trace.timing != model.to_dict():
+                apply_timing(trace, seed=timing_seed)
         return trace
 
     @profiled("cache_store")

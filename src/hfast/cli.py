@@ -105,8 +105,8 @@ from hfast.cache import DEFAULT_CACHE_DIR, CacheValidationError, ReproCache
 from hfast.obs.profile import Observability, configure
 from hfast.obs.stream import EventBus
 from hfast.obs.trace import JsonlSink
-from hfast.pipeline import SCHEDULERS, build_cells, discover_scales, run_pipeline
-from hfast.spec import InterconnectConfig, RunSpec, SpecError
+from hfast.pipeline import build_cells, discover_scales, run_pipeline
+from hfast.spec import SCHEDULERS, ExecOptions, InterconnectConfig, RunSpec, SpecError
 from hfast.timing import DEFAULT_TIMING_SEED
 
 if TYPE_CHECKING:
@@ -145,6 +145,101 @@ def _shard(value: str) -> tuple[int, int]:
     return (index, count)
 
 
+def _add_exec_flags(p: argparse.ArgumentParser, unit: str) -> None:
+    """The scheduler flags ``analyze`` and ``search`` share: one per
+    :class:`~hfast.spec.ExecOptions` field a user sets, with its default.
+    ``unit`` names what the scheduler runs (cell, candidate)."""
+    p.add_argument(
+        "--workers", type=int, default=ExecOptions.workers,
+        help=f"run {unit}s on N worker processes under the work-stealing "
+             "scheduler (default: serial, in process)",
+    )
+    p.add_argument(
+        "--scheduler", choices=SCHEDULERS, default=ExecOptions.scheduler,
+        help=f"{unit} scheduler: serial (static) or fault-tolerant work stealing; "
+             "--workers N>1 implies stealing",
+    )
+    p.add_argument(
+        "--resume", default=ExecOptions.resume, metavar="RUN_ID",
+        help="resume a prior stealing run from its journal (implies --scheduler stealing)",
+    )
+    p.add_argument(
+        "--max-retries", type=int, default=ExecOptions.max_retries,
+        help=f"stealing scheduler: retries per {unit} after the first attempt",
+    )
+    p.add_argument(
+        "--heartbeat-timeout", type=float, default=ExecOptions.heartbeat_timeout,
+        help=f"stealing scheduler: seconds of worker silence before re-dispatching its {unit}",
+    )
+    p.add_argument(
+        "--journal-dir", default=ExecOptions.journal_dir,
+        help="stealing scheduler: run-journal directory (default: <cache-dir>/.sched_journal)",
+    )
+
+
+def _scheduler(requested: str, workers: int, *implied: object) -> str:
+    """``--workers N>1``, or any set flag in ``implied`` (``--resume``,
+    ``--mitigate``), selects the stealing scheduler."""
+    return "stealing" if workers > 1 or any(implied) else requested
+
+
+def _exec_options(args: argparse.Namespace, *implied: object) -> ExecOptions:
+    """The :class:`~hfast.spec.ExecOptions` of an ``analyze`` or ``search``
+    run; ``--bench-dir`` (default: the working directory) calibrates the
+    cost model and the anomaly detector."""
+    return ExecOptions(
+        scheduler=_scheduler(args.scheduler, args.workers, args.resume, *implied),
+        workers=args.workers,
+        max_retries=args.max_retries,
+        heartbeat_timeout=args.heartbeat_timeout,
+        journal_dir=args.journal_dir,
+        resume=args.resume,
+        bench_dir=args.bench_dir or ".",
+    )
+
+
+def _observability(args: argparse.Namespace, profiling: bool) -> Observability:
+    """The process's observability: on when ``profiling``, with a JSONL
+    sink for ``--trace-out``."""
+    obs = Observability.disabled()
+    if profiling:
+        sink = JsonlSink(args.trace_out) if args.trace_out else None
+        obs = Observability(enabled=True, trace_sink=sink, keep_events=True)
+    configure(obs)
+    return obs
+
+
+def _write_report(events: list, report_dir: str | None, bench_dir: str | None) -> None:
+    """Render the report of a run's events and name the files written."""
+    from hfast.obs.report import build_report, write_report
+
+    report = build_report(events)
+    for kind, path in write_report(report, report_dir or DEFAULT_REPORT_DIR, bench_dir).items():
+        print(f"{kind}: {path}")
+
+
+def _print_sched(sched: dict) -> None:
+    """The stealing scheduler's summary of a run, if it ran one."""
+    if sched.get("backend") != "stealing":
+        return
+    print(
+        f"scheduler: stealing run {sched.get('run_id', '?')} "
+        f"(steals={sched.get('steals', 0)} retries={sched.get('retries', 0)} "
+        f"redispatches={sched.get('redispatches', 0)} "
+        f"replayed={sched.get('cells_from_journal', 0)})"
+    )
+    if sched.get("journal"):
+        print(f"journal: {sched['journal']} (resume with --resume {sched.get('run_id')})")
+    mit = sched.get("mitigation")
+    if mit:
+        print(
+            f"mitigation: {mit.get('advisories', 0)} advisories, "
+            f"{mit.get('speculative_dispatches', 0)} speculative dispatches "
+            f"({mit.get('speculation_wins', 0)} races won), "
+            f"{mit.get('reweighted_cells', 0)} cells reweighted"
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hfast",
@@ -179,11 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--reconfig-cost", type=float, default=InterconnectConfig.reconfig_cost,
         help="seconds charged per circuit reconfiguration in the temporal evaluator",
     )
-    p_an.add_argument(
-        "--workers", type=int, default=1,
-        help="run cells on N worker processes under the work-stealing "
-             "scheduler (default: serial, in process)",
-    )
+    _add_exec_flags(p_an, "cell")
     p_an.add_argument(
         "--shard", type=_shard, default=None, metavar="i/m",
         help="run only every m-th (app, scale) cell starting at i (0-based)",
@@ -191,27 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--strict", action="store_true",
         help="exit nonzero if any cell fails (default: only if all fail)",
-    )
-    p_an.add_argument(
-        "--scheduler", choices=SCHEDULERS, default="static",
-        help="cell scheduler: serial (static) or fault-tolerant work stealing; "
-             "--workers N>1 implies stealing",
-    )
-    p_an.add_argument(
-        "--resume", default=None, metavar="RUN_ID",
-        help="resume a prior stealing run from its journal (implies --scheduler stealing)",
-    )
-    p_an.add_argument(
-        "--max-retries", type=int, default=2,
-        help="stealing scheduler: retries per cell after the first attempt",
-    )
-    p_an.add_argument(
-        "--heartbeat-timeout", type=float, default=30.0,
-        help="stealing scheduler: seconds of worker silence before re-dispatching its cell",
-    )
-    p_an.add_argument(
-        "--journal-dir", default=None,
-        help="stealing scheduler: run-journal directory (default: <cache-dir>/.sched_journal)",
     )
     p_an.add_argument("--profile", action="store_true", help="enable the observability layer")
     p_an.add_argument("--trace-out", default=None, help="JSONL span/event trace path (implies --profile)")
@@ -396,32 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--timing-seed", type=int, default=DEFAULT_TIMING_SEED,
         help="seed for the deterministic LogGP timing model",
     )
-    p_se.add_argument(
-        "--workers", type=int, default=1,
-        help="evaluate candidates on N worker processes under the work-stealing "
-             "scheduler (default: serial, in process)",
-    )
-    p_se.add_argument(
-        "--scheduler", choices=SCHEDULERS, default="static",
-        help="candidate scheduler (--workers N>1 implies stealing); the frontier "
-             "artifact is byte-identical either way",
-    )
-    p_se.add_argument(
-        "--resume", default=None, metavar="RUN_ID",
-        help="resume a prior stealing search from its journal (implies --scheduler stealing)",
-    )
-    p_se.add_argument(
-        "--max-retries", type=int, default=2,
-        help="stealing scheduler: retries per candidate after the first attempt",
-    )
-    p_se.add_argument(
-        "--heartbeat-timeout", type=float, default=30.0,
-        help="stealing scheduler: seconds of worker silence before re-dispatch",
-    )
-    p_se.add_argument(
-        "--journal-dir", default=None,
-        help="stealing scheduler: run-journal directory (default: <cache-dir>/.sched_journal)",
-    )
+    _add_exec_flags(p_se, "candidate")
     p_se.add_argument(
         "--out", default=None, metavar="FRONTIER.json",
         help="write the canonical frontier artifact here (byte-identical "
@@ -525,12 +570,7 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
         or args.bench_dir or args.live or args.metrics_port is not None
         or args.slo or args.history_dir
     )
-    if profiling:
-        sink = JsonlSink(args.trace_out) if args.trace_out else None
-        obs = Observability(enabled=True, trace_sink=sink, keep_events=True)
-    else:
-        obs = Observability.disabled()
-    configure(obs)
+    obs = _observability(args, profiling)
 
     slo_engine = None
     if args.slo:
@@ -548,8 +588,7 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
 
         configure_logging(args.log_out)
 
-    parallel = args.resume or args.mitigate or args.workers > 1
-    scheduler = "stealing" if parallel else args.scheduler
+    options = _exec_options(args, args.mitigate)
 
     # Live telemetry side-channels: an event bus feeding the status view,
     # and/or a background /metrics endpoint scraping the live registry.
@@ -560,7 +599,7 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
 
         bus = EventBus()
         kwargs = {"threshold": args.anomaly_threshold} if args.anomaly_threshold else {}
-        detector = AnomalyDetector.from_bench_dir(args.bench_dir or ".", **kwargs)
+        detector = AnomalyDetector.from_bench_dir(options.bench_dir, **kwargs)
         live_view = LiveView(detector=detector)
         bus.subscribe(live_view.handle)
         live_view.start()
@@ -578,7 +617,7 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     # Only the stealing scheduler keeps a journal, so only it can fail to
     # resume one.
     resume_errors: tuple[type[Exception], ...] = ()
-    if scheduler == "stealing":
+    if options.scheduler == "stealing":
         from hfast.sched.journal import JournalError
 
         resume_errors = (JournalError,)
@@ -591,14 +630,9 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
             config=spec.config,
             store=not args.no_store,
             argv=argv,
-            workers=args.workers,
             shard=args.shard,
             timing_seed=spec.timing_seed,
-            scheduler=scheduler,
-            max_retries=args.max_retries,
-            heartbeat_timeout=args.heartbeat_timeout,
-            journal_dir=args.journal_dir,
-            resume=args.resume,
+            options=options,
             bus=bus,
             anomaly=detector,
             anomaly_threshold=args.anomaly_threshold,
@@ -635,36 +669,13 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
             f"comm={tim['pct_comm']:.1f}%"
         )
 
-    sched = out["manifest"].get("scheduler") or {}
-    if sched.get("backend") == "stealing":
-        print(
-            f"scheduler: stealing run {sched.get('run_id', '?')} "
-            f"(steals={sched.get('steals', 0)} retries={sched.get('retries', 0)} "
-            f"redispatches={sched.get('redispatches', 0)} "
-            f"replayed={sched.get('cells_from_journal', 0)})"
-        )
-        if sched.get("journal"):
-            print(f"journal: {sched['journal']} (resume with --resume {sched.get('run_id')})")
-        mit = sched.get("mitigation")
-        if mit:
-            print(
-                f"mitigation: {mit.get('advisories', 0)} advisories, "
-                f"{mit.get('speculative_dispatches', 0)} speculative dispatches "
-                f"({mit.get('speculation_wins', 0)} races won), "
-                f"{mit.get('reweighted_cells', 0)} cells reweighted"
-            )
+    _print_sched(out["manifest"].get("scheduler") or {})
 
     if profiling:
-        from hfast.obs.report import build_report, write_report
-
         if args.metrics_out:
             obs.metrics.write_json(args.metrics_out)
             print(f"metrics: {args.metrics_out}")
-        report_dir = args.report_dir or DEFAULT_REPORT_DIR
-        report = build_report(obs.events)
-        paths = write_report(report, report_dir, bench_dir=args.bench_dir)
-        for kind, path in paths.items():
-            print(f"{kind}: {path}")
+        _write_report(obs.events, args.report_dir, args.bench_dir)
         if args.trace_out:
             print(f"trace: {args.trace_out}")
     obs.close()
@@ -704,7 +715,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from hfast.obs import analytics
-    from hfast.obs.report import build_report, write_report
 
     # Tolerant loader: a trace truncated mid-line (crashed run) still
     # renders a report from everything that made it to disk.
@@ -713,10 +723,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     except analytics.TraceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = build_report(events)
-    paths = write_report(report, args.report_dir, bench_dir=args.bench_dir)
-    for kind, path in paths.items():
-        print(f"{kind}: {path}")
+    _write_report(events, args.report_dir, args.bench_dir)
     return 0
 
 
@@ -851,7 +858,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_running=args.max_running,
         queue_limit=args.queue_limit,
         workers=args.workers,
-        scheduler="stealing" if args.workers > 1 else args.job_scheduler,
+        scheduler=_scheduler(args.job_scheduler, args.workers),
         trace_out=args.trace_out,
         store=not args.no_store,
         bench_dir=args.bench_dir,
@@ -870,12 +877,7 @@ def _cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
     from hfast.sched.journal import JournalError
 
     profiling = bool(args.profile or args.trace_out or args.report_dir or args.bench_dir)
-    if profiling:
-        sink = JsonlSink(args.trace_out) if args.trace_out else None
-        obs = Observability(enabled=True, trace_sink=sink, keep_events=True)
-    else:
-        obs = Observability.disabled()
-    configure(obs)
+    obs = _observability(args, profiling)
 
     space_kwargs = {}
     if args.circuits is not None:
@@ -900,7 +902,6 @@ def _cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
             print(f"error: {err}", file=sys.stderr)
         return 2
 
-    scheduler = "stealing" if (args.resume or args.workers > 1) else args.scheduler
     try:
         out = run_search(
             spec,
@@ -908,13 +909,7 @@ def _cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
             obs=obs,
             store=not args.no_store,
             argv=argv,
-            workers=args.workers,
-            scheduler=scheduler,
-            max_retries=args.max_retries,
-            heartbeat_timeout=args.heartbeat_timeout,
-            journal_dir=args.journal_dir,
-            resume=args.resume,
-            bench_dir=args.bench_dir or ".",
+            options=_exec_options(args),
         )
     except CacheValidationError as exc:
         print(f"error: cache validation failed: {exc}", file=sys.stderr)
@@ -939,15 +934,7 @@ def _cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
             f"coverage={objs['coverage']:.3f} packet={objs['packet_bytes']:,d}B "
             f"reconf_s={objs['reconfig_s']:g} cost={objs['eval_cost']:.1f}"
         )
-    sched = out["sched"] or {}
-    if sched.get("backend") == "stealing":
-        print(
-            f"scheduler: stealing run {sched.get('run_id', '?')} "
-            f"(steals={sched.get('steals', 0)} retries={sched.get('retries', 0)} "
-            f"replayed={sched.get('cells_from_journal', 0)})"
-        )
-        if sched.get("journal"):
-            print(f"journal: {sched['journal']} (resume with --resume {sched.get('run_id')})")
+    _print_sched(out["sched"] or {})
 
     if args.out:
         with open(args.out, "wb") as fh:
@@ -955,13 +942,7 @@ def _cmd_search(args: argparse.Namespace, argv: list[str]) -> int:
         print(f"frontier: {args.out}")
 
     if profiling:
-        from hfast.obs.report import build_report, write_report
-
-        report_dir = args.report_dir or DEFAULT_REPORT_DIR
-        report = build_report(obs.events)
-        paths = write_report(report, report_dir, bench_dir=args.bench_dir)
-        for kind, path in paths.items():
-            print(f"{kind}: {path}")
+        _write_report(obs.events, args.report_dir, args.bench_dir)
         if args.trace_out:
             print(f"trace: {args.trace_out}")
     obs.close()

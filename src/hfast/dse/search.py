@@ -15,11 +15,11 @@ objectives:
 
 Each candidate evaluation is one pipeline cell: the payload of the
 workload's one-cell :class:`~hfast.spec.RunSpec` under the candidate's
-interconnect config, which :func:`hfast.pipeline.execute_cell` runs as
-it runs analysis cells. Cells dispatch through the same two backends as
-``run_pipeline`` — serial in-process, or the work-stealing scheduler for
-``workers > 1`` — so searches retry, journal, and ``resume=<run-id>``
-without any search-specific machinery. Candidate
+interconnect config, which :func:`hfast.pipeline.run_cells` runs as it
+runs analysis cells, under the same :class:`~hfast.spec.ExecOptions` —
+serial in-process, or the work-stealing scheduler for ``workers > 1`` —
+so searches retry, journal, and ``resume=<run-id>`` without any
+search-specific machinery. Candidate
 results merge in candidate-definition order, making the frontier
 artifact (`frontier_bytes`) byte-identical across backends; repeated
 trace synthesis is free after the first candidate because every
@@ -46,16 +46,9 @@ from hfast.dse.pareto import Objective, pareto_frontier, pareto_rank, sort_key
 from hfast.dse.space import Candidate, SearchSpace
 from hfast.obs.manifest import build_manifest
 from hfast.obs.profile import Observability, get_obs
-from hfast.pipeline import SCHEDULERS, execute_cell, graft_cell
+from hfast.pipeline import Cell, graft_cell, open_journal, run_cells
 from hfast.sched.cost import CostModel, estimate_candidate_cost
-from hfast.sched.journal import (
-    RunJournal,
-    build_fingerprint,
-    journal_dir_for,
-    new_run_id,
-)
-from hfast.sched.scheduler import SchedulerConfig, run_stealing
-from hfast.spec import RunSpec, SpecError, check_cell, check_int, content_key
+from hfast.spec import ExecOptions, RunSpec, SpecError, check_cell, check_int, content_key
 from hfast.timing import DEFAULT_TIMING_SEED, mix64
 
 #: Search/frontier document schema version; it participates in the
@@ -144,22 +137,12 @@ class SearchSpec:
 
 
 @dataclass(frozen=True)
-class CandidateCell:
-    """A candidate evaluation shaped like a pipeline cell.
+class CandidateCell(Cell):
+    """A candidate evaluation as a pipeline cell. Its ``index`` is unique
+    across the whole search (all generations), so one run journal covers
+    every batch."""
 
-    Carries the ``app``/``nranks``/``index`` attributes the schedulers
-    and journal key on; ``index`` is unique across the whole search
-    (all generations), so one run journal covers every batch.
-    """
-
-    app: str
-    nranks: int
-    index: int
     cand: Candidate
-
-    @property
-    def key(self) -> str:
-        return f"{self.app}_p{self.nranks}"
 
 
 def objectives_for(
@@ -193,15 +176,7 @@ def run_search(
     obs: Observability | None = None,
     store: bool = True,
     argv: list[str] | None = None,
-    workers: int = 1,
-    scheduler: str = "static",
-    max_retries: int = 2,
-    heartbeat_timeout: float = 30.0,
-    retry_backoff: float = 0.05,
-    journal_dir: str | None = None,
-    resume: str | None = None,
-    run_id: str | None = None,
-    bench_dir: str | None = ".",
+    options: ExecOptions = ExecOptions(),
 ) -> dict[str, Any]:
     """Run one design-space search; returns {frontier, manifest, ...}.
 
@@ -212,39 +187,18 @@ def run_search(
     analytic, and measured wall times live only in the side-channel
     ``evaluations`` / manifest fields.
 
-    ``scheduler="stealing"`` journals candidate completions under the
-    search's fingerprint; ``resume=<run-id>`` replays evaluated
-    candidates (across *all* generations of an evolutionary search,
-    since candidate indices are globally unique) and executes only what
-    is missing. It is also the only way to evaluate candidates in
-    parallel: ``workers > 1`` requires it, and ``static`` runs serially.
-    Each candidate runs as the one-cell :class:`~hfast.spec.RunSpec` of
-    the workload under the candidate's config (defaults elsewhere), so
-    every input a candidate reads is in the search key.
+    ``options`` decides how candidates run, as for ``run_pipeline``. The
+    stealing scheduler journals candidate completions under the search's
+    fingerprint; ``resume=<run-id>`` replays evaluated candidates (across
+    *all* generations of an evolutionary search, since candidate indices
+    are globally unique) and executes only what is missing. Each
+    candidate runs as the one-cell :class:`~hfast.spec.RunSpec` of the
+    workload under the candidate's config (defaults elsewhere), so every
+    input a candidate reads is in the search key.
     """
-    if scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler '{scheduler}' (expected one of {SCHEDULERS})")
-    if resume is not None and scheduler != "stealing":
-        raise ValueError("resume requires scheduler='stealing'")
-    if workers > 1 and scheduler != "stealing":
-        raise ValueError("workers > 1 requires scheduler='stealing'")
     obs = obs if obs is not None else get_obs()
     t_run0 = time.perf_counter()
-
-    sched_info: dict[str, Any] = {"backend": scheduler}
-    journal: RunJournal | None = None
-    if scheduler == "stealing":
-        fingerprint = build_fingerprint(spec, cache_dir, store)
-        jdir = journal_dir_for(cache_dir, journal_dir)
-        if resume is not None:
-            journal = RunJournal.load(jdir, resume)
-            journal.check_fingerprint(fingerprint)
-            run_id = resume
-        else:
-            run_id = run_id or new_run_id()
-            journal = RunJournal.create(jdir, run_id, fingerprint)
-        sched_info["run_id"] = run_id
-        sched_info["resumed"] = resume is not None
+    journal, sched_info = open_journal(spec, cache_dir, store, options)
 
     dse_provenance = {
         "search_key": spec.key,
@@ -257,13 +211,15 @@ def run_search(
         [spec.app],
         {spec.app: [spec.nranks]},
         argv=argv,
-        workers=workers,
+        workers=options.workers,
         scheduler=sched_info,
         dse=dse_provenance,
     )
     obs.tracer.emit_event("manifest", manifest)
 
-    cost_model = CostModel.from_bench_dir(bench_dir) if scheduler == "stealing" else None
+    cost_model = (
+        CostModel.from_bench_dir(options.bench_dir) if options.scheduler == "stealing" else None
+    )
 
     # Evaluation memo: candidate key -> record. A candidate re-proposed
     # by a later generation is never re-evaluated; definition order of
@@ -327,36 +283,20 @@ def run_search(
             next_index += 1
         if not cells:
             return
-        if scheduler == "stealing":
-            sched_cfg = SchedulerConfig(
-                workers=max(1, workers),
-                max_retries=max_retries,
-                heartbeat_timeout=heartbeat_timeout,
-                retry_backoff=retry_backoff,
-            )
-            raw, stats = run_stealing(
-                cells,
-                lambda cell, attempt: payload_for(cell),
-                execute_cell,
-                sched_cfg,
-                cost_model=cost_model,
-                obs=obs,
-                journal=journal,
-            )
-            raw = list(raw)
-            # Aggregate scheduler counters across generation batches;
-            # configuration-ish stats (workers, timeouts) just assign.
-            for k, v in stats.items():
-                if k in _SUM_STATS:
-                    sched_info[k] = sched_info.get(k, 0) + v
-                elif k == "max_queue_depth":
-                    sched_info[k] = max(sched_info.get(k, 0), v)
-                else:
-                    sched_info[k] = v
-            sched_info["journal"] = str(journal.path) if journal is not None else None
-        else:
-            raw = [execute_cell(payload_for(cell)) for cell in cells]
-        raw.sort(key=lambda r: r["index"])
+        raw, stats = run_cells(
+            cells, payload_for, options, journal=journal, cost_model=cost_model, obs=obs
+        )
+        # Aggregate scheduler counters across generation batches;
+        # configuration-ish stats (workers, timeouts) just assign.
+        for k, v in stats.items():
+            if k in _SUM_STATS:
+                sched_info[k] = sched_info.get(k, 0) + v
+            elif k == "max_queue_depth":
+                sched_info[k] = max(sched_info.get(k, 0), v)
+            else:
+                sched_info[k] = v
+        if journal is not None:
+            sched_info["journal"] = str(journal.path)
         for res in raw:
             merge_one(res)
 

@@ -116,7 +116,7 @@ def events_from_journal(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
     # Imported lazily: pipeline imports the obs package, and this module
     # is re-exported from it — a top-level import would be circular.
     from hfast.obs.profile import Observability
-    from hfast.pipeline import _graft_cell
+    from hfast.pipeline import cell_timing_event, graft_cell
 
     completed: dict[int, dict[str, Any]] = {}
     for rec in records:
@@ -129,22 +129,9 @@ def events_from_journal(records: list[dict[str, Any]]) -> list[dict[str, Any]]:
         rec = completed[index]
         res = dict(rec["result"])
         res.setdefault("attempts", int(rec.get("attempts", 1)))
-        _graft_cell(obs, res, root_id)
+        graft_cell(obs, res, root_id)
         if res.get("t_start") is not None:
-            obs.tracer.emit_event(
-                "cell_timing",
-                {
-                    "app": res.get("app"),
-                    "nranks": res.get("nranks"),
-                    "index": res.get("index"),
-                    "worker": res.get("worker"),
-                    "pid": res.get("pid"),
-                    "attempts": res.get("attempts", 1),
-                    "ok": bool(res.get("ok")),
-                    "t_start": res["t_start"],
-                    "t_end": res.get("t_end"),
-                },
-            )
+            obs.tracer.emit_event("cell_timing", cell_timing_event(res))
     return obs.events
 
 

@@ -4,7 +4,10 @@ What a run computes is one :class:`~hfast.spec.RunSpec`: the (app,
 nranks) *cells*, the trace overrides, the timing seed and the
 interconnect config. :func:`run_pipeline` builds it from its keywords
 before any work, so a bad input is refused up front, and sends each cell
-the spec's payload. Cells run under one of two scheduler backends:
+the spec's payload. How the cells run is one
+:class:`~hfast.spec.ExecOptions`, and :func:`run_cells` runs a batch
+under either of its two scheduler backends (design-space search runs
+its candidates through it too):
 
 - ``static`` (the default) — serial execution in this process, the
   reference every other execution must reproduce.
@@ -12,7 +15,8 @@ the spec's payload. Cells run under one of two scheduler backends:
   (:mod:`hfast.sched`), and the only way to run cells in parallel
   (``workers > 1``): a cost-ordered shared queue, per-cell retries with
   backoff, heartbeat-based detection of crashed/hung workers with
-  re-dispatch, and a run journal enabling ``resume=<run-id>``.
+  re-dispatch, and a run journal (:func:`open_journal`) enabling
+  ``resume=<run-id>``.
 
 Either way the merged output is deterministic — cell results, trace
 events, metrics, and cache statistics are stitched back together in
@@ -39,7 +43,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -54,7 +58,7 @@ from hfast.obs.metrics import log2_bucket_array
 from hfast.obs.profile import Observability, get_obs, using
 from hfast.records import SEND_CALLS, RecordBatch, Trace
 from hfast.sched.faults import inject_slow
-from hfast.spec import RunSpec
+from hfast.spec import ExecOptions, RunSpec
 from hfast.timing import DEFAULT_TIMING_SEED, TimingModel
 from hfast.topology import analyze_topology
 
@@ -69,7 +73,6 @@ if TYPE_CHECKING:
     from hfast.sched.mitigate import MitigationPolicy
 
 DEFAULT_SCALES = (16, 64)
-SCHEDULERS = ("static", "stealing")
 
 
 @dataclass(frozen=True)
@@ -321,7 +324,7 @@ def _execute_cell(payload: dict[str, Any]) -> dict[str, Any]:
     }
 
 
-def _graft_cell(
+def graft_cell(
     obs: Observability,
     res: dict[str, Any],
     root_id: int | None,
@@ -402,11 +405,26 @@ def _graft_cell(
     )
 
 
-# Public aliases: the DSE search layer dispatches candidate evaluations
-# through the exact cell harness and trace graft above, so candidates
-# inherit the worker/caching/retry semantics of analysis cells verbatim.
-execute_cell = _execute_cell
-graft_cell = _graft_cell
+def cell_timing_event(res: dict[str, Any]) -> dict[str, Any]:
+    """The ``cell_timing`` event of a cell result that carries ``t_start``.
+
+    Its wall-clock execution window, for post-hoc scheduler attribution
+    (queue wait, utilization, gantt): wall-clock-derived by construction,
+    hence outside the byte-identity contract; the analytics layer reads
+    it, the report builder ignores it. There is no "cell" key: buffered
+    events are never cell-context-stamped, and app + nranks identify it.
+    """
+    return {
+        "app": res.get("app"),
+        "nranks": res.get("nranks"),
+        "index": res.get("index"),
+        "worker": res.get("worker"),
+        "pid": res.get("pid"),
+        "attempts": res.get("attempts", 1),
+        "ok": bool(res.get("ok")),
+        "t_start": res["t_start"],
+        "t_end": res.get("t_end"),
+    }
 
 
 def _merge_cache_stats(target: CacheStats, snap: dict[str, Any]) -> None:
@@ -417,6 +435,97 @@ def _merge_cache_stats(target: CacheStats, snap: dict[str, Any]) -> None:
     target.entries.extend(snap.get("entries", []))
 
 
+def open_journal(
+    spec: Any,
+    cache_dir: str,
+    store: bool,
+    options: ExecOptions,
+    shard: tuple[int, int] | None = None,
+) -> tuple[RunJournal | None, dict[str, Any]]:
+    """The run's journal, and the manifest's ``scheduler`` section so far.
+
+    Only the stealing scheduler keeps a journal: it resumes
+    ``options.resume`` or starts a new one, fingerprinted with ``spec``
+    (a :class:`~hfast.spec.RunSpec` or a search spec) and where its
+    results land. A serial run opens nothing and imports no journal code.
+    """
+    sched_info: dict[str, Any] = {"backend": options.scheduler}
+    if options.scheduler != "stealing":
+        return None, sched_info
+    from hfast.sched.journal import RunJournal, build_fingerprint, journal_dir_for
+
+    journal = RunJournal.open(
+        journal_dir_for(cache_dir, options.journal_dir),
+        build_fingerprint(spec, cache_dir, store, shard),
+        resume=options.resume,
+        run_id=options.run_id,
+    )
+    sched_info["run_id"] = journal.run_id
+    sched_info["resumed"] = options.resume is not None
+    return journal, sched_info
+
+
+def run_cells(
+    cells: Sequence[Any],
+    payload_for: Callable[[Any], dict[str, Any]],
+    options: ExecOptions,
+    journal: RunJournal | None = None,
+    cost_model: CostModel | None = None,
+    obs: Observability | None = None,
+    bus: stream.EventBus | None = None,
+    mitigator: MitigationPolicy | None = None,
+) -> tuple[list[dict[str, Any]], dict[str, Any]]:
+    """Run a batch of cells and return their results in cell order, with
+    the scheduler's stats.
+
+    ``cells`` are ``app``/``nranks``/``index`` records, and
+    ``payload_for(cell)`` is what the cell harness runs. Under ``static``
+    the cells run serially in this process, through the same harness as
+    the stealing scheduler's workers, and the stats are empty; ``bus``
+    gets each cell's ``cell_state`` transitions. Under ``stealing`` they
+    run on :func:`~hfast.sched.scheduler.run_stealing` with ``options``'
+    worker, retry and heartbeat settings, replaying what ``journal``
+    holds.
+    """
+    if options.scheduler == "stealing":
+        from hfast.sched.scheduler import SchedulerConfig, run_stealing
+
+        config = SchedulerConfig(
+            workers=max(1, options.workers),
+            max_retries=options.max_retries,
+            heartbeat_timeout=options.heartbeat_timeout,
+            retry_backoff=options.retry_backoff,
+        )
+        return run_stealing(
+            cells,
+            lambda cell, attempt: payload_for(cell),
+            _execute_cell,
+            config,
+            cost_model=cost_model,
+            obs=obs,
+            journal=journal,
+            on_event=bus.publish if bus is not None else None,
+            mitigator=mitigator,
+        )
+    results = []
+    if bus is not None:
+        stream.set_worker_channel(bus.publish, worker_id=0)
+    try:
+        for cell in cells:
+            state = {"event": "cell_state", "cell": cell.key, "worker": 0, "attempt": 1}
+            if bus is not None:
+                bus.publish({**state, "state": "running", "stolen": False})
+            res = _execute_cell(payload_for(cell))
+            if bus is not None:
+                bus.publish({**state, "state": "done" if res["ok"] else "failed",
+                             "wall_s": res["wall_s"]})
+            results.append(res)
+    finally:
+        if bus is not None:
+            stream.clear_worker_channel()
+    return results, {}
+
+
 def run_pipeline(
     apps: list[str] | None = None,
     scales: dict[str, list[int]] | None = None,
@@ -425,26 +534,17 @@ def run_pipeline(
     config: InterconnectConfig | None = None,
     store: bool = True,
     argv: list[str] | None = None,
-    workers: int = 1,
     shard: tuple[int, int] | None = None,
     timing_seed: int = DEFAULT_TIMING_SEED,
     overrides: dict[str, Any] | None = None,
-    scheduler: str = "static",
-    max_retries: int = 2,
-    heartbeat_timeout: float = 30.0,
-    retry_backoff: float = 0.05,
-    journal_dir: str | None = None,
-    resume: str | None = None,
-    run_id: str | None = None,
+    options: ExecOptions = ExecOptions(),
     service: dict[str, Any] | None = None,
-    bench_dir: str | None = ".",
     bus: "stream.EventBus | None" = None,
     anomaly: AnomalyDetector | None = None,
     anomaly_threshold: float | None = None,
     mitigate: bool = False,
     slo: SloEngine | None = None,
     history_dir: str | None = None,
-    history_source: str = "analyze",
 ) -> dict[str, Any]:
     """Run the analysis matrix; returns {manifest, results, anomalies, slo}.
 
@@ -457,13 +557,14 @@ def run_pipeline(
     ``manifest["cells"]`` / ``manifest["failed_cells"]`` and excluded
     from ``results``.
 
-    ``scheduler="stealing"`` switches to the fault-tolerant work-stealing
-    backend, which ``workers > 1`` requires (``static`` runs serially):
-    cells are pulled largest-estimated-cost-first, transient
-    failures retry up to ``max_retries`` times with exponential backoff,
-    crashed or hung workers (``heartbeat_timeout``) have their cells
+    ``options`` (:class:`~hfast.spec.ExecOptions`) decides how the cells
+    run: serially, or on the fault-tolerant work-stealing backend, which
+    ``workers > 1`` requires. There cells are pulled
+    largest-estimated-cost-first, transient failures retry with
+    exponential backoff, crashed or hung workers have their cells
     re-dispatched, and progress is journaled so ``resume=<run-id>``
-    replays completed cells instead of re-running them. Scheduler
+    replays completed cells instead of re-running them (the serve daemon
+    pins ``run_id`` to find a journal again after a crash). Scheduler
     bookkeeping lands in ``manifest["scheduler"]``; per-cell ``attempts``
     in ``manifest["cells"]``.
 
@@ -474,13 +575,10 @@ def run_pipeline(
     without it.
 
     Completed cells are scored by an online straggler/regression detector
-    (``anomaly``, or a default calibrated from ``bench_dir`` and
+    (``anomaly``, or a default calibrated from ``options.bench_dir`` and
     ``anomaly_threshold``); flagged cells are emitted as ``anomaly``
     trace events and returned under ``"anomalies"``.
 
-    ``run_id`` pins the stealing scheduler's journal id instead of
-    generating one — callers that must find the journal again after a
-    crash (the serve daemon keys journals by job id) pass it here.
     ``service`` is provenance only: it lands in the manifest so a served
     artifact is traceable to its HTTP submission.
 
@@ -501,14 +599,8 @@ def run_pipeline(
     telemetry history as the final step — a pure side channel that
     touches no event, metric, or artifact the run produces.
     """
-    if scheduler not in SCHEDULERS:
-        raise ValueError(f"unknown scheduler '{scheduler}' (expected one of {SCHEDULERS})")
-    if resume is not None and scheduler != "stealing":
-        raise ValueError("resume requires scheduler='stealing'")
-    if mitigate and scheduler != "stealing":
-        raise ValueError("mitigate requires scheduler='stealing'")
-    if workers > 1 and scheduler != "stealing":
-        raise ValueError("workers > 1 requires scheduler='stealing'")
+    if mitigate:
+        options.require_stealing("mitigate")
     obs = obs if obs is not None else get_obs()
     cache = ReproCache(cache_dir, readonly=not store)
     apps = list(apps) if apps else available_apps()
@@ -524,22 +616,10 @@ def run_pipeline(
     if shard is not None:
         cells = shard_cells(cells, shard[0], shard[1])
 
-    sched_info: dict[str, Any] = {"backend": scheduler}
-    journal: RunJournal | None = None
-    if scheduler == "stealing":
-        from hfast.sched.journal import RunJournal, build_fingerprint, journal_dir_for, new_run_id
-
-        fingerprint = build_fingerprint(spec, cache_dir, store, shard)
-        jdir = journal_dir_for(cache_dir, journal_dir)
-        if resume is not None:
-            journal = RunJournal.load(jdir, resume)
-            journal.check_fingerprint(fingerprint)
-            run_id = resume
-        else:
-            run_id = run_id or new_run_id()
-            journal = RunJournal.create(jdir, run_id, fingerprint)
-        sched_info["run_id"] = run_id
-        sched_info["resumed"] = resume is not None
+    scheduler, workers, bench_dir = options.scheduler, options.workers, options.bench_dir
+    journal, sched_info = open_journal(spec, cache_dir, store, options, shard)
+    if journal is not None:
+        run_id = journal.run_id
     elif bus is not None:
         from hfast.sched.journal import new_run_id
 
@@ -606,72 +686,9 @@ def run_pipeline(
             ),
         )
 
-    def report_for(res: dict[str, Any]) -> dict[str, Any]:
-        return {
-            "app": res["app"],
-            "nranks": res["nranks"],
-            "ok": res["ok"],
-            "wall_s": round(res["wall_s"], 6),
-            "error": res["error"],
-            "attempts": res.get("attempts", 1),
-        }
-
-    def merge_one(res: dict[str, Any]) -> None:
-        _graft_cell(obs, res, root_id)
-        if obs.enabled and res.get("t_start") is not None:
-            # Wall-clock execution window per cell, for post-hoc scheduler
-            # attribution (queue-wait/utilization/gantt). Wall-clock-derived
-            # by construction, hence outside the byte-identity contract —
-            # the analytics layer reads it, the report builder ignores it.
-            # No "cell" key here: the live-stream tests pin that buffered
-            # events are never cell-context-stamped; app+nranks identify it.
-            obs.tracer.emit_event(
-                "cell_timing",
-                {
-                    "app": res["app"],
-                    "nranks": res["nranks"],
-                    "index": res["index"],
-                    "worker": res.get("worker"),
-                    "pid": res.get("pid"),
-                    "attempts": res.get("attempts", 1),
-                    "ok": bool(res["ok"]),
-                    "t_start": res["t_start"],
-                    "t_end": res.get("t_end"),
-                },
-            )
-        if obs.enabled:
-            obs.metrics.merge_snapshot(res["metrics"])
-        _merge_cache_stats(cache.stats, res["cache"])
-        cell_reports.append(report_for(res))
-        log.log(
-            "info" if res["ok"] else "error",
-            "cell_done",
-            cell=f"{res['app']}_p{res['nranks']}",
-            ok=bool(res["ok"]),
-            attempts=res.get("attempts", 1),
-            wall_s=round(res["wall_s"], 6),
-            error=res["error"],
-        )
-        if res["summary"] is not None:
-            results.append(res["summary"])
-        if detector is not None:
-            found = detector.observe(
-                res["app"],
-                res["nranks"],
-                res["wall_s"],
-                attempts=res.get("attempts", 1),
-                ok=bool(res["ok"]),
-            )
-            for a in found:
-                anomalies.append(a)
-                obs.tracer.emit_event("anomaly", a)
-                if bus is not None:
-                    bus.publish({"event": "anomaly", **a})
-
     cell_reports: list[dict[str, Any]] = []
     results: list[dict[str, Any]] = []
     anomalies: list[dict[str, Any]] = []
-    root_id: int | None = None
     with obs.tracer.span(
         "pipeline", napps=len(apps), ncells=len(cells), workers=workers
     ) as pipe_sp:
@@ -697,66 +714,50 @@ def run_pipeline(
                     ],
                 }
             )
-        if scheduler == "stealing":
-            from hfast.sched.scheduler import SchedulerConfig, run_stealing
-
-            sched_cfg = SchedulerConfig(
-                workers=max(1, workers),
-                max_retries=max_retries,
-                heartbeat_timeout=heartbeat_timeout,
-                retry_backoff=retry_backoff,
+        raw, stats = run_cells(
+            cells, payload_for, options, journal=journal, cost_model=cost_model, obs=obs,
+            bus=bus, mitigator=mitigator,
+        )
+        if journal is not None:
+            sched_info.update(stats, journal=str(journal.path))
+        # Merged in cell order, never completion order.
+        for res in raw:
+            graft_cell(obs, res, root_id)
+            if obs.enabled:
+                if res.get("t_start") is not None:
+                    obs.tracer.emit_event("cell_timing", cell_timing_event(res))
+                obs.metrics.merge_snapshot(res["metrics"])
+            _merge_cache_stats(cache.stats, res["cache"])
+            ok, attempts = bool(res["ok"]), res.get("attempts", 1)
+            cell_reports.append(
+                {
+                    "app": res["app"],
+                    "nranks": res["nranks"],
+                    "ok": res["ok"],
+                    "wall_s": round(res["wall_s"], 6),
+                    "error": res["error"],
+                    "attempts": attempts,
+                }
             )
-            raw, stats = run_stealing(
-                cells,
-                lambda cell, attempt: payload_for(cell),
-                _execute_cell,
-                sched_cfg,
-                cost_model=cost_model,
-                obs=obs,
-                journal=journal,
-                on_event=bus.publish if bus is not None else None,
-                mitigator=mitigator,
+            log.log(
+                "info" if ok else "error",
+                "cell_done",
+                cell=f"{res['app']}_p{res['nranks']}",
+                ok=ok,
+                attempts=attempts,
+                wall_s=round(res["wall_s"], 6),
+                error=res["error"],
             )
-            # Completion order is nondeterministic; merge in cell order.
-            for res in sorted(raw, key=lambda r: r["index"]):
-                merge_one(res)
-            sched_info.update(stats)
-            sched_info["backend"] = "stealing"
-            sched_info["journal"] = str(journal.path) if journal is not None else None
-        else:
-            # The serial reference: cells run in this process, through the
-            # same cell harness as the stealing scheduler's workers.
-            if bus is not None:
-                stream.set_worker_channel(bus.publish, worker_id=0)
-            try:
-                for cell in cells:
+            if res["summary"] is not None:
+                results.append(res["summary"])
+            if detector is not None:
+                for a in detector.observe(
+                    res["app"], res["nranks"], res["wall_s"], attempts=attempts, ok=ok
+                ):
+                    anomalies.append(a)
+                    obs.tracer.emit_event("anomaly", a)
                     if bus is not None:
-                        bus.publish(
-                            {
-                                "event": "cell_state",
-                                "state": "running",
-                                "cell": cell.key,
-                                "worker": 0,
-                                "attempt": 1,
-                                "stolen": False,
-                            }
-                        )
-                    res = _execute_cell(payload_for(cell))
-                    if bus is not None:
-                        bus.publish(
-                            {
-                                "event": "cell_state",
-                                "state": "done" if res["ok"] else "failed",
-                                "cell": cell.key,
-                                "worker": 0,
-                                "attempt": 1,
-                                "wall_s": res["wall_s"],
-                            }
-                        )
-                    merge_one(res)
-            finally:
-                if bus is not None:
-                    stream.clear_worker_channel()
+                        bus.publish({"event": "anomaly", **a})
 
     manifest["cells"] = cell_reports
     manifest["failed_cells"] = [
@@ -829,7 +830,7 @@ def run_pipeline(
                     manifest,
                     results,
                     metrics_snapshot=obs.metrics.to_dict() if obs.enabled else {},
-                    source=history_source,
+                    source="analyze",
                     anomalies=anomalies,
                     slo_statuses=slo_statuses,
                 )

@@ -79,6 +79,23 @@ class RunJournal:
     # -- creation / loading -------------------------------------------------
 
     @classmethod
+    def open(
+        cls,
+        journal_dir: str | os.PathLike,
+        fingerprint: dict[str, Any],
+        resume: str | None = None,
+        run_id: str | None = None,
+    ) -> "RunJournal":
+        """Resume run ``resume``, whose fingerprint must equal this
+        invocation's, or else start a journal named ``run_id`` (default:
+        a fresh id)."""
+        if resume is None:
+            return cls.create(journal_dir, run_id or new_run_id(), fingerprint)
+        journal = cls.load(journal_dir, resume)
+        journal.check_fingerprint(fingerprint)
+        return journal
+
+    @classmethod
     def create(
         cls, journal_dir: str | os.PathLike, run_id: str, fingerprint: dict[str, Any]
     ) -> "RunJournal":

@@ -58,7 +58,7 @@ import threading
 import time
 import urllib.parse
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
@@ -72,7 +72,7 @@ from hfast.pipeline import run_pipeline
 from hfast.sched.journal import JournalError, has_journal, new_run_id
 from hfast.serve.jobspec import SweepSpec, canonicalize_sweep
 from hfast.serve.store import JobLedger, ResultStore
-from hfast.spec import RunSpec, SpecError
+from hfast.spec import ExecOptions, RunSpec, SpecError
 
 PROTOCOL = "HTTP/1.1"
 MAX_REQUEST_LINE = 8192
@@ -181,6 +181,15 @@ class AnalysisService:
     def __init__(self, config: ServeConfig):
         self.config = config
         root = Path(config.serve_dir)
+        self.journal_dir = root / "journal"
+        # How every job's cells run, checked before any job is admitted;
+        # each job adds its run id (resumed when recovered).
+        self.exec_options = ExecOptions(
+            scheduler=config.scheduler,
+            workers=config.workers,
+            journal_dir=str(self.journal_dir),
+            bench_dir=config.bench_dir,
+        )
 
         # Service-level counters/gauges; pipeline metrics accumulate
         # separately so a scrape distinguishes "what the daemon did" from
@@ -194,7 +203,6 @@ class AnalysisService:
             on_evict=lambda _key: self.metrics.counter("serve.store_evictions_total").inc(),
         )
         self.ledger = JobLedger(root / "jobs")
-        self.journal_dir = root / "journal"
         self.journal_dir.mkdir(parents=True, exist_ok=True)
         self.bus = EventBus()
         self.ring = RingLog(capacity=512)
@@ -450,7 +458,7 @@ class AnalysisService:
         runner = self._run_sweep_once if job.kind == "sweep" else self._run_pipeline_once
         out: dict[str, Any] | None = None
         try:
-            out = runner(job, job_obs)
+            out = runner(job, job_obs, self._job_options(job))
         except JournalError as exc:
             # The journal for a recovered run id is unusable (torn header,
             # fingerprint drift across a config change). Fall back to a
@@ -462,7 +470,7 @@ class AnalysisService:
                     {"event": "job_resume_fallback", "job_id": job.job_id, "error": str(exc)}
                 )
                 try:
-                    out = runner(job, job_obs)
+                    out = runner(job, job_obs, self._job_options(job))
                 except Exception as retry_exc:  # noqa: BLE001 - job boundary
                     job.error = f"{type(retry_exc).__name__}: {retry_exc}"
             else:
@@ -542,7 +550,13 @@ class AnalysisService:
             except Exception as exc:  # noqa: BLE001 - side-channel boundary
                 job_log.error("history_append_failed", error=f"{type(exc).__name__}: {exc}")
 
-    def _run_pipeline_once(self, job: Job, job_obs: Observability) -> dict[str, Any]:
+    def _job_options(self, job: Job) -> ExecOptions:
+        """The daemon's options under ``job``'s run id, resumed when recovered."""
+        return replace(self.exec_options, resume=job.resume, run_id=job.run_id)
+
+    def _run_pipeline_once(
+        self, job: Job, job_obs: Observability, options: ExecOptions
+    ) -> dict[str, Any]:
         spec = job.spec
         ((app, nranks),) = spec.cells
         with using(job_obs):
@@ -554,19 +568,16 @@ class AnalysisService:
                 config=spec.config,
                 store=self.config.store,
                 argv=["hfast-serve", job.job_id],
-                workers=self.config.workers,
                 timing_seed=spec.timing_seed,
                 overrides=spec.overrides,
-                scheduler=self.config.scheduler,
-                journal_dir=str(self.journal_dir),
-                resume=job.resume,
-                run_id=job.run_id,
+                options=options,
                 service={"job_id": job.job_id, "key": job.key},
-                bench_dir=self.config.bench_dir,
                 slo=self.slo_engine,
             )
 
-    def _run_sweep_once(self, job: Job, job_obs: Observability) -> dict[str, Any]:
+    def _run_sweep_once(
+        self, job: Job, job_obs: Observability, options: ExecOptions
+    ) -> dict[str, Any]:
         # Sweep payloads only reach this daemon-thread path, so the DSE
         # import stays out of the common analyze flow.
         from hfast.dse.search import run_search
@@ -579,12 +590,7 @@ class AnalysisService:
                 obs=job_obs,
                 store=self.config.store,
                 argv=["hfast-serve", job.job_id],
-                workers=self.config.workers,
-                scheduler=self.config.scheduler,
-                journal_dir=str(self.journal_dir),
-                resume=job.resume,
-                run_id=job.run_id,
-                bench_dir=self.config.bench_dir,
+                options=options,
             )
 
     def _graft_job(self, job: Job, job_obs: Observability) -> None:

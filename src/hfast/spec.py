@@ -1,4 +1,5 @@
-"""Declared run inputs: :class:`RunSpec` and :class:`InterconnectConfig`.
+"""Declared run inputs (:class:`RunSpec`, :class:`InterconnectConfig`) and
+how a run executes (:class:`ExecOptions`).
 
 Every input that can change an analysis result is a field here: the
 (app, nranks) cells, the trace generators' ``overrides``, the timing
@@ -22,6 +23,10 @@ results land and which cells run
 reaches the result key, the fingerprint and the cell together;
 ``tests/test_spec.py`` changes each field in turn and requires all three
 to move.
+
+:class:`ExecOptions` holds the other half: the scheduler, retry, journal
+and cost-model settings that decide how cells run but never what they
+compute. It is the one place their rules are checked.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ SPEC_FORMAT = 5
 
 MAX_NRANKS = 1 << 20
 MAX_TIMESTEPS = 4096
+SCHEDULERS = ("static", "stealing")
 
 
 class SpecError(ValueError):
@@ -288,3 +294,42 @@ class RunSpec:
             "live": live,
             "ctx": ctx,
         }
+
+
+@dataclass(frozen=True)
+class ExecOptions:
+    """How a run's cells execute, never what they compute.
+
+    ``static`` runs cells serially in process, the reference; ``stealing``
+    runs them on the work-stealing scheduler (:mod:`hfast.sched`), with
+    retries, heartbeats and a run journal under ``journal_dir`` (default:
+    beside the cache), named ``run_id`` (default: fresh) or resuming
+    ``resume``. ``bench_dir``'s ``BENCH_*.json`` snapshots calibrate the
+    cost model and the anomaly detector.
+    """
+
+    scheduler: str = "static"
+    workers: int = 1
+    max_retries: int = 2
+    heartbeat_timeout: float = 30.0
+    retry_backoff: float = 0.05
+    journal_dir: str | None = None
+    resume: str | None = None
+    run_id: str | None = None
+    bench_dir: str | None = "."
+
+    def __post_init__(self) -> None:
+        if self.scheduler not in SCHEDULERS:
+            raise ValueError(
+                f"unknown scheduler '{self.scheduler}' (expected one of {SCHEDULERS})"
+            )
+        if self.resume is not None:
+            self.require_stealing("resume")
+        if self.workers > 1:
+            self.require_stealing("workers > 1")
+
+    def require_stealing(self, what: str) -> None:
+        """Refuse ``what`` (an option only the stealing scheduler has)
+        under the serial scheduler."""
+        if self.scheduler != "stealing":
+            raise ValueError(f"{what} requires scheduler='stealing'")

@@ -19,6 +19,7 @@ from hfast.pipeline import run_pipeline
 from hfast.sched import faults
 from hfast.sched.cost import estimate_cell_cost
 from hfast.sched.faults import FAULT_ENV_VAR
+from hfast.spec import ExecOptions
 
 APPS = ["cactus", "gtc", "lbmhd", "paratec"]
 SCALES = {app: [8] for app in APPS}
@@ -171,7 +172,7 @@ def test_slow_cell_flags_straggler_end_to_end(tmp_path, slow_paratec):
     detector = AnomalyDetector(threshold=3.0, min_wall=0.05)
     out = run_pipeline(
         apps=APPS, scales=SCALES, cache_dir=str(tmp_path / "c"), obs=obs,
-        argv=["test"], bench_dir=None, anomaly=detector,
+        argv=["test"], options=ExecOptions(bench_dir=None), anomaly=detector,
     )
 
     # paratec is the last cell, so three priors have warmed the fit.
@@ -195,7 +196,7 @@ def test_clean_run_reports_no_anomalies(tmp_path):
     obs = Observability(enabled=True)
     out = run_pipeline(
         apps=APPS, scales=SCALES, cache_dir=str(tmp_path / "c"), obs=obs,
-        argv=["test"], bench_dir=None,
+        argv=["test"], options=ExecOptions(bench_dir=None),
     )
     assert out["anomalies"] == []
     md = render_markdown(build_report(obs.events))

@@ -23,6 +23,7 @@ from hfast.apps import synthesize
 from hfast.cache import CacheValidationError, ReproCache
 from hfast.obs.profile import Observability
 from hfast.pipeline import run_pipeline
+from hfast.spec import ExecOptions
 
 INT_COLUMNS = ("rank", "call_code", "size", "peer", "count")
 TIME_COLUMNS = ("total_time", "min_time", "max_time")
@@ -165,9 +166,11 @@ def test_rejects_meta_missing_key(entry, key):
     entry.assert_rejected(rf"header missing required key\(s\) \['{key}'\]")
 
 
-def test_rejects_other_format_version(entry):
-    entry.rewrite(header=dict(entry.header, format=4))
-    entry.assert_rejected("unsupported format version 4 \\(expected 5\\)")
+def test_rejects_non_integer_format(entry):
+    """A header whose format names no format version. One that names
+    another version is a miss (``test_cache_format5.py``)."""
+    entry.rewrite(header=dict(entry.header, format="5"))
+    entry.assert_rejected("unsupported format version '5' \\(expected 5\\)")
 
 
 @pytest.mark.parametrize("nranks", [0, -8, 8.0, True, "8"])
@@ -304,7 +307,7 @@ def test_warm_run_equals_cold_run(tmp_path, timing_seed):
     scales = {app: [8, 16] for app in APPS}
     kwargs = dict(apps=list(APPS), scales=scales, cache_dir=str(tmp_path),
                   obs=Observability.disabled(), argv=["test"], timing_seed=timing_seed,
-                  bench_dir=None)
+                  options=ExecOptions(bench_dir=None))
     cold = run_pipeline(**kwargs)
     warm = run_pipeline(**kwargs)
     assert cold["manifest"]["cache"]["stores"] == 8

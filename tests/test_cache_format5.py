@@ -10,12 +10,15 @@ checks format 5 kept from format 4 are in ``test_cache_format4.py``.
 
 The other tests pin an entry's bytes (decoded from the documented layout
 alone), the work (one open and one read a load, one ``atomic_write`` a
-store), a warm entry re-timed at another seed, listing, and what becomes
-of an older format's file (a format-4 ``.npz``, a format-2/3 JSON
-document) left under an entry's name: hfast neither reads nor lists it.
+store), a warm entry re-timed at another seed or from other timing
+parameters, listing, and what becomes of an older format's file (a
+format-4 ``.npz``, a format-2/3 JSON document) left under an entry's
+name: hfast neither reads nor lists it. A ``.cols`` entry of another
+format is a miss that a store-on run replaces.
 """
 
 import builtins
+import dataclasses
 import json
 import re
 
@@ -29,6 +32,8 @@ from hfast.cache import CACHE_FORMAT, ReproCache
 from hfast.cli import main
 from hfast.obs.profile import Observability
 from hfast.pipeline import analyze_app, discover_scales, run_pipeline
+from hfast.spec import ExecOptions
+from hfast.timing import APP_PARAMS, apply_timing
 
 INT_COLUMNS = ("rank", "call_code", "size", "peer", "count")
 TIME_COLUMNS = ("total_time", "min_time", "max_time")
@@ -300,6 +305,22 @@ def test_warm_entry_retimed_at_another_seed_analyzes_as_cold(tmp_path):
     assert json.dumps(results[0], sort_keys=True) == json.dumps(results[1], sort_keys=True)
 
 
+def test_warm_entry_timed_with_other_params_analyzes_as_cold(tmp_path):
+    """An entry timed at the requested seed but with other wire
+    parameters (a per-byte gap of 5 ns) carries a stale timing
+    descriptor; the load re-times it, so the warm cell equals a cold one."""
+    trace = synthesize("gtc", 8)
+    apply_timing(trace, seed=0, params=dataclasses.replace(APP_PARAMS["gtc"], G=5e-9))
+    warm = ReproCache(tmp_path / "warm")
+    warm.store(trace)
+    kwargs = dict(apps=["gtc"], scales={"gtc": [8]}, obs=Observability.disabled(),
+                  store=False, argv=["test"], options=ExecOptions(bench_dir=None))
+    out = run_pipeline(cache_dir=str(warm.cache_dir), **kwargs)
+    assert out["manifest"]["cache"]["hits"] == 1
+    cold = run_pipeline(cache_dir=str(tmp_path / "cold"), **kwargs)
+    assert json.dumps(out["results"], sort_keys=True) == json.dumps(cold["results"], sort_keys=True)
+
+
 # -- listing and stale entries ---------------------------------------------------
 
 
@@ -311,7 +332,7 @@ def cached_scales(cache_dir, capsys):
 def test_format5_only_cache_lists_its_scales(tmp_path, capsys):
     run_pipeline(apps=["cactus", "gtc"], scales={"cactus": [8, 12], "gtc": [4]},
                  cache_dir=str(tmp_path), obs=Observability.disabled(), argv=["test"],
-                 bench_dir=None)
+                 options=ExecOptions(bench_dir=None))
     entries = ReproCache(tmp_path).list_entries()
     assert [p.suffix for p in entries] == [".cols"] * 3
     scales = discover_scales(ReproCache(tmp_path), ["cactus", "gtc"])
@@ -353,7 +374,7 @@ def assert_stale_file_is_a_miss(tmp_path, capsys, suffix, write):
     assert (cache.stats.misses, cache.stats.hits, cache.stats.validation_failures) == (1, 0, 0)
 
     kwargs = dict(apps=["gtc"], scales={"gtc": [8]}, obs=Observability.disabled(),
-                  argv=["test"], bench_dir=None)
+                  argv=["test"], options=ExecOptions(bench_dir=None))
     out = run_pipeline(cache_dir=str(cache_dir), **kwargs)
     manifest = out["manifest"]["cache"]
     assert (manifest["misses"], manifest["stores"], manifest["validation_failures"]) == (1, 1, 0)
@@ -377,3 +398,28 @@ def test_stale_json_document_is_a_miss_and_is_rewritten_beside_it(tmp_path, caps
     doc["metadata"]["overrides"] = {}
     assert_stale_file_is_a_miss(tmp_path, capsys, ".json",
                                 lambda path: path.write_text(json.dumps(doc)))
+
+
+@pytest.mark.parametrize("store", [True, False], ids=["store", "no-store"])
+def test_other_format_entry_is_a_miss(tmp_path, store):
+    """A ``.cols`` entry whose header names another format (a future 6)
+    misses instead of failing its cell: the cell re-synthesizes, a
+    store-on run replaces the file with the format-5 entry, and a
+    store-off run leaves it alone."""
+    cache = ReproCache(tmp_path / "cache")
+    path = cache.store(synthesize("gtc", 8))
+    want = path.read_bytes()
+    header, columns = oracles.from_entry(want)
+    path.write_bytes(oracles.to_entry(dict(header, format=6), columns.values()))
+    other = path.read_bytes()
+
+    kwargs = dict(apps=["gtc"], scales={"gtc": [8]}, obs=Observability.disabled(),
+                  argv=["test"], options=ExecOptions(bench_dir=None))
+    out = run_pipeline(cache_dir=str(cache.cache_dir), store=store, **kwargs)
+    assert out["manifest"]["failed_cells"] == []
+    stats = out["manifest"]["cache"]
+    assert (stats["hits"], stats["misses"], stats["validation_failures"]) == (0, 1, 0)
+    assert stats["stores"] == int(store)
+    assert path.read_bytes() == (want if store else other)
+    cold = run_pipeline(cache_dir=str(tmp_path / "fresh"), store=False, **kwargs)
+    assert json.dumps(out["results"], sort_keys=True) == json.dumps(cold["results"], sort_keys=True)

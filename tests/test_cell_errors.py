@@ -12,6 +12,7 @@ import pytest
 from hfast.cli import main
 from hfast.obs.profile import Observability
 from hfast.pipeline import run_pipeline
+from hfast.spec import ExecOptions
 
 APPS = ["gtc"]
 SCALES = {"gtc": [4, 8]}
@@ -40,8 +41,9 @@ def test_failed_cell_is_surfaced_not_fatal(warm_cache, workers):
     corrupt(warm_cache, "gtc_p4_*.cols")
     obs = Observability(enabled=True)
     out = run_pipeline(apps=APPS, scales=SCALES, cache_dir=str(warm_cache),
-                       obs=obs, argv=["test"], workers=workers,
-                       scheduler="stealing" if workers > 1 else "static")
+                       obs=obs, argv=["test"],
+                       options=ExecOptions(scheduler="stealing" if workers > 1 else "static",
+                                           workers=workers))
 
     # The healthy cell still ran to completion.
     assert [r["nranks"] for r in out["results"]] == [8]

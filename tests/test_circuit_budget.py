@@ -20,6 +20,7 @@ from hfast.matcher import match_edges
 from hfast.matrix import reduce_matrix
 from hfast.obs.profile import Observability
 from hfast.pipeline import run_pipeline
+from hfast.spec import ExecOptions
 
 HUGE = (2**63, 2**70)
 
@@ -82,7 +83,7 @@ def test_pipeline_cell_at_a_2_to_the_63_budget(tmp_path):
             obs=Observability.disabled(),
             store=False,
             argv=["test"],
-            bench_dir=None,
+            options=ExecOptions(bench_dir=None),
             config=InterconnectConfig(circuits_per_node=budget),
         )
 

@@ -22,6 +22,7 @@ from hfast.dse.search import (
 )
 from hfast.dse.space import SearchSpace
 from hfast.obs.profile import Observability
+from hfast.spec import ExecOptions
 
 SPACE = SearchSpace(circuits=(1, 4), reconfig_costs=(0.0, 1e-3), timesteps=(1, 4))
 
@@ -32,11 +33,11 @@ def _spec(**overrides):
     return SearchSpec(**kwargs)
 
 
-def _run(spec, tmp_path, **kwargs):
-    kwargs.setdefault("journal_dir", str(tmp_path / "journal"))
-    kwargs.setdefault("store", False)
-    kwargs.setdefault("bench_dir", str(tmp_path))
-    return run_search(spec, cache_dir=str(tmp_path / "cache"), **kwargs)
+def _run(spec, tmp_path, obs=None, **options):
+    options.setdefault("journal_dir", str(tmp_path / "journal"))
+    options.setdefault("bench_dir", str(tmp_path))
+    return run_search(spec, cache_dir=str(tmp_path / "cache"), obs=obs, store=False,
+                      options=ExecOptions(**options))
 
 
 # -- spec validation --------------------------------------------------------

@@ -17,6 +17,7 @@ from hfast.obs.report import build_report
 from hfast.pipeline import run_pipeline
 from hfast.sched.faults import FAULT_ENV_VAR
 from hfast.sched.journal import JournalError
+from hfast.spec import ExecOptions
 from test_parallel_determinism import normalize
 
 APPS = ["cactus", "gtc", "lbmhd", "paratec"]
@@ -27,7 +28,7 @@ SCALES = {app: [8] for app in APPS}
 SCHED_FIELDS = {"scheduler", "attempts", "worker", "from_journal"}
 
 
-def run_sweep(cache_dir, scheduler="static", workers=1, **kwargs):
+def run_sweep(cache_dir, **options):
     obs = Observability(enabled=True)
     out = run_pipeline(
         apps=APPS,
@@ -35,10 +36,7 @@ def run_sweep(cache_dir, scheduler="static", workers=1, **kwargs):
         cache_dir=str(cache_dir),
         obs=obs,
         argv=["test"],
-        workers=workers,
-        scheduler=scheduler,
-        bench_dir=None,
-        **kwargs,
+        options=ExecOptions(bench_dir=None, **options),
     )
     out["report"] = build_report(obs.events)
     return out
@@ -173,10 +171,7 @@ def test_resume_refuses_different_sweep(tmp_path):
             cache_dir=str(tmp_path / "c"),
             obs=obs,
             argv=["test"],
-            workers=2,
-            scheduler="stealing",
-            resume=run_id,
-            bench_dir=None,
+            options=ExecOptions(scheduler="stealing", workers=2, resume=run_id, bench_dir=None),
         )
 
 

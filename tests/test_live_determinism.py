@@ -18,6 +18,7 @@ from hfast.obs.report import build_report
 from hfast.obs.stream import EventBus
 from hfast.pipeline import run_pipeline
 from hfast.sched.faults import FAULT_ENV_VAR
+from hfast.spec import ExecOptions
 from test_fault_injection import SCHED_FIELDS, comparable
 from test_parallel_determinism import normalize
 
@@ -55,7 +56,7 @@ def metrics_comparable(metrics):
     return {k: v for k, v in metrics.items() if not k.startswith("sched.")}
 
 
-def run_sweep(cache_dir, live=False, **kwargs):
+def run_sweep(cache_dir, live=False, mitigate=False, **options):
     bus = view = None
     if live:
         bus = EventBus()
@@ -66,7 +67,8 @@ def run_sweep(cache_dir, live=False, **kwargs):
     try:
         out = run_pipeline(
             apps=APPS, scales=SCALES, cache_dir=str(cache_dir), obs=obs,
-            argv=["test"], bench_dir=None, bus=bus, **kwargs,
+            argv=["test"], options=ExecOptions(bench_dir=None, **options), bus=bus,
+            mitigate=mitigate,
         )
     finally:
         if view is not None:
@@ -129,7 +131,7 @@ def test_non_live_run_registers_no_channel_and_streams_nothing(tmp_path):
 
     obs = Observability(enabled=True)
     run_pipeline(apps=APPS, scales=SCALES, cache_dir=str(tmp_path / "c"),
-                 obs=obs, argv=["test"], bench_dir=None)
+                 obs=obs, argv=["test"], options=ExecOptions(bench_dir=None))
     assert stream.worker_channel() is None
     # No live-only event kinds may reach the buffered trace.
     kinds = {e["event"] for e in obs.events}

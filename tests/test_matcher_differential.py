@@ -20,6 +20,7 @@ from hfast import interconnect
 from hfast.apps import synthesize
 from hfast.interconnect import InterconnectConfig, evaluate_hybrid, evaluate_temporal
 from hfast.matrix import CommMatrix, reduce_matrix
+from hfast.spec import ExecOptions
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CASES = [(app, n) for app in ("cactus", "gtc", "lbmhd", "paratec") for n in (8, 16)]
@@ -170,7 +171,7 @@ def test_pipeline_results_identical_across_backends(tmp_path):
             scales={"gtc": [16], "cactus": [16], "paratec": [12]},
             cache_dir=str(tmp_path / "cache"),
             store=False,
-            bench_dir=None,
+            options=ExecOptions(bench_dir=None),
         )
         assert not out["manifest"]["failed_cells"]
         return json.dumps(out["results"], sort_keys=True)

@@ -29,6 +29,7 @@ from hfast.obs.history import (
 )
 from hfast.obs.profile import Observability
 from hfast.pipeline import run_pipeline
+from hfast.spec import ExecOptions
 
 APPS = ["cactus", "gtc"]
 SCALES = {app: [8] for app in APPS}
@@ -262,7 +263,7 @@ def test_render_trend_collapses_stable_ranges():
 # End-to-end determinism contracts (the acceptance criteria)
 
 
-def run_once(cache_dir, history_dir=None, **kw):
+def run_once(cache_dir, history_dir=None, **options):
     obs = Observability(enabled=True)
     out = run_pipeline(
         apps=APPS,
@@ -271,9 +272,8 @@ def run_once(cache_dir, history_dir=None, **kw):
         obs=obs,
         store=True,
         argv=["test"],
-        bench_dir=None,
+        options=ExecOptions(bench_dir=None, **options),
         history_dir=str(history_dir) if history_dir else None,
-        **kw,
     )
     return out, obs
 

@@ -28,6 +28,7 @@ from hfast.obs.slo import (
 from hfast.pipeline import run_pipeline
 from hfast.sched import faults
 from hfast.sched.faults import FAULT_ENV_VAR
+from hfast.spec import ExecOptions
 
 APPS = ["cactus", "gtc", "lbmhd", "paratec"]
 SCALES = {app: [8] for app in APPS}
@@ -286,7 +287,7 @@ def run_with_slo(tmp_path, **kw):
     obs = Observability(enabled=True)
     out = run_pipeline(
         apps=APPS, scales=SCALES, cache_dir=str(tmp_path / "cache"), obs=obs,
-        argv=["test"], bench_dir=None, slo=SloEngine(), **kw,
+        argv=["test"], options=ExecOptions(bench_dir=None), slo=SloEngine(), **kw,
     )
     return out, obs
 

@@ -16,6 +16,7 @@ from hfast.obs.stream import EventBus, StreamForwardSink
 from hfast.pipeline import Cell, run_pipeline
 from hfast.sched.faults import FAULT_ENV_VAR
 from hfast.sched.scheduler import SchedulerConfig, run_stealing
+from hfast.spec import ExecOptions
 
 APPS = ["cactus", "gtc", "lbmhd", "paratec"]
 SCALES = {app: [8] for app in APPS}
@@ -180,7 +181,7 @@ def run_live(cache_dir, workers=1, scheduler="static", **kwargs):
     obs = Observability(enabled=True)
     out = run_pipeline(
         apps=APPS, scales=SCALES, cache_dir=str(cache_dir), obs=obs,
-        argv=["test"], workers=workers, scheduler=scheduler, bench_dir=None,
+        argv=["test"], options=ExecOptions(scheduler=scheduler, workers=workers, bench_dir=None),
         bus=bus, **kwargs,
     )
     return out, obs, received
@@ -266,7 +267,7 @@ def test_merged_trace_is_one_tree_across_backends(tmp_path, workers, scheduler):
     obs = Observability(enabled=True)
     run_pipeline(
         apps=APPS, scales=SCALES, cache_dir=str(tmp_path / "c"), obs=obs,
-        argv=["test"], workers=workers, scheduler=scheduler, bench_dir=None,
+        argv=["test"], options=ExecOptions(scheduler=scheduler, workers=workers, bench_dir=None),
     )
     root_id, spans = assert_single_tree(obs.events)
 
@@ -286,8 +287,8 @@ def test_flaky_retry_attempts_are_siblings_not_duplicate_roots(tmp_path, monkeyp
     obs = Observability(enabled=True)
     run_pipeline(
         apps=APPS, scales=SCALES, cache_dir=str(tmp_path / "c"), obs=obs,
-        argv=["test"], workers=2, scheduler="stealing", retry_backoff=0.01,
-        bench_dir=None,
+        argv=["test"],
+        options=ExecOptions(scheduler="stealing", workers=2, retry_backoff=0.01, bench_dir=None),
     )
     root_id, spans = assert_single_tree(obs.events)
 
@@ -305,15 +306,16 @@ def test_failed_attempts_with_events_graft_as_attempt_tagged_siblings(tmp_path):
     must land under the one cell span, tagged with their attempt number."""
     cache_dir = tmp_path / "c"
     run_pipeline(apps=["gtc"], scales={"gtc": [8]}, cache_dir=str(cache_dir),
-                 obs=Observability.disabled(), argv=["warm"], bench_dir=None)
+                 obs=Observability.disabled(), argv=["warm"], options=ExecOptions(bench_dir=None))
     (path,) = cache_dir.glob("gtc_p8_*.cols")
     path.write_bytes(path.read_bytes()[:100])  # truncated: fails validation
 
     obs = Observability(enabled=True)
     out = run_pipeline(
         apps=["gtc"], scales={"gtc": [8]}, cache_dir=str(cache_dir), obs=obs,
-        argv=["test"], workers=2, scheduler="stealing", max_retries=1,
-        retry_backoff=0.01, store=False, bench_dir=None,
+        argv=["test"], store=False,
+        options=ExecOptions(scheduler="stealing", workers=2, max_retries=1, retry_backoff=0.01,
+                            bench_dir=None),
     )
     assert out["manifest"]["failed_cells"] == ["gtc_p8"]
     root_id, spans = assert_single_tree(obs.events)

@@ -16,6 +16,7 @@ from conftest import cache_digests
 from hfast.obs.profile import Observability
 from hfast.obs.report import build_report
 from hfast.pipeline import Cell, build_cells, run_pipeline, shard_cells
+from hfast.spec import ExecOptions
 
 APPS = ["cactus", "gtc", "lbmhd", "paratec"]
 SCALES = {app: [8, 16] for app in APPS}
@@ -43,8 +44,7 @@ def run_matrix(cache_dir: Path, workers: int, shard=None) -> dict:
         cache_dir=str(cache_dir),
         obs=obs,
         argv=["test"],
-        workers=workers,
-        scheduler=scheduler_for(workers),
+        options=ExecOptions(scheduler=scheduler_for(workers), workers=workers),
         shard=shard,
     )
     out["report"] = build_report(obs.events)
@@ -98,9 +98,9 @@ def test_worker_counts_produce_identical_output(tmp_path):
 def test_worker_counts_produce_identical_metrics(tmp_path):
     obs1, obs4 = Observability(enabled=True), Observability(enabled=True)
     run_pipeline(apps=APPS, scales=SCALES, cache_dir=str(tmp_path / "m1"),
-                 obs=obs1, argv=["test"], workers=1)
+                 obs=obs1, argv=["test"], options=ExecOptions(workers=1))
     run_pipeline(apps=APPS, scales=SCALES, cache_dir=str(tmp_path / "m4"),
-                 obs=obs4, argv=["test"], workers=4, scheduler="stealing")
+                 obs=obs4, argv=["test"], options=ExecOptions(scheduler="stealing", workers=4))
     m1, m4 = obs1.metrics.to_dict(), obs4.metrics.to_dict()
     # Analysis metrics merge exactly; only the per-stage wall-time spans
     # differ, and those live in the tracer, not the registry.
@@ -184,9 +184,9 @@ def test_timing_identical_across_workers_and_shards(tmp_path):
 def test_latency_histograms_merge_exactly_across_workers(tmp_path):
     obs1, obs4 = Observability(enabled=True), Observability(enabled=True)
     run_pipeline(apps=APPS, scales=SCALES, cache_dir=str(tmp_path / "h1"),
-                 obs=obs1, argv=["test"], workers=1)
+                 obs=obs1, argv=["test"], options=ExecOptions(workers=1))
     run_pipeline(apps=APPS, scales=SCALES, cache_dir=str(tmp_path / "h4"),
-                 obs=obs4, argv=["test"], workers=4, scheduler="stealing")
+                 obs=obs4, argv=["test"], options=ExecOptions(scheduler="stealing", workers=4))
     m1, m4 = obs1.metrics.to_dict(), obs4.metrics.to_dict()
     names = ["call_latency_usec"] + [f"call_latency_usec.{a}" for a in APPS]
     for name in names:
@@ -200,4 +200,4 @@ def test_parallel_runs_need_the_stealing_scheduler(tmp_path):
     """The static backend is the serial reference; it runs no workers."""
     with pytest.raises(ValueError, match="stealing"):
         run_pipeline(apps=["gtc"], scales={"gtc": [8]}, cache_dir=str(tmp_path),
-                     argv=["test"], workers=2)
+                     argv=["test"], options=ExecOptions(workers=2))

@@ -24,6 +24,7 @@ from hfast.obs.prom import (
     render_slo_prometheus,
     slo_prometheus_projection,
 )
+from hfast.spec import ExecOptions
 
 
 def sample_registry():
@@ -152,7 +153,7 @@ def test_render_registry_from_live_pipeline_registry(tmp_path):
 
     obs = Observability(enabled=True)
     run_pipeline(apps=["gtc"], scales={"gtc": [8]}, cache_dir=str(tmp_path),
-                 obs=obs, argv=["test"], bench_dir=None)
+                 obs=obs, argv=["test"], options=ExecOptions(bench_dir=None))
     text = render_registry(obs.metrics)
     snap = obs.metrics.to_dict()
     assert parse_prometheus(text) == prometheus_projection(snap)

@@ -22,6 +22,7 @@ from hfast.obs.prom import parse_prometheus
 from hfast.pipeline import run_pipeline
 from hfast.sched import faults
 from hfast.sched.faults import FAULT_ENV_VAR
+from hfast.spec import ExecOptions
 from serve_util import ServiceThread, make_config, request, wait_for_job
 
 SPEC = {"app": "cactus", "nranks": 8}
@@ -51,7 +52,7 @@ def test_submit_poll_result_byte_identical(tmp_path):
     # Byte-identity against the pipeline entry point the CLI uses.
     out = run_pipeline(
         apps=["cactus"], scales={"cactus": [8]},
-        cache_dir=str(tmp_path / "direct"), argv=["test"], bench_dir=None,
+        cache_dir=str(tmp_path / "direct"), argv=["test"], options=ExecOptions(bench_dir=None),
     )
     direct = (json.dumps(out["results"][0], sort_keys=True) + "\n").encode("utf-8")
     assert served == direct
@@ -71,7 +72,7 @@ def test_served_overrides_reach_the_cell(tmp_path):
 
     out = run_pipeline(
         apps=["cactus"], scales={"cactus": [8]}, overrides=overrides,
-        cache_dir=str(tmp_path / "direct"), argv=["test"], bench_dir=None,
+        cache_dir=str(tmp_path / "direct"), argv=["test"], options=ExecOptions(bench_dir=None),
     )
     assert served == (json.dumps(out["results"][0], sort_keys=True) + "\n").encode("utf-8")
 

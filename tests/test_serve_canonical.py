@@ -21,7 +21,7 @@ import pytest
 
 from hfast.cache import ReproCache, cache_key
 from hfast.pipeline import run_pipeline
-from hfast.spec import InterconnectConfig, RunSpec, SpecError
+from hfast.spec import ExecOptions, InterconnectConfig, RunSpec, SpecError
 
 MINIMAL = {"app": "cactus", "nranks": 8}
 
@@ -126,7 +126,7 @@ def test_trace_cache_key_matches_repro_cache_contract(tmp_path):
     spec = RunSpec.from_wire({**MINIMAL, "overrides": {"steps": 2}})
     run_pipeline(
         apps=["cactus"], scales={"cactus": [8]}, overrides=spec.overrides,
-        cache_dir=str(tmp_path), argv=["test"], bench_dir=None,
+        cache_dir=str(tmp_path), argv=["test"], options=ExecOptions(bench_dir=None),
     )
     key = cache_key("cactus", 8, {"steps": 2})
     assert [p.name for p in ReproCache(tmp_path).list_entries()] == [f"cactus_p8_{key}.cols"]

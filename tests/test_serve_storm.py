@@ -18,6 +18,7 @@ from hfast.obs.prom import parse_prometheus
 from hfast.pipeline import run_pipeline
 from hfast.sched import faults
 from hfast.sched.faults import FAULT_ENV_VAR
+from hfast.spec import ExecOptions
 from serve_util import ServiceThread, make_config, request, wait_for_job
 
 pytestmark = pytest.mark.slow
@@ -132,7 +133,7 @@ def test_flaky_fault_retries_to_byte_identical_result(tmp_path, monkeypatch):
     monkeypatch.delenv(FAULT_ENV_VAR)
     out = run_pipeline(
         apps=["cactus"], scales={"cactus": [8]},
-        cache_dir=str(tmp_path / "clean"), argv=["test"], bench_dir=None,
+        cache_dir=str(tmp_path / "clean"), argv=["test"], options=ExecOptions(bench_dir=None),
     )
     clean = (json.dumps(out["results"][0], sort_keys=True) + "\n").encode("utf-8")
     assert served == clean

@@ -17,6 +17,7 @@ from hfast.dse.search import SearchSpec, frontier_bytes, run_search
 from hfast.dse.space import SearchSpace
 from hfast.obs.prom import parse_prometheus
 from hfast.serve.store import ResultStore
+from hfast.spec import ExecOptions
 from serve_util import ServiceThread, make_config, request, wait_for_job
 
 SPACE_DOC = {
@@ -35,8 +36,7 @@ def _direct_frontier(tmp_path):
         spec,
         cache_dir=str(tmp_path / "direct"),
         store=False,
-        journal_dir=str(tmp_path / "direct-journal"),
-        bench_dir=None,
+        options=ExecOptions(journal_dir=str(tmp_path / "direct-journal"), bench_dir=None),
     )
     return spec, out["frontier"]
 

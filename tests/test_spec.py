@@ -19,7 +19,7 @@ import pytest
 
 from hfast.pipeline import run_pipeline
 from hfast.sched.journal import RunJournal
-from hfast.spec import InterconnectConfig, RunSpec, SpecError
+from hfast.spec import ExecOptions, InterconnectConfig, RunSpec, SpecError
 
 BASE = RunSpec(cells=(("cactus", 8),))
 
@@ -61,8 +61,9 @@ def run_journaled(spec, tmp_path):
     out = run_pipeline(
         apps=[app], scales={app: [nranks]}, overrides=spec.overrides,
         timing_seed=spec.timing_seed, config=spec.config,
-        cache_dir=str(tmp_path / "cache"), store=False, argv=["test"], bench_dir=None,
-        scheduler="stealing", journal_dir=str(tmp_path / "journal"),
+        cache_dir=str(tmp_path / "cache"), store=False, argv=["test"],
+        options=ExecOptions(scheduler="stealing", journal_dir=str(tmp_path / "journal"),
+                            bench_dir=None),
     )
     run_id = out["manifest"]["scheduler"]["run_id"]
     fingerprint = RunJournal.load(tmp_path / "journal", run_id).fingerprint

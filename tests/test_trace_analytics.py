@@ -27,6 +27,7 @@ from hfast.obs.analytics import (
 from hfast.obs.profile import Observability
 from hfast.pipeline import run_pipeline
 from hfast.sched.cost import estimate_cell_cost
+from hfast.spec import ExecOptions
 
 APPS = ["cactus", "gtc", "lbmhd", "paratec"]
 SCALES = {app: [8] for app in APPS}
@@ -277,14 +278,14 @@ def backend_traces(tmp_path_factory):
     base = tmp_path_factory.mktemp("backends")
     journal_dir = base / "journal"
     events = {}
-    for name, kwargs in {
-        "serial": {},
-        "stealing": {"scheduler": "stealing", "workers": 4,
-                     "journal_dir": str(journal_dir)},
+    for name, options in {
+        "serial": ExecOptions(bench_dir=None),
+        "stealing": ExecOptions(scheduler="stealing", workers=4,
+                                journal_dir=str(journal_dir), bench_dir=None),
     }.items():
         obs = Observability(enabled=True)
         run_pipeline(apps=APPS, scales=SCALES, cache_dir=str(base / name),
-                     obs=obs, argv=["test"], bench_dir=None, **kwargs)
+                     obs=obs, argv=["test"], options=options)
         events[name] = obs.events
     return {"events": events, "journal_dir": journal_dir}
 
