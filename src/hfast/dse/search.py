@@ -46,7 +46,7 @@ from hfast.dse.pareto import Objective, pareto_frontier, pareto_rank, sort_key
 from hfast.dse.space import Candidate, SearchSpace
 from hfast.obs.manifest import build_manifest
 from hfast.obs.profile import Observability, get_obs
-from hfast.pipeline import Cell, graft_cell, open_journal, run_cells
+from hfast.pipeline import Cell, close_journal, graft_cell, open_journal, run_cells
 from hfast.sched.cost import CostModel, estimate_candidate_cost
 from hfast.spec import ExecOptions, RunSpec, SpecError, check_cell, check_int, content_key
 from hfast.timing import DEFAULT_TIMING_SEED, mix64
@@ -313,6 +313,7 @@ def run_search(
             evaluate_batch(spec.space.grid())
         else:
             _run_evolution(spec, evaluated, evaluate_batch)
+    close_journal(journal, all(r["ok"] for r in evaluated.values()))
 
     # Deterministic frontier over every successful evaluation.
     records = sorted(

@@ -465,6 +465,13 @@ def open_journal(
     return journal, sched_info
 
 
+def close_journal(journal: RunJournal | None, ok: bool) -> None:
+    """Mark ``journal``'s run complete, once, after the runner's last
+    batch, when every cell of the run is ``ok``."""
+    if journal is not None and ok and not journal.complete:
+        journal.record_complete()
+
+
 def run_cells(
     cells: Sequence[Any],
     payload_for: Callable[[Any], dict[str, Any]],
@@ -491,7 +498,7 @@ def run_cells(
         from hfast.sched.scheduler import SchedulerConfig, run_stealing
 
         config = SchedulerConfig(
-            workers=max(1, options.workers),
+            workers=options.workers,
             max_retries=options.max_retries,
             heartbeat_timeout=options.heartbeat_timeout,
             retry_backoff=options.retry_backoff,
@@ -718,6 +725,7 @@ def run_pipeline(
             cells, payload_for, options, journal=journal, cost_model=cost_model, obs=obs,
             bus=bus, mitigator=mitigator,
         )
+        close_journal(journal, all(res["ok"] for res in raw))
         if journal is not None:
             sched_info.update(stats, journal=str(journal.path))
         # Merged in cell order, never completion order.

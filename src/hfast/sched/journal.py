@@ -7,7 +7,8 @@ Each scheduler run appends JSONL records to
 - one ``cell_done`` record per finished cell carrying the complete raw
   worker result (summary, span/app_summary events, metrics snapshot,
   cache statistics, attempts) — everything the deterministic merge needs,
-- a final ``run_complete`` marker.
+- a final ``run_complete`` marker, written by the runner once its last
+  batch has run with every cell ok (:func:`hfast.pipeline.close_journal`).
 
 Resuming loads the journal, verifies the fingerprint matches the new
 invocation (the same declared inputs, cache and shard — resuming a

@@ -658,8 +658,4 @@ def run_stealing(
             for key in ("advisories", "speculative_dispatches", "speculation_wins"):
                 obs.metrics.counter(f"sched.mitigation_{key}").inc(mitigator.stats[key])
 
-    results = [completed[c.index] for c in cells]
-    if journal is not None and all(r.get("ok") for r in results):
-        if not journal.complete:
-            journal.record_complete()
-    return results, stats
+    return [completed[c.index] for c in cells], stats

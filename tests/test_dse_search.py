@@ -10,6 +10,7 @@ store off, so the differentials stay fast.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,7 @@ from hfast.dse.search import (
 )
 from hfast.dse.space import SearchSpace
 from hfast.obs.profile import Observability
+from hfast.sched.journal import RunJournal
 from hfast.spec import ExecOptions
 
 SPACE = SearchSpace(circuits=(1, 4), reconfig_costs=(0.0, 1e-3), timesteps=(1, 4))
@@ -100,6 +102,34 @@ def test_resume_replays_to_identical_bytes(tmp_path):
     )
     assert resumed["sched"]["cells_from_journal"] == SPACE.size
     assert frontier_bytes(resumed["frontier"]) == frontier_bytes(first["frontier"])
+
+
+def journal_kinds(path):
+    return [json.loads(line)["kind"] for line in Path(path).read_text().splitlines()]
+
+
+def test_evolution_journal_completes_after_the_last_generation(tmp_path):
+    """A stealing evolutionary search runs one batch per generation; its
+    journal reads as complete only once the last one ran, and a journal
+    cut after the first generation resumes to the same frontier."""
+    space = SearchSpace(circuits=(1, 2, 4, 8), reconfig_costs=(0.0, 1e-3, 1e-2),
+                        timesteps=(1, 2, 4))
+    spec = _spec(space=space, strategy="evolution", seed=1, population=4, generations=3)
+    first = _run(spec, tmp_path, scheduler="stealing", workers=2)
+    path = first["sched"]["journal"]
+    kinds = journal_kinds(path)
+    assert kinds.count("run_complete") == 1 and kinds[-1] == "run_complete"
+    generation_1 = len({c.key for c in space.sample(4, 1)})
+    assert kinds.count("cell_done") > generation_1  # later generations ran
+    lines = Path(path).read_text().splitlines(keepends=True)
+    Path(path).write_text("".join(lines[: 1 + generation_1]))
+    run_id = first["sched"]["run_id"]
+    assert not RunJournal.load(Path(path).parent, run_id).complete
+    resumed = _run(spec, tmp_path, scheduler="stealing", workers=2, resume=run_id)
+    assert resumed["sched"]["cells_from_journal"] == generation_1
+    assert frontier_bytes(resumed["frontier"]) == frontier_bytes(first["frontier"])
+    kinds = journal_kinds(path)
+    assert kinds.count("run_complete") == 1 and kinds[-1] == "run_complete"
 
 
 def test_resume_requires_stealing(tmp_path):
