@@ -6,7 +6,8 @@ access pattern — over the paper apps' sparse link structures at 32K
 ranks (paratec's all-to-all is capped; see ``--paratec-cap``) two ways:
 
 - ``vector`` — one from-scratch :func:`hfast.matcher.match_edges` call
-  per step, which is what the temporal evaluator runs;
+  per step over one tie order built per app, which is what the temporal
+  evaluator runs;
 - ``incremental`` — one persistent
   :class:`hfast.matcher.IncrementalMatcher` re-matching every step.
 
@@ -42,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from hfast.apps import _LBMHD_OFFSETS, _factor2, _factor3, _ghost_pairs_vec
-from hfast.matcher import IncrementalMatcher, match_edges
+from hfast.matcher import IncrementalMatcher, match_edges, tie_order
 
 #: The two ways of re-matching a step sequence, in the order they run.
 MODES = ("vector", "incremental")
@@ -138,13 +139,14 @@ def run_mode(
         inc = IncrementalMatcher(src, dst, n, bound=budget) if mode == "incremental" else None
         chosen = []
         start = time.perf_counter()
+        tie = tie_order(src, dst, n) if inc is None else None
         for w in weight_steps:
             if inc is not None:
                 # The matcher stores edges (src, dst)-ascending; feed the
                 # weights in that same order.
                 chosen.append(inc.rematch(w[inc.input_order]))
             else:
-                chosen.append(match_edges(src, dst, w, n, bound=budget))
+                chosen.append(match_edges(src, dst, w, n, bound=budget, tie=tie))
         wall = time.perf_counter() - start
         # Both return positions, into different columns: compare circuits.
         ends = (inc.src, inc.dst) if inc is not None else (src, dst)

@@ -170,9 +170,9 @@ def evaluate_hybrid(
     bound = config.circuits_per_node
     circuit_edges = np.empty(0, dtype=np.int64)
     if strategy == "matching":
-        circuit_edges = match_edges(cm.src, cm.dst, cm.bytes, n, bound)
+        circuit_edges = match_edges(cm.src, cm.dst, cm.bytes, n, bound, tie=cm.tie_order)
     elif bound > 0:
-        pos = canonical_positions(cm.src, cm.dst, cm.bytes, n)
+        pos = canonical_positions(cm.src, cm.dst, cm.bytes, n, tie=cm.tie_order)
         seed = greedy_seed_vector(cm.src[pos], cm.dst[pos], cm.bytes[pos], n, bound)
         circuit_edges = np.sort(pos[seed])
     # The rows are (src, dst)-ordered, so ascending rows are sorted circuits.
@@ -297,7 +297,7 @@ def evaluate_temporal(
         w = eb[t].astype(np.float64)
         if have_prev and keep_bonus > 0.0:
             w[prev_mask & (w > 0)] += keep_bonus
-        sel_edges = match_edges(src, dst, w, n, bound)
+        sel_edges = match_edges(src, dst, w, n, bound, tie=cm.tie_order)
         sel_mask = np.zeros(len(src), dtype=bool)
         sel_mask[sel_edges] = True
         changes = int(np.count_nonzero(sel_mask & ~prev_mask)) if have_prev else 0

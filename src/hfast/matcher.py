@@ -12,12 +12,13 @@ is one incidence in row ``s`` and one in row ``n + d``, and each
 incidence records the row at its far end. The greedy seed, the swap pass
 and the augment pass all read and write those arrays in place.
 
-The greedy seed runs as b-Suitor-style rounds (accept every edge that is
-within the remaining capacity at *both* endpoints among surviving edges,
-drop edges touching saturated nodes, repeat), which produces exactly the
-sequential greedy result under the canonical total order; the rounds run
-over growing prefix windows of that order and stop once capacity is
-spent. Improvement passes follow: a 1-for-k swap pass whose candidates
+The greedy seed runs over growing prefix windows of the canonical order
+and stops once capacity is spent. A window runs one b-Suitor-style round
+(accept every edge within the remaining capacity at *both* endpoints
+among surviving edges) and one sequential pass over what it left, which
+together give exactly the sequential greedy result. It shares
+:class:`_State`'s half-node rows: the first round reads each edge's
+place in them. Improvement passes follow: a 1-for-k swap pass whose candidates
 come from a lower-bound filter (a per-half-node minimum of selected
 weights, kept between rounds and recomputed where the selection moved),
 and a 2-for-1 augment pass that reads every attempt from one table of
@@ -34,15 +35,15 @@ edge universe for re-matching evolving weights; its result is always
 byte-identical to matching from scratch.
 
 Every pass works in one canonical edge order — descending weight, ties
-in *stripe* order ``((dst - src) mod n, src, dst)``. The pure-Python
+in *stripe* order ``((dst - src) mod n, src, dst)``, the :func:`tie_order`
+a caller builds once per edge list. The pure-Python
 reference matcher (sequential greedy seed, dict/set selection state and
 swap pass, loop augment pass) lives in ``tests/oracles.py``;
 ``tests/test_matcher_augment.py`` pins the swap and augment passes
 against it from identical states, and ``tests/test_matcher_properties.py``
 and ``tests/test_matcher_differential.py`` pin whole matches against the
 reference. Edge lists hold each ``(src, dst)`` pair at most once;
-:func:`canonical_positions` and :class:`IncrementalMatcher` reject a
-repeat. The stripe tie-break is a Latin-square round-robin: on
+:func:`tie_order` rejects a repeat. The stripe tie-break is a Latin-square round-robin: on
 tie-heavy traffic (a uniform all-to-all) each stripe is a perfect
 permutation, so greedy saturates every endpoint evenly instead of
 stranding capacity the way pair-lexicographic order does.
@@ -66,55 +67,61 @@ DEFAULT_MAX_PASSES = 8
 def canon_key(src: np.ndarray, dst: np.ndarray, nranks: int) -> np.ndarray:
     """Scalar tie-break key encoding ``((dst - src) mod n, src, dst)``.
 
-    Fits int64 up to ~2M ranks (n**3 < 2**63); self-loops are excluded
-    before this is ever computed, so the stripe component is in [1, n-1].
+    Fits int64 up to ~2M ranks (n**3 < 2**63). A self-loop's stripe
+    component is 0, so self-loops key below every other edge.
     """
     n = np.int64(max(1, nranks))
     stripe = (dst - src) % n
     return stripe * n * n + src * n + dst
 
 
+def tie_order(src: np.ndarray, dst: np.ndarray, nranks: int) -> np.ndarray:
+    """Positions of the edges that are not self-loops, in stripe order
+    ``((dst - src) mod n, src, dst)``: the canonical order's tie-break.
+    It depends only on the pairs, so one tie order serves every weight
+    vector over the same columns (:func:`canonical_positions`).
+
+    The augment pass is exact only on edge lists that hold each
+    ``(src, dst)`` pair at most once, so a repeat raises ``ValueError``.
+    Columns whose pair key strictly increases, as every
+    :class:`hfast.matrix.CommMatrix`'s does, hold no repeat and are
+    already in stripe order within each stripe, so they are only grouped
+    by stripe.
+    """
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    n = np.int64(max(1, nranks))
+    pairs = src * n + dst
+    if np.all(pairs[1:] > pairs[:-1]):
+        order = _stable_order((dst - src) % n)
+    else:
+        key = canon_key(src, dst, nranks)
+        order = np.argsort(key)
+        key = key[order]
+        if np.any(key[1:] == key[:-1]):
+            raise ValueError(
+                "edge list repeats a (src, dst) pair; each pair may appear at most once"
+            )
+    # Self-loops, stripe 0, come first.
+    return order[np.count_nonzero(src == dst) :]
+
+
 def canonical_positions(
-    src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, *, tie: np.ndarray | None = None,
 ) -> np.ndarray:
     """Positions of the matchable edges (positive weight, no self-loop) in
-    canonical order.
+    canonical order: one stable sort by descending weight over the tie
+    order.
 
-    Raises ``ValueError`` when a ``(src, dst)`` pair repeats. Columns
-    whose pair key already strictly increases, as every
-    :class:`hfast.matrix.CommMatrix`'s does, skip the sort that check
-    otherwise takes.
+    ``tie`` is :func:`tie_order` of the same columns, for a caller that
+    orders one edge list under several weight vectors; without it, it is
+    built here, and a repeated ``(src, dst)`` pair raises ``ValueError``.
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    w = np.asarray(w, dtype=np.float64)
-    pairs = src * np.int64(max(1, nranks)) + dst
-    if not np.all(pairs[1:] > pairs[:-1]):
-        _reject_repeated_pairs(np.sort(pairs))
-    keep = np.flatnonzero((w > 0) & (src != dst))
-    return keep[np.lexsort((canon_key(src[keep], dst[keep], nranks), -w[keep]))]
-
-
-def sort_edges(
-    src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Canonically order raw edge columns, dropping unmatchable edges.
-
-    Raises ``ValueError`` when a ``(src, dst)`` pair repeats.
-    """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    w = np.asarray(w, dtype=np.float64)
-    pos = canonical_positions(src, dst, w, nranks)
-    return src[pos], dst[pos], w[pos]
-
-
-def _reject_repeated_pairs(sorted_pairs: np.ndarray) -> None:
-    """The augment pass is exact only on edge lists that hold each
-    ``(src, dst)`` pair at most once; raise ``ValueError`` on a sorted
-    pair key that repeats."""
-    if np.any(sorted_pairs[1:] == sorted_pairs[:-1]):
-        raise ValueError("edge list repeats a (src, dst) pair; each pair may appear at most once")
+    if tie is None:
+        tie = tie_order(src, dst, nranks)
+    w = np.asarray(w, dtype=np.float64)[tie]
+    live = w > 0
+    return tie[live][np.argsort(-w[live], kind="stable")]
 
 
 # -- greedy seed --------------------------------------------------------------
@@ -153,86 +160,125 @@ def _group_rank(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def greedy_seed_vector(
-    src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int
-) -> list[int]:
-    """Greedy seed as b-Suitor-style rounds over canonical-ordered edges.
-
-    Each round accepts every surviving edge whose rank among surviving
-    edges at *both* endpoints fits the remaining capacity there — a
-    superset-free subset of what the sequential scan accepts — then
-    discards edges touching saturated endpoints. Under a strict total
-    order this converges to exactly the sequential greedy matching
-    (Khan et al., the b-Suitor equivalence); the property suite pins the
-    equality against the sequential scan in ``tests/oracles.py`` anyway.
-
-    An edge's fate depends only on the edges before it, so the rounds run
-    over growing prefix windows of the canonical order (``4 * n * bound``
-    edges, then doubling). Each window starts from the capacity the
-    earlier ones left, its edges at saturated endpoints dropped first, and
-    no window runs once every out- or every in-capacity is spent: on dense
-    traffic the first windows decide the seed and the rest of the edge
-    list is never ranked. Where no node has more than ``bound`` out- or
-    in-edges, every edge fits and no round runs. Returns accepted edge
-    indexes in canonical order.
-    """
-    return _greedy_seed(src, dst, w, nranks, bound).tolist()
-
-
-def _greedy_seed(
-    src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int
-) -> np.ndarray:
-    """:func:`greedy_seed_vector` as an ascending int64 array."""
-    bound = min(bound, nranks)
-    if bound <= 0 or len(w) == 0:
+def _unbound(src: np.ndarray, dst: np.ndarray, nranks: int, bound: int) -> np.ndarray | None:
+    """The selection of canonically ordered columns where capacity cannot
+    bind, at a ``bound`` already clamped to ``nranks``: no edge at a bound
+    of zero, every edge where no node has more than ``bound`` out- or
+    in-edges. ``None`` where capacity binds."""
+    if bound <= 0 or len(src) == 0:
         return np.empty(0, dtype=np.int64)
     if (
-        len(w) <= nranks * bound
+        len(src) <= nranks * bound
         and np.bincount(src).max() <= bound
         and np.bincount(dst).max() <= bound
     ):
-        return np.arange(len(w))
+        return np.arange(len(src))
+    return None
+
+
+def greedy_seed_vector(
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int
+) -> list[int]:
+    """Greedy seed over canonical-ordered edges, in b-Suitor-style rounds
+    and a sequential pass.
+
+    A round accepts every surviving edge whose rank among surviving edges
+    at *both* endpoints fits the remaining capacity there: every such
+    edge is one the sequential scan accepts. The sequential scan over
+    what the round left, with the capacity the round left, then accepts
+    exactly the rest of the sequential greedy matching (Khan et al., the
+    b-Suitor equivalence); the property suite pins the equality against
+    the sequential scan in ``tests/oracles.py``.
+
+    An edge's fate depends only on the edges before it, so the seed runs
+    over growing prefix windows of the canonical order (``4 * n * bound``
+    edges, then doubling): one round over a window's edges whose
+    endpoints both have capacity left, then one sequential pass over its
+    survivors. No window runs once every out- or every in-capacity is
+    spent: on dense traffic the first windows decide the seed and the
+    rest of the edge list is never ranked. Where no node has more than
+    ``bound`` out- or in-edges, every edge fits and no round runs.
+    Returns accepted edge indexes in canonical order.
+    """
+    bound = min(bound, nranks)
+    seed = _unbound(src, dst, nranks, bound)
+    return (_greedy_seed(src, dst, nranks, bound) if seed is None else seed).tolist()
+
+
+def _greedy_seed(
+    src: np.ndarray, dst: np.ndarray, nranks: int, bound: int, rows=None
+) -> np.ndarray:
+    """:func:`greedy_seed_vector` as an ascending int64 array, where
+    capacity binds. ``rows`` are the columns' half-node rows
+    (:func:`_csr`) when the caller has them: every edge of the first
+    window is alive, so its rank at an endpoint is its place in that
+    half-node's row, and the first round accepts the edges among the
+    first ``bound`` of both their rows without ranking anything."""
     cap_out = np.full(nranks, bound, dtype=np.int64)
     cap_in = np.full(nranks, bound, dtype=np.int64)
-    chosen = [np.empty(0, dtype=np.int64)]
+    chosen = []
     lo, size = 0, 4 * nranks * bound
-    while lo < len(w) and cap_out.any() and cap_in.any():
-        alive = np.arange(lo, min(lo + size, len(w)))
-        lo, size = lo + size, 2 * size
-        while True:
+    while lo < len(src) and cap_out.any() and cap_in.any():
+        hi = min(lo + size, len(src))
+        alive = np.arange(lo, hi)
+        if lo == 0 and rows is not None:
+            top = rows[1][_rows(rows[0], np.arange(2 * nranks), bound)[0]]
+            acc = np.bincount(top[top < hi], minlength=hi) == 2
+        else:
             alive = alive[(cap_out[src[alive]] > 0) & (cap_in[dst[alive]] > 0)]
-            if not alive.size:
-                break
-            # The first survivor ranks 0 at both open endpoints: every
-            # round accepts at least one edge.
             s, d = src[alive], dst[alive]
             acc = (_group_rank(s) < cap_out[s]) & (_group_rank(d) < cap_in[d])
-            took = alive[acc]
-            chosen.append(took)
-            cap_out -= np.bincount(src[took], minlength=nranks)
-            cap_in -= np.bincount(dst[took], minlength=nranks)
-            alive = alive[~acc]
+        lo, size = hi, 2 * size
+        took = alive[acc]
+        cap_out -= np.bincount(src[took], minlength=nranks)
+        cap_in -= np.bincount(dst[took], minlength=nranks)
+        chosen += [took, _scan(alive[~acc], src, dst, cap_out, cap_in)]
     return np.sort(np.concatenate(chosen))
+
+
+def _scan(edges: np.ndarray, src: np.ndarray, dst: np.ndarray, cap_out, cap_in) -> np.ndarray:
+    """The sequential greedy over ``edges``, ascending canonical ids:
+    accept each edge with capacity left at both ends and spend it there.
+    Returns the accepted edges; the capacities are updated in place."""
+    edges = edges[(cap_out[src[edges]] > 0) & (cap_in[dst[edges]] > 0)]
+    out, into = memoryview(cap_out), memoryview(cap_in)
+    took = []
+    for e, s, d in zip(edges.tolist(), src[edges].tolist(), dst[edges].tolist()):
+        if out[s] and into[d]:
+            out[s] -= 1
+            into[d] -= 1
+            took.append(e)
+    return np.array(took, dtype=np.int64)
 
 
 # -- the match state and its improvement passes -------------------------------
 
 
-def _csr(keys: np.ndarray, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """Compressed rows grouping positions ``0..len(keys)-1`` by key.
+def _csr(src: np.ndarray, dst: np.ndarray, nranks: int) -> tuple[np.ndarray, ...]:
+    """The edge list compressed by half-node: ``(ptr, edge, far)``.
 
-    Row ``k`` is ``idx[ptr[k]:ptr[k + 1]]``, in ascending position order.
+    Row ``h`` lists the incidences at half-node ``h``:
+    ``edge[ptr[h]:ptr[h + 1]]`` are its edges in ascending id, and
+    ``far`` holds the half-node at each one's other end.
     """
-    ptr = np.zeros(rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys, minlength=rows), out=ptr[1:])
-    return ptr, _stable_order(keys)
+    n, m = nranks, len(src)
+    home = np.concatenate((src, dst + n))
+    ptr = np.zeros(2 * n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(home, minlength=2 * n), out=ptr[1:])
+    edge = _stable_order(home)
+    far = np.concatenate((dst + n, src))[edge]
+    edge[edge >= m] -= m
+    return ptr, edge, far
 
 
-def _rows(ptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions covered by compressed ``rows``, concatenated in order, and
-    the slot in ``rows`` each position came from."""
+def _rows(ptr: np.ndarray, rows: np.ndarray, most=None) -> tuple[np.ndarray, np.ndarray]:
+    """Positions covered by compressed ``rows`` (the first ``most`` of
+    each, when given), concatenated in order, and the slot in ``rows``
+    each position came from."""
     starts = ptr[rows]
     lens = ptr[rows + 1] - starts
+    if most is not None:
+        lens = np.minimum(lens, most)
     slot = np.repeat(np.arange(len(rows)), lens)
     flat = np.arange(len(slot)) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
     return flat, slot
@@ -274,7 +320,8 @@ class _State:
     ingress. Row ``h`` of the compressed table ``ptr`` lists the
     incidences at ``h``: ``edge[ptr[h]:ptr[h + 1]]`` are its edges in
     canonical order (so by non-increasing weight) and ``far`` the
-    half-node at each one's other end. ``pair`` is the ``(src, dst)`` key
+    half-node at each one's other end: the ``rows`` the greedy seed read
+    (:func:`_csr`), or built here. ``pair`` is the ``(src, dst)`` key
     that fixes the augment pass's visit order, and ``w_pad`` the weight
     column padded with a 0.0 that the "no edge" index ``len(w)`` reads.
     The selection is the ``sel`` mask over canonical edges plus its
@@ -308,22 +355,19 @@ class _State:
     )
 
     def __init__(
-        self, src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int, selected
+        self, src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int, selected,
+        rows=None,
     ):
         n, m = nranks, len(w)
         self.src, self.dst, self.w, self.bound = src, dst, w, bound
         self.pair = src * np.int64(max(1, n)) + dst
-        home = np.concatenate((src, dst + n))
-        self.ptr, inc = _csr(home, 2 * n)
-        self.far = np.concatenate((dst + n, src))[inc]
-        inc[inc >= m] -= m
-        self.edge = inc
+        self.ptr, self.edge, self.far = _csr(src, dst, n) if rows is None else rows
         self.w_pad = np.append(w, 0.0)
         longest = int(np.diff(self.ptr).max(initial=0))
         self.width = min(bound, longest)
         self.sel = np.zeros(m, dtype=bool)
         self.sel[selected] = True
-        self.deg = np.bincount(home[np.tile(self.sel, 2)], minlength=2 * n)
+        self.deg = np.bincount(np.concatenate((src[self.sel], dst[self.sel] + n)), minlength=2 * n)
         self.outdeg, self.indeg = self.deg[:n], self.deg[n:]
         self.table = np.full((2 * n, self.width), m, dtype=np.int64)
         self.stale = np.zeros(m, dtype=bool)
@@ -423,20 +467,18 @@ class _State:
             changed, selected = self._rewrite(h)
             if changed or deg[h] != was:
                 readers += selected
+        # A far row not yet rewritten stands as before the move, when the
+        # unselected edge ``e`` to a crossed half-node was feasible there
+        # if that half-node filled up and infeasible if it opened. Either
+        # way the row's picks change by ``e`` exactly when the row has a
+        # free slot (``none``, past every edge) or a last pick after ``e``.
         done = set(before)
         for h, was in before.items():
             if (was < bound) == (deg[h] < bound):
                 continue
-            filled = deg[h] >= bound
             for j in range(ptr[h], ptr[h + 1]):
                 r, e = far[j], edge[j]
-                if r in done or sel[e]:
-                    continue
-                if filled:
-                    hit = e in table[r * width : (r + 1) * width].tolist()
-                else:
-                    hit = self._rank(r, e) < width
-                if hit:
+                if r not in done and not sel[e] and table[r * width + width - 1] >= e:
                     done.add(r)
                     readers += self._rewrite(r)[1]
         for e in readers:
@@ -466,20 +508,6 @@ class _State:
                 table[col] = none
                 changed = True
         return changed, selected
-
-    def _rank(self, r: int, e: int) -> int:
-        """How many feasible edges precede ``e`` in row ``r``, counted up
-        to ``width``."""
-        ptr, edge, far, sel, deg = self.views[:5]
-        bound, width = self.bound, self.width
-        rank = 0
-        for j in range(ptr[r], ptr[r + 1]):
-            x = edge[j]
-            if x == e or rank == width:
-                break
-            if not sel[x] and deg[far[j]] < bound:
-                rank += 1
-        return rank
 
     def picks(self, e: int):
         """The edges a committed attempt on the selected edge ``e`` selects:
@@ -686,14 +714,14 @@ def _augment_pass_vector(state: _State) -> bool:
 def _match_sorted(
     src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int
 ) -> np.ndarray:
-    """Selected edges of canonically-sorted columns, as ascending ids."""
+    """Selected edges of canonically-sorted columns, as ascending ids.
+    The greedy seed and the state share one set of half-node rows."""
     bound = min(bound, nranks)
-    if bound <= 0 or len(w) == 0:
-        return np.empty(0, dtype=np.int64)
-    seed = _greedy_seed(src, dst, w, nranks, bound)
-    if len(seed) == len(w):
-        return seed  # every edge fits: no swap or augment can add one
-    state = _State(src, dst, w, nranks, bound, seed)
+    unbound = _unbound(src, dst, nranks, bound)
+    if unbound is not None:
+        return unbound  # no swap or augment can add an edge
+    rows = _csr(src, dst, nranks)
+    state = _State(src, dst, w, nranks, bound, _greedy_seed(src, dst, nranks, bound, rows), rows)
     # The first round's swap pass would find nothing: the greedy seed
     # skipped an edge only at a saturated endpoint whose selected edges
     # all come earlier in canonical order, so they weigh at least as much.
@@ -707,7 +735,8 @@ def _match_sorted(
 
 
 def match_edges(
-    src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int,
+    *, tie: np.ndarray | None = None,
 ) -> np.ndarray:
     """Degree-constrained max-weight matching over edge columns.
 
@@ -715,15 +744,16 @@ def match_edges(
     caller's columns: ``src[pos]``/``dst[pos]`` are the circuits, and on
     ``(src, dst)``-ordered columns such as a
     :class:`hfast.matrix.CommMatrix`'s they come out ``(src, dst)``-sorted.
-    Use :class:`IncrementalMatcher` to re-match one edge universe step
-    after step. Each ``(src, dst)`` pair may appear at most once: the
-    augment pass is exact only on such lists, so a repeat raises
-    ``ValueError``.
+    ``tie`` is the columns' :func:`tie_order`, for a caller that matches
+    one edge list under several weight vectors (a ``CommMatrix`` keeps
+    its own). Each ``(src, dst)`` pair may appear at most once: the
+    augment pass is exact only on such lists, so building the tie order
+    of a list that repeats one raises ``ValueError``.
     """
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     w = np.asarray(w, dtype=np.float64)
-    pos = canonical_positions(src, dst, w, nranks)
+    pos = canonical_positions(src, dst, w, nranks, tie=tie)
     return np.sort(pos[_match_sorted(src[pos], dst[pos], w[pos], nranks, bound)])
 
 
@@ -760,8 +790,7 @@ class IncrementalMatcher:
         self.input_order = order
         self.nranks = int(nranks)
         self.bound = int(bound)
-        self._pair = self.src * np.int64(max(1, self.nranks)) + self.dst
-        _reject_repeated_pairs(self._pair)
+        self._tie = tie_order(self.src, self.dst, self.nranks)
         self._ckey = canon_key(self.src, self.dst, self.nranks)
         self._loopless = self.src != self.dst
         self._prev_w: np.ndarray | None = None
@@ -788,9 +817,7 @@ class IncrementalMatcher:
                     self.stats["order_reuses"] += 1
                     return ao
         self.stats["full_resorts"] += 1
-        ids = np.flatnonzero(active_mask)
-        order = np.lexsort((self._ckey[ids], -w[ids]))
-        return ids[order]
+        return canonical_positions(self.src, self.dst, w, self.nranks, tie=self._tie)
 
     def _order_holds(self, ow: np.ndarray, ao: np.ndarray) -> bool:
         """Is the cached canonical order still canonical under new weights?

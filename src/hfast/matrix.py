@@ -14,9 +14,11 @@ double-counted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
+from hfast.matcher import tie_order
 from hfast.obs.profile import profiled
 from hfast.records import RECV_CALLS, SEND_CALLS, RecordBatch
 
@@ -46,6 +48,12 @@ class CommMatrix:
 
     def nonzero_links(self) -> int:
         return int(np.count_nonzero(self.bytes))
+
+    @cached_property
+    def tie_order(self) -> np.ndarray:
+        """The rows' :func:`hfast.matcher.tie_order`, built on first use:
+        every match over this matrix orders its edges from it."""
+        return tie_order(self.src, self.dst, self.nranks)
 
     def top_peers(self, rank: int, k: int = 5) -> list[tuple[int, int]]:
         """Heaviest (peer, bytes) partners of one rank by send + recv

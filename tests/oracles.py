@@ -27,6 +27,8 @@ slow but obviously correct:
 - :func:`to_entry` and :func:`from_entry` — a format-5 entry written and
   read from the documented layout alone, with no checks, so the
   rejection tests can write entries ``hfast`` would refuse;
+- :func:`sort_edges` — columns in :func:`hfast.matcher.canonical_positions`
+  order, the form :func:`greedy_seed` and the pass tests take;
 - :func:`match_edges` — the sequential greedy seed (:func:`greedy_seed`),
   the dict/set selection state (:class:`MatchState`), the edge-by-edge
   swap filter (:func:`swap_candidates`) and swap pass (:func:`swap_pass`),
@@ -671,11 +673,26 @@ def augmenter(src: np.ndarray, dst: np.ndarray, nranks: int) -> Callable[[Versio
     return lambda state: augment_pass(state, out_adj, in_adj, memo)
 
 
+def sort_edges(
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Raw edge columns in canonical order, unmatchable edges dropped.
+    Raises ``ValueError`` when a ``(src, dst)`` pair repeats."""
+    pos = canonical_positions(src, dst, w, nranks)
+    return (
+        np.asarray(src, dtype=np.int64)[pos],
+        np.asarray(dst, dtype=np.int64)[pos],
+        np.asarray(w, dtype=np.float64)[pos],
+    )
+
+
 def match_edges(
-    src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int
+    src: np.ndarray, dst: np.ndarray, w: np.ndarray, nranks: int, bound: int, *, tie=None
 ) -> np.ndarray:
     """The reference for :func:`hfast.matcher.match_edges`, same signature
-    and return type: ascending positions in the caller's columns."""
+    and return type: ascending positions in the caller's columns. It
+    accepts the caller's tie order and ignores it, ordering the columns
+    from scratch."""
     pos = canonical_positions(src, dst, w, nranks)
     src = np.asarray(src, dtype=np.int64)[pos]
     dst = np.asarray(dst, dtype=np.int64)[pos]

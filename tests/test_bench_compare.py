@@ -255,3 +255,34 @@ def test_single_path_mode_still_archives(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "no baseline" in out and "snapshot archived" in out
     assert list(snapdir.glob("BENCH_only.json"))
+
+
+def test_reruns_compare_each_stage_at_its_median(tmp_path, capsys):
+    """One slow run of three is noise: the candidate's stages are compared
+    at their median over its runs, and a slowdown every run shares still
+    fails."""
+    base = write_bench(tmp_path / "BENCH_base.json", {"pipeline": 1.0, "matrix_reduce": 0.4})
+    runs = [
+        write_bench(tmp_path / f"BENCH_run{i}.json", {"pipeline": p, "matrix_reduce": r})
+        for i, (p, r) in enumerate([(1.5, 0.41), (1.1, 0.6), (1.0, 0.39)])
+    ]
+    assert bench_compare.main([str(base), str(runs[0])]) == 1
+    reruns = ["--rerun", str(runs[1]), "--rerun", str(runs[2])]
+    record = tmp_path / "record.json"
+    assert bench_compare.main([str(base), str(runs[0]), *reruns, "--record", str(record)]) == 0
+    assert "median of 3 runs" in capsys.readouterr().out
+    stages = {r["stage"]: r["cand_s"] for r in json.loads(record.read_text())["stages"]}
+    assert stages == {"pipeline": 1.1, "matrix_reduce": 0.41}
+    slow = [write_bench(tmp_path / f"BENCH_slow{i}.json", {"pipeline": 2.0 + i / 10}) for i in range(3)]
+    assert bench_compare.main([str(base), str(slow[0]), "--rerun", str(slow[1]), "--rerun", str(slow[2])]) == 1
+
+
+def test_unreadable_rerun_is_left_out_and_snapshot_holds_the_median(tmp_path, capsys):
+    base = write_bench(tmp_path / "BENCH_base.json", {"pipeline": 1.0})
+    first = write_bench(tmp_path / "BENCH_first.json", {"pipeline": 1.1})
+    second = write_bench(tmp_path / "BENCH_second.json", {"pipeline": 1.3})
+    args = [str(base), str(first), "--rerun", str(second), "--rerun", str(tmp_path / "BENCH_gone.json")]
+    assert bench_compare.main(args + ["--snapshot-dir", str(tmp_path / "snap")]) == 0
+    assert "cannot read" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "snap" / first.name).read_text())
+    assert doc["median_of"] == 2 and doc["profile"]["stages"][0]["wall_s"] == 1.2

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import oracles
-from hfast import interconnect
+from hfast import interconnect, matcher, matrix
 from hfast.apps import synthesize
+from hfast.cache import ReproCache
 from hfast.interconnect import (
     InterconnectConfig,
     evaluate_hybrid,
@@ -15,6 +16,8 @@ from hfast.interconnect import (
 )
 from hfast.matcher import match_edges
 from hfast.matrix import CommMatrix, reduce_matrix
+from hfast.obs.profile import Observability
+from hfast.pipeline import analyze_app
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_CASES = [(app, n) for app in ("cactus", "gtc", "lbmhd", "paratec") for n in (8, 16)]
@@ -241,6 +244,34 @@ def test_evaluators_match_through_the_interconnect_name(timesteps, monkeypatch):
     ev = evaluate_hybrid(cm, config, strategy="matching")
     assert len(calls) == 1
     assert ev.circuits == list(zip(cm.src[calls[0]].tolist(), cm.dst[calls[0]].tolist()))
+
+
+def test_a_cell_orders_its_edges_once(tmp_path, monkeypatch):
+    """A cell builds its matrix's tie order once, for the static greedy
+    and every temporal step, and each constrained match builds its
+    half-node rows once, for the greedy seed and the state together: a
+    return to ordering or grouping the same edges per step fails here."""
+    built = {"tie order": 0, "rows": 0}
+
+    def counting(name, real):
+        def build(*args):
+            built[name] += 1
+            return real(*args)
+
+        return build
+
+    monkeypatch.setattr(matrix, "tie_order", counting("tie order", matcher.tie_order))
+    monkeypatch.setattr(matcher, "tie_order", counting("tie order", matcher.tie_order))
+    monkeypatch.setattr(matcher, "_csr", counting("rows", matcher._csr))
+    config = InterconnectConfig(timesteps=4)
+    analyze_app("paratec", 16, ReproCache(tmp_path), Observability.disabled(), config, store=False)
+    # Each node sends to 15 peers against 4 circuits: every step's match
+    # binds, and the static greedy builds no rows.
+    assert built == {"tie order": 1, "rows": 4}
+    cm = golden_matrix("paratec", 16)
+    built.update({"tie order": 0, "rows": 0})
+    match_edges(cm.src, cm.dst, cm.bytes, 16, 4)
+    assert built == {"tie order": 1, "rows": 1}
 
 
 def test_reconfig_cost_discourages_switching():

@@ -41,8 +41,8 @@ from hfast.matcher import (
     canon_key,
     greedy_seed_vector,
     match_edges,
-    sort_edges,
 )
+from oracles import sort_edges
 
 #: Cutoffs that force each form of ``_State.move`` and ``_State.gains``:
 #: no row (and no batch of attempts) is that short, or every one is.

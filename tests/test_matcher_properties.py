@@ -17,13 +17,17 @@ import numpy as np
 import pytest
 
 import oracles
+from hfast import matcher
 from hfast.interconnect import InterconnectConfig, evaluate_temporal, slice_edge_volumes
 from hfast.matcher import (
     IncrementalMatcher,
+    canon_key,
     canonical_positions,
     greedy_seed_vector,
     match_edges,
+    tie_order,
 )
+from hfast.matrix import CommMatrix
 from oracles import canonical_edges, greedy_circuits
 
 
@@ -325,6 +329,72 @@ def test_match_rejects_repeated_pair():
                 match(*columns, 3, 1)
         with pytest.raises(ValueError, match="repeats"):
             canonical_positions(*columns, 3)
+
+
+def test_tie_order_rejects_repeated_pair():
+    """Building a tie order checks the pairs, a repeated self-loop
+    included, for the columns and for a matrix built from them."""
+    cases = [([0, 0], [1, 1]), ([2, 0, 1, 0], [0, 1, 2, 1]), ([0, 1, 1], [1, 1, 1]), ([1, 0, 1], [1, 2, 1])]
+    for src, dst in cases:
+        src, dst = np.array(src), np.array(dst)
+        with pytest.raises(ValueError, match="repeats"):
+            tie_order(src, dst, 3)
+        cm = CommMatrix(3, src, dst, np.ones(len(src), dtype=np.int64), np.ones(len(src), dtype=np.int64))
+        with pytest.raises(ValueError, match="repeats"):
+            cm.tie_order
+
+
+def test_tie_order_gives_the_lexsort_order():
+    """One stable sort by descending weight over the tie order is the
+    canonical order, ``lexsort((canon_key, -w))`` over the matchable
+    edges: on tie-heavy weights, floats from 1e-3 to 1e16, ``inf``, zero
+    and negative weights and self-loops, on (src, dst)-ordered and on
+    shuffled columns, whether the caller passes the tie order or not."""
+    rng = np.random.default_rng(41)
+    for trial in range(80):
+        n = int(rng.integers(2, 30))
+        src, dst = np.nonzero(rng.random((n, n)) < rng.uniform(0.2, 1.0))
+        kind = trial % 4
+        if kind == 0:
+            w = rng.integers(-1, 4, size=len(src)).astype(np.float64)
+        elif kind == 1:
+            w = 10.0 ** rng.uniform(-3, 16, size=len(src)) * (rng.random(len(src)) < 0.8)
+        elif kind == 2:
+            w = rng.choice([np.inf, 0.0, 1e-3, 2.0**53, 2.0**53 + 2], size=len(src))
+        else:
+            w = np.full(len(src), 7.0)
+        if trial % 2:
+            perm = rng.permutation(len(src))
+            src, dst, w = src[perm], dst[perm], w[perm]
+        keep = np.flatnonzero((w > 0) & (src != dst))
+        want = keep[np.lexsort((canon_key(src[keep], dst[keep], n), -w[keep]))]
+        tie = tie_order(src, dst, n)
+        assert np.array_equal(canonical_positions(src, dst, w, n, tie=tie), want)
+        assert np.array_equal(canonical_positions(src, dst, w, n), want)
+
+
+def test_windowed_seed_on_dense_all_to_all():
+    """Dense all-to-all inputs whose light nodes push the seed's last
+    accepted edge into its second to fifth window: one round and one
+    sequential pass a window give the sequential scan's seed, whether the
+    first window's round ranks its edges or reads their places in the
+    half-node rows."""
+    rng = np.random.default_rng(47)
+    spans = set()
+    for _ in range(40):
+        n = int(rng.integers(24, 72))
+        bound = int(rng.integers(1, 4))
+        w = rng.integers(8, 64, size=(n, n)).astype(np.float64)
+        light = rng.random(n) < rng.uniform(0.02, 0.3)
+        w[light, :] = rng.integers(1, 4, size=(light.sum(), n))
+        w[:, light] = rng.integers(1, 4, size=(n, light.sum()))
+        src, dst, wc = canonical_edges(w)
+        want = oracles.greedy_seed(src, dst, wc, n, bound)
+        spans.add(seed_windows(max(want) + 1, n, bound))
+        assert greedy_seed_vector(src, dst, wc, n, bound) == want
+        rows = matcher._csr(src, dst, n)
+        assert matcher._greedy_seed(src, dst, n, bound, rows).tolist() == want
+    assert spans == {2, 3, 4, 5}
 
 
 def test_positions_index_the_callers_columns():

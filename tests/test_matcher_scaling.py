@@ -22,7 +22,8 @@ import pytest
 
 import oracles
 from hfast.apps import _factor3, _ghost_pairs_vec
-from hfast.matcher import IncrementalMatcher, greedy_seed_vector, match_edges, sort_edges
+from hfast.matcher import IncrementalMatcher, greedy_seed_vector, match_edges
+from oracles import sort_edges
 
 pytestmark = pytest.mark.slow
 
