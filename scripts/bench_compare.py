@@ -170,10 +170,11 @@ def snapshot_candidate(cand_path: Path, doc: dict, snapshot_dir: Path, label: st
     """Archive the candidate snapshot into the perf-trajectory directory.
 
     The copy keeps the original ``BENCH_<sha>.json`` name and gains a
-    ``record`` block (where it came from, which CI job/backend produced
-    it) so ``hfast obs trend --bench`` can attribute each point. A name
+    ``record`` block saying where it came from and which CI job or
+    backend produced it. With ``--rerun`` the copy is the median document,
+    which is how a committed median-of-three baseline is recorded. A name
     collision with different content gets a content-hash suffix instead
-    of overwriting history.
+    of overwriting an earlier copy.
     """
     import hashlib
 
@@ -197,8 +198,9 @@ def snapshot_candidate(cand_path: Path, doc: dict, snapshot_dir: Path, label: st
 
 
 def write_record(path: Path, doc: dict) -> None:
-    """Persist the delta table (used by CI to archive mitigation on/off
-    wall-time comparisons); never changes the exit status."""
+    """Persist the delta table (CI archives the matcher's vector against
+    incremental speedup and the DSE backends' wall-time delta this way);
+    never changes the exit status."""
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     print(f"bench_compare: delta record written to {path}")

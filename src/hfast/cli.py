@@ -12,7 +12,7 @@ Subcommands::
     python -m hfast serve   [--host H] [--port P] [--serve-dir DIR] ...
     python -m hfast search  --app A --scale N [--circuits 1,2,4] [--strategy grid] ...
     python -m hfast apps    [--cache-dir DIR]
-    python -m hfast obs     {history,trend,slo,tail} ...
+    python -m hfast obs     tail LOG [-n N] [--level L] [--event E]
 
 ``--profile`` turns the observability layer on; ``--trace-out`` /
 ``--metrics-out`` imply it. With no profiling flags, the pipeline runs
@@ -48,13 +48,6 @@ free port). Both imply ``--profile`` and are strict side-channels: the
 merged trace/metrics/report artifacts are byte-identical with or
 without them.
 
-``--mitigate`` (implies ``--scheduler stealing``) closes the
-observability loop: in-flight cells the online anomaly detector flags
-as stragglers are speculatively re-dispatched to another worker (first
-result wins) and their app's queued siblings are reprioritized. Like
-``--live``, it only changes scheduling order and wall time — results,
-cache artifacts, and report content are byte-identical either way.
-
 ``hfast trace`` analyzes any ``--trace-out`` JSONL file or scheduler
 journal post-mortem: ``summary`` (critical path, stage self-times,
 scheduler attribution), ``critical-path`` (``--weight cost`` is
@@ -83,14 +76,8 @@ across all of them for a fixed spec.
 holds and its LogGP params: the built-in ``APP_PARAMS``, the one table
 every run reads.
 
-``hfast obs`` queries persistent telemetry post-mortem: ``history``
-lists/compacts a ``--history-dir`` written by analyze runs or the serve
-daemon, ``trend`` renders deterministic cross-run trend tables (and can
-ingest ``benchmarks/BENCH_*.json`` perf snapshots via ``--bench``),
-``slo`` evaluates burn-rate rules over the recorded runs, and ``tail``
-reads structured logs across their rotation chain. ``--slo`` on analyze
-evaluates the spec inline — breaches land in the trace, ``/metrics``,
-and the report's SLO compliance section.
+``hfast obs tail`` reads a structured log (``analyze --log-out``, the
+serve daemon's ``logs/daemon.jsonl``) across its rotation chain.
 """
 
 from __future__ import annotations
@@ -131,6 +118,13 @@ def _csv_floats(value: str) -> list[float]:
         return [float(v) for v in _csv(value)]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {value!r}") from exc
+
+
+def _count(value: str) -> int:
+    """Parse a record count: a decimal integer of at least 0."""
+    if not value.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a count of at least 0: {value!r}")
+    return int(value)
 
 
 def _shard(value: str) -> tuple[int, int]:
@@ -177,18 +171,17 @@ def _add_exec_flags(p: argparse.ArgumentParser, unit: str) -> None:
     )
 
 
-def _scheduler(requested: str, workers: int, *implied: object) -> str:
-    """``--workers N>1``, or any set flag in ``implied`` (``--resume``,
-    ``--mitigate``), selects the stealing scheduler."""
-    return "stealing" if workers > 1 or any(implied) else requested
+def _scheduler(requested: str, workers: int, resume: str | None = None) -> str:
+    """``--workers N>1`` or ``--resume`` selects the stealing scheduler."""
+    return "stealing" if workers > 1 or resume else requested
 
 
-def _exec_options(args: argparse.Namespace, *implied: object) -> ExecOptions:
+def _exec_options(args: argparse.Namespace) -> ExecOptions:
     """The :class:`~hfast.spec.ExecOptions` of an ``analyze`` or ``search``
     run; ``--bench-dir`` (default: the working directory) calibrates the
     cost model and the anomaly detector."""
     return ExecOptions(
-        scheduler=_scheduler(args.scheduler, args.workers, args.resume, *implied),
+        scheduler=_scheduler(args.scheduler, args.workers, args.resume),
         workers=args.workers,
         max_retries=args.max_retries,
         heartbeat_timeout=args.heartbeat_timeout,
@@ -230,14 +223,6 @@ def _print_sched(sched: dict) -> None:
     )
     if sched.get("journal"):
         print(f"journal: {sched['journal']} (resume with --resume {sched.get('run_id')})")
-    mit = sched.get("mitigation")
-    if mit:
-        print(
-            f"mitigation: {mit.get('advisories', 0)} advisories, "
-            f"{mit.get('speculative_dispatches', 0)} speculative dispatches "
-            f"({mit.get('speculation_wins', 0)} races won), "
-            f"{mit.get('reweighted_cells', 0)} cells reweighted"
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,24 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--anomaly-threshold", type=float, default=None,
         help="flag a cell as a straggler when its wall time exceeds this "
              "multiple of the cost-model expectation (default: 4.0)",
-    )
-    p_an.add_argument(
-        "--mitigate", action="store_true",
-        help="act on live straggler advisories: speculatively re-dispatch "
-             "flagged cells and reprioritize their app's queued siblings "
-             "(implies --scheduler stealing; results stay byte-identical)",
-    )
-    p_an.add_argument(
-        "--slo", default=None, metavar="SPEC",
-        help="evaluate SLO burn rates after the run: 'default' or a "
-             "JSON/YAML spec path (implies --profile; breaches land in the "
-             "trace, /metrics, and the report's SLO compliance section)",
-    )
-    p_an.add_argument(
-        "--history-dir", default=None, metavar="DIR",
-        help="append a content-addressed run snapshot to this telemetry "
-             "history directory (implies --profile; query later with "
-             "`hfast obs trend`)",
     )
     p_an.add_argument(
         "--log-out", default=None, metavar="LOG.jsonl",
@@ -421,15 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
              "the least-recently-served artifacts (default: unbounded)",
     )
     p_sv.add_argument(
-        "--history-dir", default=None, metavar="DIR",
-        help="append a content-addressed snapshot per finished job to this "
-             "telemetry history directory",
-    )
-    p_sv.add_argument(
-        "--slo", default=None, metavar="SPEC",
-        help="evaluate SLO burn rates per job: 'default' or a JSON/YAML spec path",
-    )
-    p_sv.add_argument(
         "--heartbeat-interval", type=float, default=2.0, metavar="S",
         help="seconds between heartbeat events on /v1/events (<= 0 disables)",
     )
@@ -492,49 +450,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_apps = sub.add_parser("apps", help="list known apps and cached traces")
     p_apps.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
 
-    p_obs = sub.add_parser(
-        "obs", help="query persistent telemetry: history, cross-run trends, SLOs, logs"
-    )
+    p_obs = sub.add_parser("obs", help="read structured logs post-mortem")
     obs_sub = p_obs.add_subparsers(dest="obs_command", required=True)
-
-    p_oh = obs_sub.add_parser("history", help="list or compact a telemetry history directory")
-    p_oh.add_argument("history_dir", help="history directory (from --history-dir)")
-    p_oh.add_argument("--compact", action="store_true",
-                      help="merge + dedupe every segment into one sealed segment")
-    p_oh.add_argument("--retain", type=int, default=None, metavar="N",
-                      help="with --compact: keep only the newest N snapshots")
-    p_oh.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    p_oh.add_argument("--strict", action="store_true",
-                      help="fail on malformed snapshot lines instead of skipping them")
-
-    p_ot = obs_sub.add_parser(
-        "trend", help="cross-run trend table (deterministic: a pure function of history content)"
-    )
-    p_ot.add_argument("history_dirs", nargs="+", help="one or more history directories")
-    p_ot.add_argument("--bench", default=None, metavar="DIR",
-                      help="also ingest BENCH_*.json perf snapshots from this dir or file")
-    p_ot.add_argument("--app", default=None, help="restrict to one app")
-    p_ot.add_argument("--scale", type=int, default=None, help="restrict to one rank count")
-    p_ot.add_argument("--quantiles", default=None, metavar="METRIC",
-                      help="per-snapshot p50/p99 of a deterministic histogram "
-                           "(e.g. call_latency_usec) instead of the trend table")
-    p_ot.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    p_ot.add_argument("--strict", action="store_true",
-                      help="fail on malformed snapshot lines instead of skipping them")
-
-    p_os = obs_sub.add_parser("slo", help="evaluate SLO burn rates over recorded history")
-    p_os.add_argument("history_dir", help="history directory (from --history-dir)")
-    p_os.add_argument("--spec", default="default",
-                      help="'default' or a JSON/YAML SLO spec path")
-    p_os.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    p_os.add_argument("--strict", action="store_true",
-                      help="exit nonzero when any SLO is breached")
 
     p_otl = obs_sub.add_parser(
         "tail", help="read a structured log or trace stream (rotated siblings included)"
     )
     p_otl.add_argument("path", help="structured log / JSONL trace path")
-    p_otl.add_argument("-n", type=int, default=None, metavar="N",
+    p_otl.add_argument("-n", type=_count, default=None, metavar="N",
                        help="only the last N records")
     p_otl.add_argument("--level", choices=("debug", "info", "warning", "error"),
                        default=None, help="only records at this level")
@@ -561,7 +484,7 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
                 "reconfig_cost": args.reconfig_cost,
             },
         )
-        options = _exec_options(args, args.mitigate)
+        options = _exec_options(args)
     except SpecError as exc:
         for err in exc.errors:
             print(f"error: {err}", file=sys.stderr)
@@ -572,20 +495,8 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
     profiling = bool(
         args.profile or args.trace_out or args.metrics_out or args.report_dir
         or args.bench_dir or args.live or args.metrics_port is not None
-        or args.slo or args.history_dir
     )
     obs = _observability(args, profiling)
-
-    slo_engine = None
-    if args.slo:
-        from hfast.obs.slo import SloEngine, SloSpecError, load_slo_spec
-
-        try:
-            slo_engine = SloEngine(load_slo_spec(args.slo))
-        except SloSpecError as exc:
-            for err in exc.errors:
-                print(f"error: {err}", file=sys.stderr)
-            return 2
 
     if args.log_out:
         from hfast.obs.logs import configure_logging
@@ -638,9 +549,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
             bus=bus,
             anomaly=detector,
             anomaly_threshold=args.anomaly_threshold,
-            mitigate=args.mitigate,
-            slo=slo_engine,
-            history_dir=args.history_dir,
         )
     except CacheValidationError as exc:
         print(f"error: cache validation failed: {exc}", file=sys.stderr)
@@ -688,14 +596,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
             f"expected {a['expected_s']:.3f}s ({a['ratio']}x)",
             file=sys.stderr,
         )
-
-    if slo_engine is not None:
-        from hfast.obs.slo import render_slo_lines
-
-        for line in render_slo_lines(out.get("slo") or []):
-            print(line, file=sys.stderr)
-    if args.history_dir:
-        print(f"history: {args.history_dir}", file=sys.stderr)
 
     cells = out["manifest"].get("cells") or []
     failed = [c for c in cells if not c["ok"]]
@@ -865,8 +765,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         store=not args.no_store,
         bench_dir=args.bench_dir,
         store_max_bytes=args.store_max_bytes,
-        history_dir=args.history_dir,
-        slo_spec=args.slo,
         heartbeat_interval=args.heartbeat_interval,
     )
     try:
@@ -987,106 +885,21 @@ def _cmd_apps(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    # Lazy imports: post-mortem queries need none of the pipeline.
-    from hfast.obs import history as hist
+    # ``tail`` is the one obs command; it needs none of the pipeline.
+    from hfast.obs.logs import read_log_records
 
-    if args.obs_command == "history":
-        if args.compact:
-            stats = hist.compact(args.history_dir, retain=args.retain, strict=args.strict)
-            if args.json:
-                print(json.dumps(stats, indent=2, sort_keys=True))
-            else:
-                print(
-                    f"compacted {stats['segments_before']} segment(s) -> "
-                    f"{stats['segments_after']}: {stats['snapshots']} snapshot(s) kept, "
-                    f"{stats['dropped']} dropped"
-                )
-            return 0
-        try:
-            snapshots = hist.read_history(args.history_dir, strict=args.strict)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.json:
-            print(json.dumps(snapshots, indent=2, sort_keys=True))
-            return 0
-        for snap in snapshots:
-            meta = snap.get("meta") or {}
-            rows = len((snap.get("data") or {}).get("results") or [])
-            ts = meta.get("timestamp")
-            print(
-                f"{snap['key'][:12]}  {snap.get('kind', '?'):<8s} "
-                f"{str(meta.get('source') or '-'):<8s} rows={rows:<3d} "
-                f"ts={ts if ts is not None else '-'}"
-            )
-        print(f"{len(snapshots)} snapshot(s)")
-        return 0
-
-    if args.obs_command == "trend":
-        snapshots: list[dict] = []
-        try:
-            for d in args.history_dirs:
-                snapshots.extend(hist.read_history(d, strict=args.strict))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.bench:
-            snapshots.extend(hist.load_bench_snapshots(args.bench))
-        if args.quantiles:
-            rows = hist.trend_quantiles(snapshots, args.quantiles)
-            if args.json:
-                print(json.dumps(rows, indent=2, sort_keys=True))
-                return 0
-            for r in rows:
-                qs = " ".join(
-                    f"{k}={r[k]:g}" for k in sorted(r) if k.startswith("p") and r[k] is not None
-                )
-                print(f"{r['key']}  n={r['count']:<8d} {qs}")
-            return 0
-        rows = hist.trend_rows(snapshots, app=args.app, nranks=args.scale)
-        if args.json:
-            print(json.dumps(rows, indent=2, sort_keys=True))
-            return 0
-        sys.stdout.write(hist.render_trend(rows))
-        return 0
-
-    if args.obs_command == "slo":
-        from hfast.obs.slo import SloEngine, SloSpecError, load_slo_spec, render_slo_lines
-
-        try:
-            engine = SloEngine(load_slo_spec(args.spec))
-        except SloSpecError as exc:
-            for err in exc.errors:
-                print(f"error: {err}", file=sys.stderr)
-            return 2
-        snapshots = hist.read_history(args.history_dir, kinds=("run",))
-        statuses = engine.evaluate_runs(snapshots)
-        if args.json:
-            print(json.dumps(statuses, indent=2, sort_keys=True))
-        else:
-            for line in render_slo_lines(statuses):
-                print(line)
-        if args.strict and any(s.get("breached") for s in statuses):
-            return 1
-        return 0
-
-    if args.obs_command == "tail":
-        from hfast.obs.logs import read_log_records
-
-        try:
-            records = read_log_records(args.path, level=args.level)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if args.event:
-            records = [r for r in records if r.get("event") == args.event]
-        if args.n is not None:
-            records = records[-max(0, args.n):]
-        for rec in records:
-            print(json.dumps(rec, sort_keys=True))
-        return 0
-
-    return 2
+    try:
+        records = read_log_records(args.path, level=args.level)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.event:
+        records = [r for r in records if r.get("event") == args.event]
+    if args.n is not None:
+        records = records[max(0, len(records) - args.n):]
+    for rec in records:
+        print(json.dumps(rec, sort_keys=True))
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:

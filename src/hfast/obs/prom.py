@@ -43,35 +43,6 @@ def _fmt(value: Any) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def escape_label_value(value: str) -> str:
-    """Escape a label value per the text exposition format.
-
-    Backslash, double quote, and newline are the three characters the
-    format requires escaping inside ``label="..."``.
-    """
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _unescape_label_value(value: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            out.append({"n": "\n", '"': '"', "\\": "\\"}.get(nxt, "\\" + nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
-def _labelblock(labels: dict[str, str]) -> str:
-    inner = ",".join(f'{k}="{escape_label_value(str(v))}"' for k, v in sorted(labels.items()))
-    return "{" + inner + "}"
-
-
 def render_prometheus(snapshot: dict[str, Any]) -> str:
     """Render a registry ``to_dict()`` snapshot as Prometheus text."""
     lines: list[str] = []
@@ -137,78 +108,18 @@ def render_registries(*registries: MetricsRegistry) -> str:
 
 
 # ---------------------------------------------------------------------------
-# SLO series: labeled gauge families over the engine's status docs.
-
-
-def render_slo_prometheus(statuses: list[dict[str, Any]]) -> str:
-    """Render SLO engine statuses as labeled ``hfast_slo_*`` families.
-
-    Per-window burn rates carry ``{slo, window}`` labels; breach state
-    and remaining error budget carry ``{slo}``. Label values pass
-    through :func:`escape_label_value`, so SLO names are unrestricted.
-    """
-    if not statuses:
-        return ""
-    lines: list[str] = []
-    lines.append(f"# TYPE {PROM_PREFIX}slo_burn_rate gauge")
-    for s in sorted(statuses, key=lambda s: str(s.get("slo"))):
-        for w in s.get("windows") or []:
-            block = _labelblock({"slo": str(s["slo"]), "window": str(w.get("name", "run"))})
-            lines.append(f"{PROM_PREFIX}slo_burn_rate{block} {_fmt(float(w['burn']))}")
-    lines.append(f"# TYPE {PROM_PREFIX}slo_breached gauge")
-    for s in sorted(statuses, key=lambda s: str(s.get("slo"))):
-        block = _labelblock({"slo": str(s["slo"])})
-        lines.append(f"{PROM_PREFIX}slo_breached{block} {1 if s.get('breached') else 0}")
-    lines.append(f"# TYPE {PROM_PREFIX}slo_error_budget_remaining gauge")
-    for s in sorted(statuses, key=lambda s: str(s.get("slo"))):
-        block = _labelblock({"slo": str(s["slo"])})
-        lines.append(
-            f"{PROM_PREFIX}slo_error_budget_remaining{block} "
-            f"{_fmt(float(s.get('budget_remaining', 0.0)))}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def slo_prometheus_projection(statuses: list[dict[str, Any]]) -> dict[str, Any]:
-    """What :func:`parse_prometheus` should see after a render round-trip."""
-    if not statuses:
-        return {}
-    burn: dict[str, float] = {}
-    breached: dict[str, float] = {}
-    budget: dict[str, float] = {}
-    for s in statuses:
-        sblock = _labelblock({"slo": str(s["slo"])})
-        breached[sblock] = 1.0 if s.get("breached") else 0.0
-        budget[sblock] = float(s.get("budget_remaining", 0.0))
-        for w in s.get("windows") or []:
-            block = _labelblock({"slo": str(s["slo"]), "window": str(w.get("name", "run"))})
-            burn[block] = float(w["burn"])
-    return {
-        f"{PROM_PREFIX}slo_burn_rate": {"type": "gauge", "samples": burn},
-        f"{PROM_PREFIX}slo_breached": {"type": "gauge", "samples": breached},
-        f"{PROM_PREFIX}slo_error_budget_remaining": {"type": "gauge", "samples": budget},
-    }
-
-
-# ---------------------------------------------------------------------------
 # Parse side: enough of the exposition format to round-trip our own output.
-
-_LABEL_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
-
 
 def parse_prometheus(text: str) -> dict[str, Any]:
     """Parse exposition text back into ``{name: {type, ...}}`` structures.
 
     Supports exactly the subset the renderers emit; used by tests and
     the CI smoke scrape to prove the exposition is well-formed and
-    lossless for counters/gauges, histogram count/sum/buckets, and the
-    labeled SLO families (label values unescape per the format, so a
-    ``slo="a\\"b"`` sample parses back to its original name). Unlabeled
-    counters/gauges parse to ``{"type", "value"}``; labeled families to
-    ``{"type", "samples": {canonical-labelblock: value}}``.
+    lossless for counters/gauges (``{"type", "value"}``) and histogram
+    count/sum/buckets. The one label is a histogram bucket's ``le``.
     """
     types: dict[str, str] = {}
-    samples: dict[str, list[tuple[dict[str, str], float]]] = {}
+    samples: dict[str, list[tuple[str | None, float]]] = {}
     for raw in text.splitlines():
         line = raw.strip()
         if not line:
@@ -218,34 +129,21 @@ def parse_prometheus(text: str) -> dict[str, Any]:
             if len(parts) >= 4 and parts[1] == "TYPE":
                 types[parts[2]] = parts[3]
             continue
-        m = re.match(r'^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{.*\})?\s+(\S+)$', line)
+        m = re.match(r'^([a-zA-Z_:][a-zA-Z0-9_:]*)(?:\{le="([^"]*)"\})?\s+(\S+)$', line)
         if not m:
             raise ValueError(f"unparseable exposition line: {raw!r}")
-        name, labelblock, value = m.groups()
-        labels: dict[str, str] = {}
-        if labelblock:
-            for lm in _LABEL_RE.finditer(labelblock):
-                labels[lm.group(1)] = _unescape_label_value(lm.group(2))
-        samples.setdefault(name, []).append((labels, float(value)))
+        name, le, value = m.groups()
+        samples.setdefault(name, []).append((le, float(value)))
 
     out: dict[str, Any] = {}
     for name, kind in types.items():
         if kind in ("counter", "gauge"):
-            series = samples.get(name, [])
-            if not series:
-                continue
-            if len(series) == 1 and not series[0][0]:
-                out[name] = {"type": kind, "value": series[0][1]}
-            else:
-                out[name] = {
-                    "type": kind,
-                    "samples": {_labelblock(labels): value for labels, value in series},
-                }
+            if name in samples:
+                out[name] = {"type": kind, "value": samples[name][-1][1]}
         elif kind == "histogram":
             buckets: dict[str, int] = {}
             prev = 0
-            for labels, value in samples.get(name + "_bucket", []):
-                le = labels.get("le", "")
+            for le, value in samples.get(name + "_bucket", []):
                 if le == "+Inf":
                     continue
                 count = int(value) - prev

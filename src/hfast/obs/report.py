@@ -22,14 +22,10 @@ REPORT_VERSION = 1
 
 
 def bench_run_rows(runs: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Project per-app summaries onto the BENCH/perf-trajectory row shape.
+    """Project per-app summaries onto the ``BENCH_*.json`` row shape.
 
-    Shared by the ``BENCH_*.json`` writer and the telemetry history
-    (:mod:`hfast.obs.history`): a history snapshot's ``data.results``
-    mirrors this exact projection, so trend queries read BENCH snapshots
-    and history segments through one row shape. Every field here is
-    deterministic (no wall clocks), which is what lets history keys be
-    content-addressed.
+    Every field here is deterministic (no wall clocks), so two BENCH
+    documents of the same inputs carry the same rows.
     """
     return [
         {
@@ -54,7 +50,6 @@ def build_report(events: list[dict[str, Any]]) -> dict[str, Any]:
     runs: list[dict[str, Any]] = []
     anomalies: list[dict[str, Any]] = []
     frontiers: list[dict[str, Any]] = []
-    slo_statuses: list[dict[str, Any]] = []
     stage_wall: dict[str, float] = defaultdict(float)
     stage_calls: dict[str, int] = defaultdict(int)
     peak_rss = 0
@@ -73,8 +68,6 @@ def build_report(events: list[dict[str, Any]]) -> dict[str, Any]:
             anomalies.append({k: v for k, v in ev.items() if k not in structural})
         elif kind == "dse_frontier":
             frontiers.append({k: v for k, v in ev.items() if k not in structural})
-        elif kind == "slo_status":
-            slo_statuses.append({k: v for k, v in ev.items() if k not in structural})
         elif kind == "span":
             stage_wall[ev["name"]] += ev.get("wall_s", 0.0)
             stage_calls[ev["name"]] += 1
@@ -102,11 +95,6 @@ def build_report(events: list[dict[str, Any]]) -> dict[str, Any]:
         # the full frontier artifact document, byte-identical across
         # scheduler backends by the DSE determinism contract.
         "frontiers": frontiers,
-        # SLO engine statuses (one slo_status event per declared SLO).
-        # Burn rates follow the anomaly detector's wall-derived verdicts,
-        # so like "anomalies" they sit outside the byte-identity contract
-        # under fault injection (clean runs always score burn 0).
-        "slo": slo_statuses,
         "profile": {
             "total_wall_s": round(total_wall, 6),
             "peak_rss_kb": peak_rss,
@@ -289,33 +277,6 @@ def render_markdown(report: dict[str, Any]) -> str:
                     f"| {objs.get('eval_cost', 0):.1f} |"
                 )
             lines.append("")
-
-    slo_statuses = report.get("slo") or []
-    if slo_statuses:
-        lines.append("## SLO compliance")
-        lines.append("")
-        breached = [s for s in slo_statuses if s.get("breached")]
-        lines.append(
-            f"{len(slo_statuses)} SLO(s) evaluated, {len(breached)} breached."
-            if breached
-            else f"{len(slo_statuses)} SLO(s) evaluated, all within budget."
-        )
-        lines.append("")
-        lines.append("| SLO | kind | objective | burn | budget left | windows | status |")
-        lines.append("|---|---|---:|---:|---:|---|---|")
-        for s in slo_statuses:
-            windows = "; ".join(
-                f"{w.get('name', 'run')}[{w.get('last') or 'all'}] "
-                f"{w.get('burn', 0):g}/{w.get('max_burn', 0):g}"
-                for w in s.get("windows") or []
-            )
-            lines.append(
-                f"| {s.get('slo', '?')} | {s.get('kind', '?')} "
-                f"| {s.get('objective', 0):g} | {s.get('burn', 0):g} "
-                f"| {s.get('budget_remaining', 0):g} | {windows} "
-                f"| {'**BREACHED**' if s.get('breached') else 'ok'} |"
-            )
-        lines.append("")
 
     anomalies = report.get("anomalies") or []
     if anomalies:

@@ -62,15 +62,13 @@ from hfast.spec import ExecOptions, RunSpec
 from hfast.timing import DEFAULT_TIMING_SEED, TimingModel
 from hfast.topology import analyze_topology
 
-# The scheduler, journal, cost model, mitigation policy, anomaly detector
-# and SLO engine are imported in the branches of run_pipeline that use
-# them: a serial run never loads multiprocessing or the obs extras.
+# The scheduler, journal, cost model and anomaly detector are imported in
+# the branches of run_pipeline that use them: a serial run never loads
+# multiprocessing or the obs extras.
 if TYPE_CHECKING:
     from hfast.obs.anomaly import AnomalyDetector
-    from hfast.obs.slo import SloEngine
     from hfast.sched.cost import CostModel
     from hfast.sched.journal import RunJournal
-    from hfast.sched.mitigate import MitigationPolicy
 
 DEFAULT_SCALES = (16, 64)
 
@@ -480,7 +478,6 @@ def run_cells(
     cost_model: CostModel | None = None,
     obs: Observability | None = None,
     bus: stream.EventBus | None = None,
-    mitigator: MitigationPolicy | None = None,
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     """Run a batch of cells and return their results in cell order, with
     the scheduler's stats.
@@ -512,7 +509,6 @@ def run_cells(
             obs=obs,
             journal=journal,
             on_event=bus.publish if bus is not None else None,
-            mitigator=mitigator,
         )
     results = []
     if bus is not None:
@@ -549,11 +545,8 @@ def run_pipeline(
     bus: "stream.EventBus | None" = None,
     anomaly: AnomalyDetector | None = None,
     anomaly_threshold: float | None = None,
-    mitigate: bool = False,
-    slo: SloEngine | None = None,
-    history_dir: str | None = None,
 ) -> dict[str, Any]:
-    """Run the analysis matrix; returns {manifest, results, anomalies, slo}.
+    """Run the analysis matrix; returns {manifest, results, anomalies}.
 
     ``apps`` x ``scales`` (scales default to the cached ones), ``overrides``,
     ``timing_seed`` and ``config`` are the run's declared inputs: they
@@ -588,26 +581,7 @@ def run_pipeline(
 
     ``service`` is provenance only: it lands in the manifest so a served
     artifact is traceable to its HTTP submission.
-
-    ``mitigate=True`` (stealing backend only) closes the loop: in-flight
-    cells the detector flags as ``straggler_running`` are speculatively
-    re-dispatched and their app's queued siblings reprioritized. This
-    changes only scheduling order and wall time — results, cache, trace
-    invariants, and report content stay byte-identical to a
-    non-mitigated run.
-
-    ``slo`` evaluates the engine's objectives once the matrix completes:
-    statuses are emitted as ``slo_status`` / ``slo_violation`` trace
-    events, recorded as ``slo.*`` registry instruments, and returned
-    under ``"slo"``. A breached spec also tightens the mitigation
-    policy's straggler threshold (advisory pressure) when ``mitigate``
-    is on. ``history_dir`` appends one content-addressed snapshot of the
-    run (results projection + deterministic metrics) to the persistent
-    telemetry history as the final step — a pure side channel that
-    touches no event, metric, or artifact the run produces.
     """
-    if mitigate:
-        options.require_stealing("mitigate")
     obs = obs if obs is not None else get_obs()
     cache = ReproCache(cache_dir, readonly=not store)
     apps = list(apps) if apps else available_apps()
@@ -663,25 +637,6 @@ def run_pipeline(
         kwargs = {"threshold": anomaly_threshold} if anomaly_threshold else {}
         detector = AnomalyDetector.from_bench_dir(bench_dir, **kwargs)
 
-    # The mitigation policy gets its own detector instance: it is warmed
-    # in completion order on the scheduler side, while ``detector`` above
-    # is warmed in deterministic cell order at merge time.
-    mitigator: MitigationPolicy | None = None
-    if mitigate:
-        from hfast.sched.mitigate import MitigationPolicy
-
-        # SLO advisory pressure: a spec's mitigation_threshold can tighten
-        # (never slacken) the straggler ratio the policy acts on.
-        mitigation_threshold = anomaly_threshold
-        slo_threshold = slo.mitigation_threshold() if slo is not None else None
-        if slo_threshold is not None:
-            mitigation_threshold = (
-                slo_threshold
-                if mitigation_threshold is None
-                else min(mitigation_threshold, slo_threshold)
-            )
-        mitigator = MitigationPolicy.from_bench_dir(bench_dir, threshold=mitigation_threshold)
-
     def payload_for(cell: Cell) -> dict[str, Any]:
         return spec.cell_payload(
             cell, cache_dir, store, obs.enabled,
@@ -722,8 +677,7 @@ def run_pipeline(
                 }
             )
         raw, stats = run_cells(
-            cells, payload_for, options, journal=journal, cost_model=cost_model, obs=obs,
-            bus=bus, mitigator=mitigator,
+            cells, payload_for, options, journal=journal, cost_model=cost_model, obs=obs, bus=bus
         )
         close_journal(journal, all(res["ok"] for res in raw))
         if journal is not None:
@@ -775,40 +729,6 @@ def run_pipeline(
     manifest["scheduler"] = sched_info
     obs.tracer.emit_event("manifest", manifest)
 
-    slo_statuses: list[dict[str, Any]] = []
-    if slo is not None:
-        from hfast.obs.slo import cells_for_slo
-
-        slo_statuses = slo.evaluate(
-            cells=cells_for_slo(cell_reports, anomalies),
-            counts={
-                "cells_total": len(cell_reports),
-                "cells_failed": len(manifest["failed_cells"]),
-            },
-            metrics=obs.metrics.to_dict() if obs.enabled else {},
-        )
-        if obs.enabled:
-            slo.record(obs.metrics, slo_statuses)
-        for status in slo_statuses:
-            obs.tracer.emit_event("slo_status", status)
-            if status["breached"]:
-                obs.tracer.emit_event(
-                    "slo_violation",
-                    {
-                        "slo": status["slo"],
-                        "burn": status["burn"],
-                        "objective": status["objective"],
-                        "windows": status["windows"],
-                    },
-                )
-            if bus is not None:
-                bus.publish({"event": "slo_status", **status})
-            if status["breached"]:
-                log.warning(
-                    "slo_breached", slo=status["slo"], burn=status["burn"],
-                    objective=status["objective"],
-                )
-
     if bus is not None:
         bus.publish(
             {
@@ -826,27 +746,8 @@ def run_pipeline(
         anomalies=len(anomalies),
     )
 
-    if history_dir is not None:
-        # Strictly last, and a pure side channel: nothing below touches
-        # events, metrics, or any artifact the run produced — analyze
-        # output is byte-identical history-on vs history-off.
-        from hfast.obs.history import HistoryStore, snapshot_from_run
-
-        with HistoryStore(history_dir) as hist:
-            hist.append(
-                snapshot_from_run(
-                    manifest,
-                    results,
-                    metrics_snapshot=obs.metrics.to_dict() if obs.enabled else {},
-                    source="analyze",
-                    anomalies=anomalies,
-                    slo_statuses=slo_statuses,
-                )
-            )
-
     return {
         "manifest": manifest,
         "results": results,
         "anomalies": anomalies,
-        "slo": slo_statuses,
     }

@@ -11,11 +11,8 @@ Modules:
 - :mod:`hfast.sched.cost` — per-cell cost estimates from the synthesizer
   record-count formulas, calibrated against prior ``BENCH_*.json`` runs.
 - :mod:`hfast.sched.faults` — the fault-injection harness used by the
-  chaos tests and CI (crash / hang / flaky, per cell, per attempt).
+  chaos tests and CI (crash / hang / flaky / slow, per cell, per attempt).
 - :mod:`hfast.sched.journal` — append-only JSONL run journal; completed
   cells replay from it on resume, byte-identical to a live run.
-- :mod:`hfast.sched.mitigate` — closed-loop straggler mitigation: live
-  anomaly advisories become speculative re-dispatch / reprioritization
-  hints for the scheduler (``--mitigate``).
 - :mod:`hfast.sched.scheduler` — the work-stealing executor itself.
 """

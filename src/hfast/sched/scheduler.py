@@ -149,8 +149,7 @@ def _worker_main(
 
 class _WorkerSlot:
     __slots__ = (
-        "worker_id", "proc", "conn", "busy", "busy_since", "last_beat",
-        "tasks_done", "had_task",
+        "worker_id", "proc", "conn", "busy", "last_beat", "tasks_done", "had_task",
     )
 
     def __init__(self, worker_id: int, proc: Any, conn: Any):
@@ -158,7 +157,6 @@ class _WorkerSlot:
         self.proc = proc
         self.conn = conn
         self.busy: tuple[int, Any] | None = None  # (cell index, cell)
-        self.busy_since = time.monotonic()
         self.last_beat = time.monotonic()
         self.tasks_done = 0
         self.had_task = False
@@ -189,7 +187,6 @@ def run_stealing(
     obs: Observability | None = None,
     journal: RunJournal | None = None,
     on_event: Callable[[dict[str, Any]], None] | None = None,
-    mitigator: Any = None,
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     """Run cells under the work-stealing scheduler.
 
@@ -204,16 +201,6 @@ def run_stealing(
     every ``("ev", ...)`` message a worker forwards over its pipe. It is
     a pure side-channel — exceptions are swallowed, and nothing it sees
     feeds back into results or stats.
-
-    ``mitigator`` (a :class:`hfast.sched.mitigate.MitigationPolicy`)
-    closes the observability loop: every poll tick the busy cells are
-    scored against its online straggler detector, and a flagged cell is
-    speculatively duplicated onto an idle/spawned worker — first result
-    wins, the loser is killed — while still-queued cells of the flagged
-    app get their priority reweighted. Mitigation changes only *where
-    and when* cells run (and therefore wall time); results, cache, and
-    trace-shape invariants are untouched, because duplicate execution is
-    idempotent and losers are discarded before the merge.
     """
     cost_model = cost_model or CostModel()
     # Ambient structured log: a no-op unless the process configured one
@@ -243,7 +230,6 @@ def run_stealing(
     }
     completed: dict[int, dict[str, Any]] = {}
     attempts: dict[int, int] = {}
-    speculated: set[int] = set()  # cell indices with a duplicate in flight (or done)
     # Events from failed attempts, kept so retries graft as sibling spans
     # under the cell span instead of vanishing (or duplicating roots).
     prior_attempts: dict[int, list[dict[str, Any]]] = {}
@@ -306,7 +292,6 @@ def run_stealing(
             stats["steals"] += 1
         slot.had_task = True
         slot.busy = (index, cell)
-        slot.busy_since = time.monotonic()
         slot.last_beat = time.monotonic()
         stats["tasks_dispatched"] += 1
         emit_live(
@@ -336,41 +321,12 @@ def run_stealing(
                 {"worker": slot.worker_id, "tasks_done": slot.tasks_done},
             )
 
-    def running_elsewhere(index: int, but: _WorkerSlot | None = None) -> bool:
-        return any(
-            s is not but and s.busy is not None and s.busy[0] == index
-            for s in slots.values()
-        )
-
     def handle_finished(slot: _WorkerSlot, index: int, result: dict[str, Any]) -> None:
         cell = slot.busy[1] if slot.busy else None
         slot.busy = None
         slot.last_beat = time.monotonic()
-        if index in completed:
-            # A speculative duplicate lost the race after the winner was
-            # recorded; its (identical) result is discarded unmerged.
-            if mitigator is not None:
-                mitigator.stats["speculation_losses"] += 1
-            return
         n_attempts = attempts.get(index, 1)
         key = f"{result['app']}_p{result['nranks']}"
-        if mitigator is not None:
-            mitigator.note_done(
-                result["app"], result["nranks"], result.get("wall_s", 0.0),
-                ok=bool(result.get("ok")),
-            )
-        if not result.get("ok") and running_elsewhere(index):
-            # A failed attempt whose speculative duplicate is still running:
-            # the duplicate *is* the retry, so keep its events for grafting
-            # but schedule nothing new.
-            prior_attempts.setdefault(index, []).append(
-                {
-                    "attempt": n_attempts,
-                    "events": result.get("events") or [],
-                    "error": result.get("error"),
-                }
-            )
-            return
         if not result.get("ok") and n_attempts <= config.max_retries and cell is not None:
             stats["retries"] += 1
             prior_attempts.setdefault(index, []).append(
@@ -409,18 +365,6 @@ def run_stealing(
             slot.tasks_done += 1
             if result.get("ok") and journal is not None:
                 journal.record_done(index, key, n_attempts, result)
-            if index in speculated:
-                if mitigator is not None:
-                    mitigator.stats["speculation_wins"] += 1
-                # Kill any still-running duplicate of this cell: its result
-                # is redundant, and cache writes are atomic, so a SIGKILL
-                # mid-cell can never publish a torn artifact.
-                for other in list(slots.values()):
-                    if other is not slot and other.busy is not None and other.busy[0] == index:
-                        other.busy = None
-                        if mitigator is not None:
-                            mitigator.stats["speculation_losses"] += 1
-                        retire(other)
             emit_live(
                 {
                     "event": "cell_state",
@@ -463,20 +407,6 @@ def run_stealing(
         if slot.busy is not None:
             index, cell = slot.busy
             slot.busy = None
-            if index in completed:
-                # Lost worker was a speculation loser; nothing to recover.
-                if mitigator is not None:
-                    mitigator.stats["speculation_losses"] += 1
-                retire(slot)
-                return
-            if running_elsewhere(index):
-                # The cell's speculative duplicate is still alive and will
-                # deliver the result; no re-dispatch needed.
-                prior_attempts.setdefault(index, []).append(
-                    {"attempt": attempts.get(index, 1), "events": [], "error": reason}
-                )
-                retire(slot)
-                return
             stats["redispatches"] += 1
             prior_attempts.setdefault(index, []).append(
                 {"attempt": attempts.get(index, 1), "events": [], "error": reason}
@@ -553,73 +483,6 @@ def run_stealing(
                     elif kind == "result":
                         handle_finished(slot, msg[1], msg[2])
 
-            if mitigator is not None:
-                now = time.monotonic()
-                for slot in list(slots.values()):
-                    if slot.busy is None:
-                        continue
-                    index, cell = slot.busy
-                    if index in speculated or index in completed:
-                        continue
-                    adv = mitigator.advise(cell.app, cell.nranks, now - slot.busy_since)
-                    if adv is None:
-                        continue
-                    emit_live(
-                        {
-                            "event": "mitigation",
-                            "action": "speculate",
-                            "cell": f"{cell.app}_p{cell.nranks}",
-                            "worker": slot.worker_id,
-                            "elapsed_s": round(now - slot.busy_since, 6),
-                            "expected_s": adv.get("expected_s"),
-                        }
-                    )
-                    if mitigator.should_reweight(cell.app):
-                        # Queued siblings of the flagged app jump the queue by
-                        # the observed overrun, so the slow family overlaps
-                        # with the rest of the sweep instead of trailing it.
-                        ratio = float(adv.get("ratio") or 1.0)
-                        touched = 0
-                        for i, (neg_cost, idx2, c2) in enumerate(pending):
-                            if c2.app == cell.app:
-                                pending[i] = (neg_cost * max(1.0, ratio), idx2, c2)
-                                touched += 1
-                        if touched:
-                            heapq.heapify(pending)
-                        mitigator.stats["reweighted_cells"] += touched
-                    target = next((s for s in slots.values() if s.busy is None), None)
-                    if target is None and len(slots) < config.workers:
-                        target = spawn_worker()
-                    if target is None:
-                        continue  # no capacity this tick; re-advised next tick
-                    attempts[index] = attempts.get(index, 1) + 1
-                    task = make_payload(cell, attempts[index])
-                    task["attempt"] = attempts[index]
-                    task["speculative"] = True
-                    try:
-                        target.conn.send(task)
-                    except (BrokenPipeError, OSError):
-                        attempts[index] -= 1
-                        continue
-                    speculated.add(index)
-                    target.had_task = True
-                    target.busy = (index, cell)
-                    target.busy_since = time.monotonic()
-                    target.last_beat = time.monotonic()
-                    stats["tasks_dispatched"] += 1
-                    mitigator.stats["speculative_dispatches"] += 1
-                    emit_live(
-                        {
-                            "event": "cell_state",
-                            "state": "running",
-                            "cell": f"{cell.app}_p{cell.nranks}",
-                            "worker": target.worker_id,
-                            "attempt": attempts[index],
-                            "stolen": False,
-                            "speculative": True,
-                        }
-                    )
-
             now = time.monotonic()
             for slot in list(slots.values()):
                 if not slot.proc.is_alive():
@@ -633,12 +496,6 @@ def run_stealing(
                     )
     finally:
         for slot in list(slots.values()):
-            # A worker still grinding through a speculation loser would
-            # stall the joins below for the full duplicate runtime; kill it
-            # (idempotent work, atomic cache writes — nothing is lost).
-            if slot.busy is not None and slot.busy[0] in completed:
-                slot.proc.kill()
-                continue
             try:
                 slot.conn.send(None)
             except (BrokenPipeError, OSError):
@@ -647,15 +504,9 @@ def run_stealing(
             slot.proc.join(timeout=2.0)
             retire(slot)
 
-    if mitigator is not None:
-        stats["mitigation"] = dict(mitigator.stats)
-
     if obs is not None and obs.enabled:
         for key in ("steals", "retries", "redispatches", "tasks_dispatched"):
             obs.metrics.counter(f"sched.{key}").inc(stats[key])
         obs.metrics.gauge("sched.max_queue_depth").set(stats["max_queue_depth"])
-        if mitigator is not None:
-            for key in ("advisories", "speculative_dispatches", "speculation_wins"):
-                obs.metrics.counter(f"sched.mitigation_{key}").inc(mitigator.stats[key])
 
     return [completed[c.index] for c in cells], stats

@@ -111,12 +111,6 @@ class ServeConfig:
     # LRU byte budget for the result store (None = unbounded); evictions
     # increment the serve.store_evictions_total counter.
     store_max_bytes: int | None = None
-    # Telemetry history root: every finished job appends a
-    # content-addressed run snapshot (None = history off).
-    history_dir: str | None = None
-    # SLO spec ("default", or a JSON/YAML path) evaluated per job; None
-    # disables the SLO engine.
-    slo_spec: str | None = None
     # Seconds between heartbeat events on the bus (<= 0 disables them).
     # Tailing /v1/events clients use the heartbeat to tell "quiet daemon"
     # from "stalled daemon".
@@ -214,22 +208,6 @@ class AnalysisService:
             else Observability.disabled()
         )
         self._graft_lock = threading.Lock()
-
-        # SLO engine shared by every job (the engine is stateless across
-        # evaluate() calls, so one instance is safe on the thread pool).
-        self.slo_engine = None
-        if config.slo_spec:
-            from hfast.obs.slo import SloEngine, load_slo_spec
-
-            self.slo_engine = SloEngine(load_slo_spec(config.slo_spec))
-
-        # Telemetry history: one store, appended from job threads (each
-        # append goes through the store's lock / per-writer wip file).
-        self.history = None
-        if config.history_dir:
-            from hfast.obs.history import HistoryStore
-
-            self.history = HistoryStore(config.history_dir)
 
         # Structured daemon log (rotating JSONL under <serve_dir>/logs).
         from hfast.obs.logs import RotatingJsonlWriter, StructuredLogger
@@ -334,19 +312,6 @@ class AnalysisService:
             self._server = None
         self._trace_obs.tracer.flush()
         self._trace_obs.tracer.close()
-        if self.history is not None:
-            # Final service-counter snapshot, then seal the segment so a
-            # clean shutdown leaves only content-addressed files behind.
-            from hfast.obs.history import snapshot_from_service
-
-            self.history.append(
-                snapshot_from_service(
-                    self.metrics.to_dict(),
-                    timestamp=round(time.time(), 6),
-                    extra_meta={"port": self.port},
-                )
-            )
-            self.history.close()
         self.log.info("serve_drained", jobs=len(self._jobs))
         self.log.close()
 
@@ -530,25 +495,6 @@ class AnalysisService:
             job_log.error("job_failed", error=job.error, wall_s=round(job.finished - (job.started or job.finished), 6))
         else:
             job_log.info("job_done", wall_s=round(job.finished - (job.started or job.finished), 6))
-        # History is a pure side channel: the stored artifact bytes are
-        # already final (store.put above), so a snapshot failure can only
-        # ever cost us the snapshot, never the job.
-        if self.history is not None and job.kind == "analyze" and out is not None:
-            try:
-                from hfast.obs.history import snapshot_from_run
-
-                self.history.append(
-                    snapshot_from_run(
-                        out.get("manifest") or {},
-                        out.get("results") or [],
-                        metrics_snapshot=job_obs.metrics.to_dict(),
-                        source="serve",
-                        anomalies=out.get("anomalies"),
-                        slo_statuses=out.get("slo"),
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 - side-channel boundary
-                job_log.error("history_append_failed", error=f"{type(exc).__name__}: {exc}")
 
     def _job_options(self, job: Job) -> ExecOptions:
         """The daemon's options under ``job``'s run id, resumed when recovered."""
@@ -572,7 +518,6 @@ class AnalysisService:
                 overrides=spec.overrides,
                 options=options,
                 service={"job_id": job.job_id, "key": job.key},
-                slo=self.slo_engine,
             )
 
     def _run_sweep_once(

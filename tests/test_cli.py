@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hfast.cli import main
+from hfast.cli import build_parser, main
 from hfast.obs.trace import read_events
 from hfast.timing import APP_PARAMS
 
@@ -144,10 +144,24 @@ def test_apps_listing(cache_dir, capsys):
     assert listing["cactus"]["loggp"] == APP_PARAMS["cactus"].to_dict()
 
 
-@pytest.mark.parametrize("argv", [["calibrate"], ["apps", "--params", "params.json"]])
-def test_parser_rejects_removed_params_commands(argv, capsys):
-    """``APP_PARAMS`` is the one params table: no command fits or reads
-    another."""
+@pytest.mark.parametrize("argv", [
+    ["calibrate"],
+    ["apps", "--params", "params.json"],
+    ["analyze", "--mitigate"],
+    ["analyze", "--slo", "default"],
+    ["analyze", "--history-dir", "D"],
+    ["serve", "--slo", "default"],
+    ["serve", "--history-dir", "D"],
+    ["obs", "history", "D"],
+    ["obs", "trend", "D"],
+    ["obs", "slo", "D"],
+])
+def test_parser_rejects_removed_commands(argv, capsys):
+    """Removed commands and flags are usage errors, never silently
+    ignored: ``APP_PARAMS`` is the one params table (no command fits or
+    reads another), and runs keep no history, SLO or speculative
+    re-dispatch. Parsing alone must refuse them: a command that parsed
+    would run (``serve`` until stopped)."""
     with pytest.raises(SystemExit) as exc:
-        main(argv)
+        build_parser().parse_args(argv)
     assert exc.value.code == 2

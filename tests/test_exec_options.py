@@ -86,9 +86,9 @@ def test_construction_errors(kwargs, message):
 def test_stealing_accepts_what_static_refuses():
     options = ExecOptions(scheduler="stealing", workers=4, resume="r-1")
     assert (options.workers, options.resume) == (4, "r-1")
-    options.require_stealing("mitigate")
-    with pytest.raises(ValueError, match=r"^mitigate requires scheduler='stealing'$"):
-        ExecOptions().require_stealing("mitigate")
+    options.require_stealing("resume")
+    with pytest.raises(ValueError, match=r"^resume requires scheduler='stealing'$"):
+        ExecOptions().require_stealing("resume")
 
 
 def test_range_bounds_are_accepted():
@@ -133,11 +133,6 @@ def test_shared_scheduler_flag_validation(command, flag, value, capsys):
 def test_workers_or_resume_select_stealing(command, extra, scheduler):
     args = cli.build_parser().parse_args(BASE_ARGV[command] + extra)
     assert cli._exec_options(args).scheduler == scheduler
-
-
-def test_mitigate_selects_stealing():
-    args = cli.build_parser().parse_args(["analyze", "--mitigate"])
-    assert cli._exec_options(args, args.mitigate).scheduler == "stealing"
 
 
 @pytest.mark.parametrize("command", ["analyze", "search"])

@@ -30,7 +30,6 @@ SERIAL_EXCLUDED = (
     "hfast.obs.prom",
     "hfast.obs.report",
     "hfast.obs.live",
-    "hfast.obs.slo",
     "hfast.obs.anomaly",
 )
 

@@ -56,7 +56,7 @@ def metrics_comparable(metrics):
     return {k: v for k, v in metrics.items() if not k.startswith("sched.")}
 
 
-def run_sweep(cache_dir, live=False, mitigate=False, **options):
+def run_sweep(cache_dir, live=False, **options):
     bus = view = None
     if live:
         bus = EventBus()
@@ -68,7 +68,6 @@ def run_sweep(cache_dir, live=False, mitigate=False, **options):
         out = run_pipeline(
             apps=APPS, scales=SCALES, cache_dir=str(cache_dir), obs=obs,
             argv=["test"], options=ExecOptions(bench_dir=None, **options), bus=bus,
-            mitigate=mitigate,
         )
     finally:
         if view is not None:

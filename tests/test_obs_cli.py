@@ -1,8 +1,8 @@
-"""The ``hfast obs {history,trend,slo,tail}`` post-mortem CLI surface.
+"""The ``hfast obs tail`` post-mortem CLI.
 
-These commands run against history directories and structured logs long
-after the producing processes exited; everything here drives them
-through ``cli.main`` + capsys the way a user would.
+It reads structured logs long after the producing processes exited;
+everything here drives it through ``cli.main`` + capsys the way a user
+would.
 """
 
 import json
@@ -10,129 +10,22 @@ import json
 import pytest
 
 from hfast import cli
-from hfast.obs.history import HistoryStore, content_key
 from hfast.obs.logs import configure_logging, get_logger, reset_logging
 
 
-def snapshot(i=0, ts=100.0, app="cactus", metrics=None):
-    data = {
-        "kind": "run",
-        "results": [{"app": app, "nranks": 8, "total_bytes": 1000 + i, "coverage": 0.5}],
-        "metrics": metrics or {},
-    }
-    return {
-        "kind": "run",
-        "key": content_key(data),
-        "data": data,
-        "meta": {"source": "test", "timestamp": ts, "stragglers": [],
-                 "cells_total": 1, "cells_failed": 0},
-    }
-
-
 @pytest.fixture
-def hist_dir(tmp_path):
-    d = tmp_path / "hist"
-    with HistoryStore(d) as store:
-        store.append(snapshot(i=0, ts=1.0))
-        store.append(snapshot(i=5, ts=2.0))
-        store.append(snapshot(i=3, ts=3.0, app="gtc"))
-    return d
-
-
-def test_obs_history_lists_snapshots(hist_dir, capsys):
-    assert cli.main(["obs", "history", str(hist_dir)]) == 0
-    out = capsys.readouterr().out
-    lines = out.strip().splitlines()
-    assert lines[-1] == "3 snapshot(s)"
-    assert all("run" in ln and "test" in ln and "rows=1" in ln for ln in lines[:-1])
-
-
-def test_obs_history_json_mode_round_trips(hist_dir, capsys):
-    assert cli.main(["obs", "history", str(hist_dir), "--json"]) == 0
-    docs = json.loads(capsys.readouterr().out)
-    assert len(docs) == 3 and all(d["key"] == content_key(d["data"]) for d in docs)
-
-
-def test_obs_history_compact_reports_stats(hist_dir, capsys):
-    assert cli.main(["obs", "history", str(hist_dir), "--compact", "--retain", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "compacted 1 segment(s) -> 1: 2 snapshot(s) kept, 1 dropped" in out
-
-
-def test_obs_trend_renders_table_and_is_reproducible(hist_dir, capsys):
-    assert cli.main(["obs", "trend", str(hist_dir)]) == 0
-    first = capsys.readouterr().out
-    assert first.splitlines()[0].split()[:3] == ["app", "nranks", "n"]
-    assert "1000..1005" in first  # cactus observed at two values
-    assert "gtc" in first
-    assert cli.main(["obs", "trend", str(hist_dir)]) == 0
-    assert capsys.readouterr().out == first
-
-
-def test_obs_trend_filters_and_json(hist_dir, capsys):
-    assert cli.main(["obs", "trend", str(hist_dir), "--app", "gtc", "--json"]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert [r["app"] for r in rows] == ["gtc"]
-    assert rows[0]["observations"] == 1
-
-
-def test_obs_trend_ingests_bench_snapshots(hist_dir, tmp_path, capsys):
-    bench = tmp_path / "bench"
-    bench.mkdir()
-    (bench / "BENCH_x.json").write_text(json.dumps({
-        "runs": [{"app": "paratec", "nranks": 64, "total_bytes": 7}],
-    }))
-    assert cli.main(["obs", "trend", str(hist_dir), "--bench", str(bench)]) == 0
-    out = capsys.readouterr().out
-    assert "paratec" in out and "gtc" in out
-
-
-def test_obs_trend_quantiles_mode(tmp_path, capsys):
-    d = tmp_path / "hist"
-    hist_metrics = {"call_latency_usec": {
-        "type": "histogram", "count": 10, "sum": 1000,
-        "buckets": {"64": 9, "4096": 1},
-    }}
-    with HistoryStore(d) as store:
-        store.append(snapshot(metrics=hist_metrics))
-    assert cli.main(["obs", "trend", str(d), "--quantiles", "call_latency_usec"]) == 0
-    (line,) = capsys.readouterr().out.strip().splitlines()
-    assert "n=10" in line and "p50=64" in line and "p99=4096" in line
-
-
-def test_obs_slo_clean_history_passes_strict(hist_dir, capsys):
-    assert cli.main(["obs", "slo", str(hist_dir), "--strict"]) == 0
-    out = capsys.readouterr().out
-    assert out.count("slo:") == 3 and "BREACHED" not in out
-
-
-def test_obs_slo_strict_exits_one_on_breach(tmp_path, capsys):
-    d = tmp_path / "hist"
-    snap = snapshot()
-    snap["meta"]["stragglers"] = ["cactus_p8"]  # 1/1 cells straggling
-    with HistoryStore(d) as store:
-        store.append(snap)
-    assert cli.main(["obs", "slo", str(d)]) == 0  # advisory without --strict
-    assert "BREACHED" in capsys.readouterr().out
-    assert cli.main(["obs", "slo", str(d), "--strict"]) == 1
-
-
-def test_obs_slo_bad_spec_exits_two(hist_dir, tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"slos": [{"sli": {"kind": "nope"}}]}))
-    assert cli.main(["obs", "slo", str(hist_dir), "--spec", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert "missing name" in err and "sli.kind" in err
-
-
-def test_obs_tail_filters_by_event_and_level(tmp_path, capsys):
-    log = tmp_path / "log.jsonl"
-    configure_logging(log, component="serve")
+def log(tmp_path):
+    """A three-record structured log: j-1, j-2 (an error), j-3."""
+    path = tmp_path / "log.jsonl"
+    configure_logging(path, component="serve")
     get_logger().info("job_admitted", job_id="j-1")
     get_logger().error("job_failed", job_id="j-2")
     get_logger().info("job_admitted", job_id="j-3")
     reset_logging()
+    return path
 
+
+def test_obs_tail_filters_by_event_and_level(log, capsys):
     assert cli.main(["obs", "tail", str(log), "--event", "job_admitted"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert [json.loads(ln)["job_id"] for ln in lines] == ["j-1", "j-3"]
@@ -144,6 +37,23 @@ def test_obs_tail_filters_by_event_and_level(tmp_path, capsys):
     assert cli.main(["obs", "tail", str(log), "-n", "1"]) == 0
     (line,) = capsys.readouterr().out.strip().splitlines()
     assert json.loads(line)["job_id"] == "j-3"
+
+
+@pytest.mark.parametrize("n,want", [("0", []), ("2", ["j-2", "j-3"]),
+                                    ("3", ["j-1", "j-2", "j-3"]), ("9", ["j-1", "j-2", "j-3"])])
+def test_obs_tail_n_prints_the_last_n_records(log, capsys, n, want):
+    assert cli.main(["obs", "tail", str(log), "-n", n]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(ln)["job_id"] for ln in lines] == want
+
+
+@pytest.mark.parametrize("n", ["-1", "-3", "two"])
+def test_obs_tail_refuses_a_negative_n(log, capsys, n):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["obs", "tail", str(log), "-n", n])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "-n" in captured.err
 
 
 def test_analyze_log_out_writes_correlated_run_records(tmp_path, capsys):
@@ -169,29 +79,3 @@ def test_analyze_log_out_writes_correlated_run_records(tmp_path, capsys):
     assert cli.main(["obs", "tail", str(log), "--event", "cell_done"]) == 0
     (line,) = capsys.readouterr().out.strip().splitlines()
     assert json.loads(line)["cell"] == "cactus_p8"
-
-
-def test_analyze_slo_flag_prints_advisories_and_writes_history(tmp_path, capsys):
-    rc = cli.main([
-        "analyze", "--apps", "cactus", "--scales", "8",
-        "--cache-dir", str(tmp_path / "cache"),
-        "--history-dir", str(tmp_path / "hist"),
-        "--slo", "default",
-    ])
-    assert rc == 0
-    err = capsys.readouterr().err
-    assert "slo: cell-wall" in err and "BREACHED" not in err
-    assert f"history: {tmp_path / 'hist'}" in err
-    assert cli.main(["obs", "history", str(tmp_path / "hist")]) == 0
-    assert "1 snapshot(s)" in capsys.readouterr().out
-
-
-def test_analyze_bad_slo_spec_exits_two(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{}")
-    rc = cli.main([
-        "analyze", "--apps", "cactus", "--scales", "8",
-        "--cache-dir", str(tmp_path / "cache"), "--slo", str(bad),
-    ])
-    assert rc == 2
-    assert "slos must be a non-empty list" in capsys.readouterr().err

@@ -15,14 +15,11 @@ from hfast.obs.metrics import MetricsRegistry
 from hfast.obs.prom import (
     CONTENT_TYPE,
     MetricsServer,
-    escape_label_value,
     parse_prometheus,
     prom_name,
     prometheus_projection,
     render_prometheus,
     render_registry,
-    render_slo_prometheus,
-    slo_prometheus_projection,
 )
 from hfast.spec import ExecOptions
 
@@ -90,61 +87,6 @@ def test_empty_histogram_renders_wellformed():
     assert 'hfast_msg_size_bytes_idle_bucket{le="+Inf"} 0' in lines
     assert "hfast_msg_size_bytes_idle_count 0" in lines
     assert parse_prometheus(text) == prometheus_projection(snap)
-
-
-def test_escape_label_value_covers_the_three_escapables():
-    assert escape_label_value('a"b\\c\nd') == 'a\\"b\\\\c\\nd'
-    assert escape_label_value("plain") == "plain"
-
-
-def slo_statuses(names=("cell-wall",), breached=False):
-    return [
-        {
-            "slo": name,
-            "kind": "cell_wall",
-            "objective": 0.99,
-            "burn": 25.0 if breached else 0.0,
-            "budget_remaining": 0.0 if breached else 1.0,
-            "breached": breached,
-            "windows": [
-                {"name": "fast", "last": 4, "burn": 25.0 if breached else 0.0,
-                 "max_burn": 14.0, "n": 4, "bad": 1 if breached else 0,
-                 "breached": breached},
-                {"name": "slow", "last": 16, "burn": 25.0 if breached else 0.0,
-                 "max_burn": 6.0, "n": 4, "bad": 1 if breached else 0,
-                 "breached": breached},
-            ],
-        }
-        for name in names
-    ]
-
-
-def test_slo_round_trip_matches_projection():
-    for breached in (False, True):
-        statuses = slo_statuses(names=("cell-wall", "call-latency"), breached=breached)
-        text = render_slo_prometheus(statuses)
-        assert parse_prometheus(text) == slo_prometheus_projection(statuses)
-        want = 1 if breached else 0
-        assert f'hfast_slo_breached{{slo="cell-wall"}} {want}' in text.splitlines()
-
-
-def test_slo_label_values_escape_and_round_trip():
-    # SLO names are unrestricted: quotes, backslashes, and newlines must
-    # survive a render -> parse round trip via label escaping.
-    statuses = slo_statuses(names=('p99 "tail"', "back\\slash", "multi\nline"))
-    text = render_slo_prometheus(statuses)
-    parsed = parse_prometheus(text)
-    assert parsed == slo_prometheus_projection(statuses)
-    breached_samples = parsed["hfast_slo_breached"]["samples"]
-    assert '{slo="p99 \\"tail\\""}' in breached_samples
-    assert '{slo="back\\\\slash"}' in breached_samples
-    assert '{slo="multi\\nline"}' in breached_samples
-
-
-def test_render_slo_empty_statuses():
-    assert render_slo_prometheus([]) == ""
-    assert slo_prometheus_projection([]) == {}
-    assert parse_prometheus(render_slo_prometheus([])) == {}
 
 
 def test_render_registry_from_live_pipeline_registry(tmp_path):

@@ -5,14 +5,19 @@ numbers, an idle poll leaves the cursor unchanged, and a client that
 fell behind the ring's capacity learns exactly how many events it lost.
 HTTP-level: the paginated shape, the legacy ``?n=`` shape (which must
 stay seq-free), 400s on garbage, and heartbeat records arriving on the
-bus while the daemon is otherwise idle.
+bus while the daemon is otherwise idle. The daemon's structured log
+(``<serve_dir>/logs/daemon.jsonl``) names every job it admitted and
+finished, and ``hfast obs tail`` reads it back.
 """
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
+from hfast import cli
+from hfast.obs.logs import read_log_records
 from hfast.obs.stream import EventBus, RingLog
 from tests.serve_util import ServiceThread, make_config, request, wait_for_job
 
@@ -118,6 +123,35 @@ def test_cursor_tail_shape_and_job_lifecycle(service):
     # it yields only newer events (heartbeats at most).
     again = tail_all(service.port, cursor=doc["cursor"])
     assert {e["event"] for e in again["events"]} <= {"heartbeat"}
+
+
+def test_daemon_log_records_each_job_with_correlation_ids(service, capsys):
+    # Cells no other test here submits, so both are admitted as new jobs
+    # rather than served from the result store.
+    cells = {}
+    for spec in ({"app": "gtc", "nranks": 8}, {"app": "lbmhd", "nranks": 8}):
+        status, _headers, body = request(service.port, "POST", "/v1/jobs", spec)
+        assert status == 202, body
+        cells[json.loads(body)["job_id"]] = f"{spec['app']}_p{spec['nranks']}"
+    for job_id in cells:
+        assert wait_for_job(service.port, job_id)["status"] == "done"
+
+    log = Path(service.config.serve_dir) / "logs" / "daemon.jsonl"
+    # A job's status turns done just before its job_done record is written.
+    deadline = time.monotonic() + 10
+    while True:
+        records = [r for r in read_log_records(log) if r.get("job_id") in cells]
+        done = {r["job_id"]: r.get("cell") for r in records if r["event"] == "job_done"}
+        if done == cells or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    admitted = {r["job_id"]: r.get("cell") for r in records if r["event"] == "job_admitted"}
+    assert admitted == cells
+    assert done == cells
+
+    assert cli.main(["obs", "tail", str(log), "--event", "job_admitted"]) == 0
+    tailed = [json.loads(ln) for ln in capsys.readouterr().out.splitlines()]
+    assert {r["job_id"]: r["cell"] for r in tailed if r["job_id"] in cells} == cells
 
 
 def test_heartbeat_records_arrive_while_idle(service):
