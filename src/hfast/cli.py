@@ -84,13 +84,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import TYPE_CHECKING
 
 from hfast.apps import APPS, available_apps
 from hfast.cache import DEFAULT_CACHE_DIR, CacheValidationError, ReproCache
 from hfast.obs.profile import Observability, configure
-from hfast.obs.stream import EventBus
 from hfast.obs.trace import JsonlSink
 from hfast.pipeline import build_cells, discover_scales, run_pipeline
 from hfast.spec import SCHEDULERS, ExecOptions, InterconnectConfig, RunSpec, SpecError
@@ -125,6 +125,28 @@ def _count(value: str) -> int:
     if not value.isdecimal():
         raise argparse.ArgumentTypeError(f"expected a count of at least 0: {value!r}")
     return int(value)
+
+
+def _port(value: str) -> int:
+    """Parse a TCP port: an integer in [0, 65535], where 0 picks a free one."""
+    try:
+        port = int(value)
+    except ValueError:
+        port = -1
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"expected a port in [0, 65535]: {value!r}")
+    return port
+
+
+def _multiple(value: str) -> float:
+    """Parse a threshold multiple: a finite number above 0."""
+    try:
+        x = float(value)
+    except ValueError:
+        x = math.nan
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number above 0: {value!r}")
+    return x
 
 
 def _shard(value: str) -> tuple[int, int]:
@@ -279,12 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
              "log lines when not a TTY; implies --profile)",
     )
     p_an.add_argument(
-        "--metrics-port", type=int, default=None, metavar="PORT",
+        "--metrics-port", type=_port, default=None, metavar="PORT",
         help="serve Prometheus /metrics on 127.0.0.1:PORT during the run "
              "(0 = pick a free port; implies --profile)",
     )
     p_an.add_argument(
-        "--anomaly-threshold", type=float, default=None,
+        "--anomaly-threshold", type=_multiple, default=None,
         help="flag a cell as a straggler when its wall time exceeds this "
              "multiple of the cost-model expectation (default: 4.0)",
     )
@@ -347,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sv = sub.add_parser("serve", help="run the analysis-as-a-service HTTP daemon")
     p_sv.add_argument("--host", default="127.0.0.1")
-    p_sv.add_argument("--port", type=int, default=8348, help="0 binds an ephemeral port")
+    p_sv.add_argument("--port", type=_port, default=8348, help="0 binds an ephemeral port")
     p_sv.add_argument("--cache-dir", default=DEFAULT_CACHE_DIR)
     p_sv.add_argument(
         "--serve-dir", default=".hfast_serve",
@@ -503,16 +525,23 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
 
         configure_logging(args.log_out)
 
+    # A profiled run scores its cells with one anomaly detector, which the
+    # live view also uses to flag cells still running.
+    detector = None
+    if profiling:
+        from hfast.obs.anomaly import AnomalyDetector
+
+        kwargs = {} if args.anomaly_threshold is None else {"threshold": args.anomaly_threshold}
+        detector = AnomalyDetector.from_bench_dir(options.bench_dir, **kwargs)
+
     # Live telemetry side-channels: an event bus feeding the status view,
     # and/or a background /metrics endpoint scraping the live registry.
-    bus = live_view = metrics_server = detector = None
+    bus = live_view = metrics_server = None
     if args.live:
-        from hfast.obs.anomaly import AnomalyDetector
         from hfast.obs.live import LiveView
+        from hfast.obs.stream import EventBus
 
         bus = EventBus()
-        kwargs = {"threshold": args.anomaly_threshold} if args.anomaly_threshold else {}
-        detector = AnomalyDetector.from_bench_dir(options.bench_dir, **kwargs)
         live_view = LiveView(detector=detector)
         bus.subscribe(live_view.handle)
         live_view.start()
@@ -548,7 +577,6 @@ def _cmd_analyze(args: argparse.Namespace, argv: list[str]) -> int:
             options=options,
             bus=bus,
             anomaly=detector,
-            anomaly_threshold=args.anomaly_threshold,
         )
     except CacheValidationError as exc:
         print(f"error: cache validation failed: {exc}", file=sys.stderr)

@@ -2,16 +2,17 @@
 
 Quick start::
 
-    from hfast.obs.profile import Observability, configure, obs_span
+    from hfast.obs.profile import Observability, configure
     from hfast.obs.report import build_report
+    from hfast.obs.trace import JsonlSink
 
-    o = Observability.to_jsonl("trace.jsonl")
-    configure(o)
+    o = configure(Observability(trace_sink=JsonlSink("trace.jsonl")))
 
-    with obs_span("my_stage", app="cactus"):
+    with o.tracer.span("my_stage", app="cactus"):
         ...
 
     o.metrics.histogram("msg_size_bytes").observe(4096)
+    o.close()
     report = build_report(o.events)
 
 Everything is a no-op when the ambient instance is disabled (the default),

@@ -100,13 +100,6 @@ class LiveView:
                     self.stragglers[event.get("cell", "?")] = event
             elif kind == "worker_lost":
                 self.counters["workers_lost"] += 1
-            elif kind == "cell_start":
-                key = event.get("cell")
-                st = self._cells.get(key)
-                if st is not None and st["state"] in ("queued", "retry"):
-                    st["state"] = "running"
-                    st["worker"] = event.get("worker")
-                    st["started"] = time.monotonic()
             elif kind == "run_end":
                 self._done = True
         self._maybe_paint()

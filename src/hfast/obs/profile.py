@@ -2,9 +2,9 @@
 
 An :class:`Observability` object bundles a span tracer and a metrics
 registry. A process-wide ambient instance (disabled by default) lets hot
-paths be instrumented unconditionally — ``@profiled("stage")`` and
-``obs_span(...)`` resolve the ambient instance at call time and collapse
-to near-zero work when observability is off.
+paths be instrumented unconditionally — ``@profiled("stage")`` resolves
+the ambient instance at call time and collapses to near-zero work when
+observability is off.
 
 The ambient lookup is two-level: :func:`configure` installs a
 process-wide default (the CLI's single-run instance), while
@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
 from hfast.obs.metrics import MetricsRegistry
-from hfast.obs.trace import JsonlSink, ListSink, NullSink, SpanTracer, TeeSink
+from hfast.obs.trace import ListSink, NullSink, SpanTracer, TeeSink
 
 
 class Observability:
@@ -61,10 +61,6 @@ class Observability:
     def disabled(cls) -> "Observability":
         return cls(enabled=False)
 
-    @classmethod
-    def to_jsonl(cls, path: str, keep_events: bool = True) -> "Observability":
-        return cls(enabled=True, trace_sink=JsonlSink(path), keep_events=keep_events)
-
 
 _ambient = Observability.disabled()
 _local = threading.local()
@@ -98,13 +94,6 @@ def using(obs: Observability) -> Iterator[Observability]:
         yield obs
     finally:
         _local.obs = prev
-
-
-@contextmanager
-def obs_span(name: str, **attrs: Any) -> Iterator[Any]:
-    """Span against the ambient observability instance."""
-    with get_obs().tracer.span(name, **attrs) as sp:
-        yield sp
 
 
 def profiled(stage: str, **attrs: Any) -> Callable:

@@ -1,8 +1,8 @@
 """Structured span tracing.
 
-A :class:`SpanTracer` hands out nested spans via a context manager or
-decorator. Each finished span is emitted as one structured JSONL event
-(stage name, wall time, peak RSS, nesting ids, custom attributes) to a
+A :class:`SpanTracer` hands out nested spans via a context manager.
+Each finished span is emitted as one structured JSONL event (stage
+name, wall time, peak RSS, nesting ids, custom attributes) to a
 pluggable sink. When the tracer is disabled, ``span()`` returns a shared
 no-op context manager, so instrumented hot paths cost almost nothing.
 
@@ -13,7 +13,6 @@ size-based rotation belongs to the structured log
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import os
@@ -218,32 +217,50 @@ class SpanTracer:
                 event["error"] = error
             self.sink.emit(event)
 
-    def traced(self, name: str | None = None, **attrs: Any) -> Callable:
-        """Decorator form of :meth:`span`."""
-
-        def deco(fn: Callable) -> Callable:
-            span_name = name or fn.__qualname__
-
-            @functools.wraps(fn)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                if not self.enabled:
-                    return fn(*args, **kwargs)
-                with self.span(span_name, **attrs):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return deco
-
     def reserve_ids(self, n: int) -> int:
-        """Claim a block of n span ids; returns the offset to remap onto.
-
-        Used when merging span events produced by worker processes (whose
-        tracers all number from 1) into this tracer's id space.
-        """
+        """Claim a block of n span ids; returns the first of them."""
         base = self._next_id
         self._next_id += n
         return base
+
+    def graft(
+        self,
+        events: list[dict[str, Any]],
+        parent_id: int | None,
+        depth: int,
+        attrs: dict[str, Any] | None = None,
+    ) -> None:
+        """Re-emit another tracer's ``events`` as a subtree of ``parent_id``.
+
+        This is how a child's buffered trace (a cell run in a worker, a
+        served job) joins its parent's: the child's span ids, numbered
+        from 1, move onto a fresh block of this tracer's ids. Its root
+        spans hang off ``parent_id`` at ``depth``, with ``attrs`` added,
+        and the spans under them move down by ``depth`` too. Other
+        events (an ``app_summary``) point at ``parent_id`` unless they
+        name a parent. An empty batch reserves no ids.
+        """
+        if not self.enabled or not events:
+            return
+        max_local = max((e["span_id"] for e in events if e.get("event") == "span"), default=0)
+        # Claim max_local + 1 ids: remapped ids land on base+1..base+max_local,
+        # keeping the tracer's next fresh id clear of the block.
+        base = self.reserve_ids(max_local + 1)
+        for ev in events:
+            ev = dict(ev)
+            kind = ev.pop("event")
+            if kind == "span":
+                ev["span_id"] += base
+                if ev.get("parent_id") is None:
+                    ev["parent_id"] = parent_id
+                    if attrs:
+                        ev["attrs"] = {**(ev.get("attrs") or {}), **attrs}
+                else:
+                    ev["parent_id"] += base
+                ev["depth"] = ev.get("depth", 0) + depth
+            else:
+                ev.setdefault("parent_id", parent_id)
+            self.emit_event(kind, ev)
 
     def emit_event(self, kind: str, payload: dict[str, Any]) -> None:
         """Emit a non-span structured event (e.g. the run manifest)."""

@@ -51,7 +51,6 @@ from hfast.apps import available_apps, synthesize
 from hfast.cache import DEFAULT_CACHE_DIR, CacheStats, ReproCache
 from hfast.interconnect import InterconnectConfig, evaluate_hybrid, evaluate_temporal
 from hfast.matrix import reduce_matrix, run_starts
-from hfast.obs import stream
 from hfast.obs.logs import get_logger
 from hfast.obs.manifest import build_manifest
 from hfast.obs.metrics import log2_bucket_array
@@ -67,6 +66,7 @@ from hfast.topology import analyze_topology
 # multiprocessing or the obs extras.
 if TYPE_CHECKING:
     from hfast.obs.anomaly import AnomalyDetector
+    from hfast.obs.stream import EventBus
     from hfast.sched.cost import CostModel
     from hfast.sched.journal import RunJournal
 
@@ -277,17 +277,11 @@ def _execute_cell(payload: dict[str, Any]) -> dict[str, Any]:
     Builds a private cache handle and observability buffer, so everything
     the cell produced (summary, span/app_summary events, metrics, cache
     statistics) comes back as one picklable result the parent merges
-    deterministically. When the payload carries ``live=True`` and this
-    process has a registered stream channel, every event is *also*
-    forwarded live with trace context attached — annotated copies only,
-    so the buffered events (and therefore the merged trace) are identical
-    with and without streaming.
+    deterministically (:func:`graft_cell`). The cell sends nothing else:
+    its events reach the parent only with the result.
     """
-    forward = stream.forward_sink_for(payload)
-    obs = Observability(enabled=payload["profiled"], trace_sink=forward, keep_events=True)
+    obs = Observability(enabled=payload["profiled"], keep_events=True)
     cache = ReproCache(payload["cache_dir"], readonly=not payload["store"])
-    if forward is not None:
-        forward.emit({"event": "cell_start"})
     t0 = time.perf_counter()
     t_start = time.time()  # absolute stamp for post-hoc gantt/attribution
     ok, summary, error = True, None, None
@@ -331,9 +325,9 @@ def graft_cell(
 ) -> None:
     """Re-emit a cell's events under a synthetic ``cell`` span.
 
-    Every attempt's events (failed prior attempts included) are remapped
-    onto the parent tracer's id space and re-rooted: a worker-side root
-    span (``parent_id is None``) becomes a child of the cell span, tagged
+    Every attempt's events (failed prior attempts included) are grafted
+    onto the parent tracer with :meth:`~hfast.obs.trace.SpanTracer.graft`:
+    a worker-side root span becomes a child of the cell span, tagged
     with its attempt number, so retries appear as sibling subtrees rather
     than duplicate roots. The cell span itself hangs off ``root_id`` (the
     run's ``pipeline`` span), making the merged trace one tree.
@@ -351,36 +345,14 @@ def graft_cell(
         return
     tracer = obs.tracer
     cell_span_id = tracer.reserve_ids(1)
-    batches = list(res.get("prior_attempts") or [])
-    batches.append({"attempt": res.get("attempts", 1), "events": res.get("events") or []})
-    for batch in batches:
-        events = batch.get("events") or []
-        if not events:
-            continue
-        max_local = max(
-            (e["span_id"] for e in events if e.get("event") == "span"), default=0
+    for batch in [
+        *(res.get("prior_attempts") or []),
+        {"attempt": res.get("attempts", 1), "events": res.get("events")},
+    ]:
+        tracer.graft(
+            batch.get("events") or [], cell_span_id, depth=2,
+            attrs={"attempt": batch.get("attempt", 1)},
         )
-        # Claim max_local + 1 ids: remapped ids land on base+1..base+max_local,
-        # keeping the tracer's next fresh id clear of the block.
-        base = tracer.reserve_ids(max_local + 1)
-        for ev in events:
-            ev = dict(ev)
-            kind = ev.pop("event")
-            if kind == "span":
-                ev["span_id"] = ev["span_id"] + base
-                if ev.get("parent_id") is None:
-                    ev["parent_id"] = cell_span_id
-                    attrs = dict(ev.get("attrs") or {})
-                    attrs["attempt"] = batch.get("attempt", 1)
-                    ev["attrs"] = attrs
-                else:
-                    ev["parent_id"] = ev["parent_id"] + base
-                ev["depth"] = ev.get("depth", 0) + 2
-            else:
-                # Non-span worker events (app_summary) keep a pointer to
-                # their cell so the trace tree covers every event.
-                ev.setdefault("parent_id", cell_span_id)
-            tracer.emit_event(kind, ev)
     attrs: dict[str, Any] = {
         "app": res["app"],
         "nranks": res["nranks"],
@@ -409,8 +381,8 @@ def cell_timing_event(res: dict[str, Any]) -> dict[str, Any]:
     Its wall-clock execution window, for post-hoc scheduler attribution
     (queue wait, utilization, gantt): wall-clock-derived by construction,
     hence outside the byte-identity contract; the analytics layer reads
-    it, the report builder ignores it. There is no "cell" key: buffered
-    events are never cell-context-stamped, and app + nranks identify it.
+    it, the report builder ignores it. There is no "cell" key: app +
+    nranks identify it.
     """
     return {
         "app": res.get("app"),
@@ -477,7 +449,7 @@ def run_cells(
     journal: RunJournal | None = None,
     cost_model: CostModel | None = None,
     obs: Observability | None = None,
-    bus: stream.EventBus | None = None,
+    bus: EventBus | None = None,
 ) -> tuple[list[dict[str, Any]], dict[str, Any]]:
     """Run a batch of cells and return their results in cell order, with
     the scheduler's stats.
@@ -485,47 +457,35 @@ def run_cells(
     ``cells`` are ``app``/``nranks``/``index`` records, and
     ``payload_for(cell)`` is what the cell harness runs. Under ``static``
     the cells run serially in this process, through the same harness as
-    the stealing scheduler's workers, and the stats are empty; ``bus``
-    gets each cell's ``cell_state`` transitions. Under ``stealing`` they
-    run on :func:`~hfast.sched.scheduler.run_stealing` with ``options``'
-    worker, retry and heartbeat settings, replaying what ``journal``
-    holds.
+    the stealing scheduler's workers, and the stats are empty. Under
+    ``stealing`` they run on :func:`~hfast.sched.scheduler.run_stealing`
+    with ``options``' worker, retry and heartbeat settings, replaying
+    what ``journal`` holds. Either way ``bus`` gets each cell's
+    ``cell_state`` transitions as this process sees them.
     """
     if options.scheduler == "stealing":
-        from hfast.sched.scheduler import SchedulerConfig, run_stealing
+        from hfast.sched.scheduler import run_stealing
 
-        config = SchedulerConfig(
-            workers=options.workers,
-            max_retries=options.max_retries,
-            heartbeat_timeout=options.heartbeat_timeout,
-            retry_backoff=options.retry_backoff,
-        )
         return run_stealing(
             cells,
             lambda cell, attempt: payload_for(cell),
             _execute_cell,
-            config,
+            options,
             cost_model=cost_model,
             obs=obs,
             journal=journal,
             on_event=bus.publish if bus is not None else None,
         )
     results = []
-    if bus is not None:
-        stream.set_worker_channel(bus.publish, worker_id=0)
-    try:
-        for cell in cells:
-            state = {"event": "cell_state", "cell": cell.key, "worker": 0, "attempt": 1}
-            if bus is not None:
-                bus.publish({**state, "state": "running", "stolen": False})
-            res = _execute_cell(payload_for(cell))
-            if bus is not None:
-                bus.publish({**state, "state": "done" if res["ok"] else "failed",
-                             "wall_s": res["wall_s"]})
-            results.append(res)
-    finally:
+    for cell in cells:
+        state = {"event": "cell_state", "cell": cell.key, "worker": 0, "attempt": 1}
         if bus is not None:
-            stream.clear_worker_channel()
+            bus.publish({**state, "state": "running", "stolen": False})
+        res = _execute_cell(payload_for(cell))
+        if bus is not None:
+            bus.publish({**state, "state": "done" if res["ok"] else "failed",
+                         "wall_s": res["wall_s"]})
+        results.append(res)
     return results, {}
 
 
@@ -542,9 +502,8 @@ def run_pipeline(
     overrides: dict[str, Any] | None = None,
     options: ExecOptions = ExecOptions(),
     service: dict[str, Any] | None = None,
-    bus: "stream.EventBus | None" = None,
+    bus: EventBus | None = None,
     anomaly: AnomalyDetector | None = None,
-    anomaly_threshold: float | None = None,
 ) -> dict[str, Any]:
     """Run the analysis matrix; returns {manifest, results, anomalies}.
 
@@ -568,15 +527,15 @@ def run_pipeline(
     bookkeeping lands in ``manifest["scheduler"]``; per-cell ``attempts``
     in ``manifest["cells"]``.
 
-    ``bus`` turns on live telemetry: run/cell state transitions and every
-    worker event (with trace context attached) are published to the bus
-    as they happen. The stream is a strict side-channel — merged trace,
-    metrics, manifest, and report artifacts are identical with and
-    without it.
+    ``bus`` turns on live telemetry: the run's start and end, each
+    cell's state transitions, lost workers and anomalies are published
+    to it as the parent sees them. The stream is a strict side-channel —
+    merged trace, metrics, manifest, and report artifacts are identical
+    with and without it.
 
     Completed cells are scored by an online straggler/regression detector
-    (``anomaly``, or a default calibrated from ``options.bench_dir`` and
-    ``anomaly_threshold``); flagged cells are emitted as ``anomaly``
+    (``anomaly``, or one at the default threshold calibrated from
+    ``options.bench_dir``); flagged cells are emitted as ``anomaly``
     trace events and returned under ``"anomalies"``.
 
     ``service`` is provenance only: it lands in the manifest so a served
@@ -634,19 +593,10 @@ def run_pipeline(
     if detector is None and (obs.enabled or bus is not None):
         from hfast.obs.anomaly import AnomalyDetector
 
-        kwargs = {"threshold": anomaly_threshold} if anomaly_threshold else {}
-        detector = AnomalyDetector.from_bench_dir(bench_dir, **kwargs)
+        detector = AnomalyDetector.from_bench_dir(bench_dir)
 
     def payload_for(cell: Cell) -> dict[str, Any]:
-        return spec.cell_payload(
-            cell, cache_dir, store, obs.enabled,
-            live=bus is not None,
-            ctx=(
-                {"run_id": run_id, "cell": cell.key, "index": cell.index}
-                if bus is not None
-                else None
-            ),
-        )
+        return spec.cell_payload(cell, cache_dir, store, obs.enabled)
 
     cell_reports: list[dict[str, Any]] = []
     results: list[dict[str, Any]] = []

@@ -38,38 +38,30 @@ import heapq
 import multiprocessing as mp
 import threading
 import time
-from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from hfast.obs import stream
 from hfast.obs.logs import get_logger
 from hfast.obs.profile import Observability
 from hfast.sched.cost import CostModel
 from hfast.sched.faults import TransientFault, maybe_inject
 from hfast.sched.journal import RunJournal
 
+if TYPE_CHECKING:
+    from hfast.spec import ExecOptions
+
+#: Seconds the parent's event loop waits for worker messages per tick.
+POLL_INTERVAL = 0.05
+
 
 class SchedulerError(RuntimeError):
     """The scheduler could not run the sweep."""
 
 
-@dataclass
-class SchedulerConfig:
-    """Knobs for the work-stealing executor."""
-
-    workers: int = 2
-    max_retries: int = 2  # retries after the first attempt
-    heartbeat_timeout: float = 30.0  # busy + silent this long => presumed hung
-    heartbeat_interval: float | None = None  # default: timeout / 4, capped at 1s
-    retry_backoff: float = 0.05  # seconds; doubles per failed attempt
-    poll_interval: float = 0.05  # parent event-loop tick
-
-    @property
-    def beat_interval(self) -> float:
-        if self.heartbeat_interval is not None:
-            return self.heartbeat_interval
-        return min(1.0, max(0.01, self.heartbeat_timeout / 4.0))
+def beat_interval(heartbeat_timeout: float) -> float:
+    """Seconds between a worker's heartbeats: a quarter of the timeout
+    after which a busy, silent worker is presumed hung, at most 1 s."""
+    return min(1.0, max(0.01, heartbeat_timeout / 4.0))
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +90,13 @@ def _run_task(task: dict[str, Any], execute_fn: Callable, wedge: threading.Event
     return execute_fn(task)
 
 
-def _worker_main(
-    worker_id: int,
-    conn: Any,
-    execute_fn: Callable,
-    beat_interval: float,
-) -> None:
-    """Worker loop: recv task, execute, send result; heartbeat on the side."""
+def _worker_main(conn: Any, execute_fn: Callable, interval: float) -> None:
+    """Worker loop: recv task, execute, send result; heartbeat every
+    ``interval`` seconds on the side.
+
+    A worker sends the parent ``started``, ``beat`` and ``result``
+    messages and nothing else: the cell's trace travels in its result.
+    """
     wedge = threading.Event()
     send_lock = threading.Lock()
     current: dict[str, Any] = {"index": None}
@@ -116,14 +108,9 @@ def _worker_main(
             except (BrokenPipeError, OSError):
                 pass
 
-    # Live telemetry rides the same duplex pipe as ("ev", event) messages.
-    # Registration is unconditional; the forwarder only engages for payloads
-    # that carry live=True, so non-live runs never send an "ev".
-    stream.set_worker_channel(lambda ev: send(("ev", ev)), worker_id=worker_id)
-
     def beat() -> None:
         while not wedge.is_set():
-            time.sleep(beat_interval)
+            time.sleep(interval)
             if wedge.is_set():
                 return
             send(("beat", current["index"]))
@@ -182,7 +169,7 @@ def run_stealing(
     cells: Sequence[Any],
     make_payload: Callable[[Any, int], dict[str, Any]],
     execute_fn: Callable[[dict[str, Any]], dict[str, Any]],
-    config: SchedulerConfig,
+    options: ExecOptions,
     cost_model: CostModel | None = None,
     obs: Observability | None = None,
     journal: RunJournal | None = None,
@@ -194,13 +181,14 @@ def run_stealing(
     result per cell in cell-definition order (journal replays included)
     and ``stats`` is the scheduler bookkeeping destined for the run
     manifest. Every result carries ``attempts``; failed cells have
-    ``ok=False`` after exhausting their retries.
+    ``ok=False`` after exhausting their retries. ``options``
+    (:class:`~hfast.spec.ExecOptions`) sets the worker count, the
+    retries and their backoff, and the heartbeat timeout.
 
-    ``on_event`` receives live telemetry as it happens: scheduling
-    transitions (``cell_state``/``worker_lost``/``heartbeat``) plus
-    every ``("ev", ...)`` message a worker forwards over its pipe. It is
-    a pure side-channel — exceptions are swallowed, and nothing it sees
-    feeds back into results or stats.
+    ``on_event`` receives the scheduling transitions as the parent makes
+    them: ``cell_state`` (running/retry/done/failed) and
+    ``worker_lost``. It is a pure side-channel — exceptions are
+    swallowed, and nothing it sees feeds back into results or stats.
     """
     cost_model = cost_model or CostModel()
     # Ambient structured log: a no-op unless the process configured one
@@ -216,9 +204,9 @@ def run_stealing(
                 pass
     stats: dict[str, Any] = {
         "backend": "stealing",
-        "workers": config.workers,
-        "max_retries": config.max_retries,
-        "heartbeat_timeout": config.heartbeat_timeout,
+        "workers": options.workers,
+        "max_retries": options.max_retries,
+        "heartbeat_timeout": options.heartbeat_timeout,
         "tasks_dispatched": 0,
         "steals": 0,
         "retries": 0,
@@ -264,7 +252,7 @@ def run_stealing(
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         proc = ctx.Process(
             target=_worker_main,
-            args=(worker_id, child_conn, execute_fn, config.beat_interval),
+            args=(child_conn, execute_fn, beat_interval(options.heartbeat_timeout)),
             daemon=True,
             name=f"hfast-sched-{worker_id}",
         )
@@ -327,7 +315,7 @@ def run_stealing(
         slot.last_beat = time.monotonic()
         n_attempts = attempts.get(index, 1)
         key = f"{result['app']}_p{result['nranks']}"
-        if not result.get("ok") and n_attempts <= config.max_retries and cell is not None:
+        if not result.get("ok") and n_attempts <= options.max_retries and cell is not None:
             stats["retries"] += 1
             prior_attempts.setdefault(index, []).append(
                 {
@@ -336,7 +324,7 @@ def run_stealing(
                     "error": result.get("error"),
                 }
             )
-            due = time.monotonic() + config.retry_backoff * (2 ** (n_attempts - 1))
+            due = time.monotonic() + options.retry_backoff * (2 ** (n_attempts - 1))
             heapq.heappush(delayed, (due, -cost_model.estimate(cell.app, cell.nranks), index, cell))
             log.warning(
                 "cell_retry",
@@ -417,7 +405,7 @@ def run_stealing(
                 attempt=attempts.get(index, 1),
                 reason=reason,
             )
-            if attempts.get(index, 1) <= config.max_retries:
+            if attempts.get(index, 1) <= options.max_retries:
                 # Crash re-dispatch goes straight back onto the queue: the
                 # failure was the worker's, not the cell's.
                 heapq.heappush(
@@ -441,7 +429,7 @@ def run_stealing(
             # Keep the pool sized to the remaining work; this both spawns
             # the initial workers and replaces lost ones.
             outstanding = len(cells) - len(completed)
-            while len(slots) < min(config.workers, outstanding):
+            while len(slots) < min(options.workers, outstanding):
                 spawn_worker()
             for slot in list(slots.values()):
                 if slot.busy is None and pending:
@@ -449,9 +437,9 @@ def run_stealing(
 
             conns = [slot.conn for slot in slots.values()]
             if conns:
-                ready = mp_connection.wait(conns, timeout=config.poll_interval)
+                ready = mp_connection.wait(conns, timeout=POLL_INTERVAL)
             else:
-                time.sleep(config.poll_interval)
+                time.sleep(POLL_INTERVAL)
                 ready = []
             for conn in ready:
                 slot = next((s for s in slots.values() if s.conn is conn), None)
@@ -465,21 +453,8 @@ def run_stealing(
                     except (EOFError, OSError):
                         break  # liveness check below reaps the worker
                     kind = msg[0]
-                    if kind == "beat":
+                    if kind in ("beat", "started"):
                         slot.last_beat = time.monotonic()
-                        if on_event is not None:
-                            busy = slot.busy
-                            emit_live(
-                                {
-                                    "event": "heartbeat",
-                                    "worker": slot.worker_id,
-                                    "cell": f"{busy[1].app}_p{busy[1].nranks}" if busy else None,
-                                }
-                            )
-                    elif kind == "started":
-                        slot.last_beat = time.monotonic()
-                    elif kind == "ev":
-                        emit_live(msg[1])
                     elif kind == "result":
                         handle_finished(slot, msg[1], msg[2])
 
@@ -487,12 +462,12 @@ def run_stealing(
             for slot in list(slots.values()):
                 if not slot.proc.is_alive():
                     handle_lost_worker(slot, f"worker {slot.worker_id} died")
-                elif slot.busy is not None and now - slot.last_beat > config.heartbeat_timeout:
+                elif slot.busy is not None and now - slot.last_beat > options.heartbeat_timeout:
                     slot.proc.kill()
                     handle_lost_worker(
                         slot,
                         f"worker {slot.worker_id} missed heartbeats for "
-                        f"{config.heartbeat_timeout:.1f}s",
+                        f"{options.heartbeat_timeout:.1f}s",
                     )
     finally:
         for slot in list(slots.values()):

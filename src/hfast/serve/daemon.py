@@ -541,36 +541,19 @@ class AnalysisService:
     def _graft_job(self, job: Job, job_obs: Observability) -> None:
         """Re-root one job's span events under the daemon's unified trace.
 
-        Mirrors the pipeline's worker-event graft: the job's locally
-        numbered spans are remapped onto the daemon tracer's id space and
-        hung off a synthetic ``serve_job`` root, so the daemon's JSONL
-        trace is one forest with a root per job. Serialized by a lock —
-        jobs finish concurrently but the tracer's id counter and sink
-        are shared.
+        The job's buffered events graft onto the daemon tracer
+        (:meth:`~hfast.obs.trace.SpanTracer.graft`, as a pipeline grafts
+        its cells) under a synthetic ``serve_job`` root, so the daemon's
+        JSONL trace is one forest with a root per job. Serialized by a
+        lock — jobs finish concurrently but the tracer's id counter and
+        sink are shared.
         """
         tracer = self._trace_obs.tracer
         if not tracer.enabled or job_obs.event_buffer is None:
             return
-        events = job_obs.event_buffer.events
         with self._graft_lock:
             job_span_id = tracer.reserve_ids(1)
-            max_local = max(
-                (e["span_id"] for e in events if e.get("event") == "span"), default=0
-            )
-            base = tracer.reserve_ids(max_local + 1)
-            for ev in events:
-                ev = dict(ev)
-                kind = ev.pop("event")
-                if kind == "span":
-                    ev["span_id"] = ev["span_id"] + base
-                    if ev.get("parent_id") is None:
-                        ev["parent_id"] = job_span_id
-                    else:
-                        ev["parent_id"] = ev["parent_id"] + base
-                    ev["depth"] = ev.get("depth", 0) + 1
-                else:
-                    ev.setdefault("parent_id", job_span_id)
-                tracer.emit_event(kind, ev)
+            tracer.graft(job_obs.events, job_span_id, depth=1)
             tracer.emit_event(
                 "span",
                 {

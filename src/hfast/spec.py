@@ -275,12 +275,10 @@ class RunSpec:
         cache_dir: str,
         store: bool,
         profiled: bool,
-        live: bool = False,
-        ctx: dict[str, Any] | None = None,
     ) -> dict[str, Any]:
         """What a worker needs to run ``cell`` (an ``app``/``nranks``/
         ``index`` record) under this spec: its inputs, where traces are
-        cached, and the observability switches."""
+        cached, and whether it buffers a trace (``profiled``)."""
         return {
             "app": cell.app,
             "nranks": cell.nranks,
@@ -291,8 +289,6 @@ class RunSpec:
             "timing_seed": self.timing_seed,
             "overrides": dict(self.overrides),
             "profiled": profiled,
-            "live": live,
-            "ctx": ctx,
         }
 
 

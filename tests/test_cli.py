@@ -3,6 +3,7 @@ import json
 import pytest
 
 from hfast.cli import build_parser, main
+from hfast.obs.anomaly import DEFAULT_THRESHOLD
 from hfast.obs.trace import read_events
 from hfast.timing import APP_PARAMS
 
@@ -165,3 +166,73 @@ def test_parser_rejects_removed_commands(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("port", ["70000", "-1", "http"])
+def test_analyze_refuses_a_metrics_port_out_of_range(tmp_path, cache_dir, capsys, port):
+    """A bad --metrics-port is a usage error before the run's
+    observability starts (no trace file opens)."""
+    trace_out = tmp_path / "trace.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--cache-dir", cache_dir, "--no-store", "--apps", "gtc",
+              "--scales", "8", "--trace-out", str(trace_out), "--live", "--metrics-port", port])
+    assert exc.value.code == 2
+    assert "--metrics-port: expected a port in [0, 65535]" in capsys.readouterr().err
+    assert not trace_out.exists()
+
+
+@pytest.mark.parametrize("port", ["70000", "-1"])
+def test_serve_refuses_a_port_out_of_range(port, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["serve", "--port", port])
+    assert exc.value.code == 2
+    assert "--port: expected a port in [0, 65535]" in capsys.readouterr().err
+
+
+def test_port_flags_take_the_whole_range():
+    parser = build_parser()
+    assert parser.parse_args(["serve", "--port", "0"]).port == 0
+    assert parser.parse_args(["serve", "--port", "65535"]).port == 65535
+    assert parser.parse_args(["serve"]).port == 8348
+    assert parser.parse_args(["analyze", "--metrics-port", "0"]).metrics_port == 0
+
+
+@pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf", "x"])
+def test_analyze_refuses_a_threshold_that_is_not_a_positive_number(cache_dir, capsys, threshold):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--cache-dir", cache_dir, "--no-store", "--apps", "gtc",
+              "--scales", "8", "--profile", "--anomaly-threshold", threshold])
+    assert exc.value.code == 2
+    assert "--anomaly-threshold: expected a finite number above 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,threshold",
+    [([], None), (["--profile"], DEFAULT_THRESHOLD),
+     (["--profile", "--anomaly-threshold", "2.5"], 2.5),
+     (["--live", "--anomaly-threshold", "0.5"], 0.5)],
+    ids=["unprofiled", "default", "profiled", "live"],
+)
+def test_analyze_passes_one_detector_at_the_threshold(
+    cache_dir, monkeypatch, capsys, flags, threshold
+):
+    """The CLI builds the run's one anomaly detector whenever it profiles
+    (--live implies it) and hands it to run_pipeline."""
+    from hfast import cli
+
+    seen = []
+    real = cli.run_pipeline
+
+    def spy(**kwargs):
+        seen.append(kwargs["anomaly"])
+        return real(**kwargs)
+
+    monkeypatch.setattr(cli, "run_pipeline", spy)
+    rc = main(["analyze", "--cache-dir", cache_dir, "--no-store", "--apps", "gtc",
+               "--scales", "8", *flags])
+    assert rc == 0
+    (detector,) = seen
+    if threshold is None:
+        assert detector is None
+    else:
+        assert detector.threshold == threshold

@@ -31,6 +31,7 @@ SERIAL_EXCLUDED = (
     "hfast.obs.report",
     "hfast.obs.live",
     "hfast.obs.anomaly",
+    "hfast.obs.stream",
 )
 
 

@@ -1,4 +1,5 @@
-from hfast.obs.profile import Observability, configure, get_obs, obs_span, profiled
+from hfast.obs.profile import Observability, configure, get_obs, profiled
+from hfast.obs.trace import JsonlSink
 
 
 def test_ambient_default_is_disabled():
@@ -7,7 +8,7 @@ def test_ambient_default_is_disabled():
 
 def test_configure_and_span_roundtrip():
     obs = configure(Observability(enabled=True))
-    with obs_span("stage", app="gtc"):
+    with get_obs().tracer.span("stage", app="gtc"):
         pass
     assert obs.events[0]["name"] == "stage"
     assert obs.events[0]["attrs"] == {"app": "gtc"}
@@ -42,7 +43,7 @@ def test_profiled_noop_when_disabled():
 
 def test_manifest_event_first_in_jsonl(tmp_path):
     path = tmp_path / "t.jsonl"
-    obs = Observability.to_jsonl(str(path))
+    obs = Observability(trace_sink=JsonlSink(path))
     obs.tracer.emit_event("manifest", {"git_sha": "x"})
     with obs.tracer.span("s"):
         pass

@@ -1,34 +1,31 @@
 """Live telemetry streaming and cross-worker trace propagation.
 
-Covers the event bus / worker-channel plumbing in ``hfast.obs.stream``,
-the scheduler's live event emission (``on_event``) plus prior-attempt
-retention, and the tentpole structural contract: the merged JSONL trace
-is ONE tree — every span and app_summary event's parent chain resolves
-to the single run-root ``pipeline`` span, across the serial and
-work-stealing backends, retries included.
+Covers the event bus in ``hfast.obs.stream``, the vocabulary a run
+publishes on it, the scheduler's live event emission (``on_event``)
+plus prior-attempt retention, and the structural contract: the merged
+JSONL trace is ONE tree — every span and app_summary event's parent
+chain resolves to the single run-root ``pipeline`` span, across the
+serial and work-stealing backends, retries included.
 """
+
+import io
 
 import pytest
 
-from hfast.obs import stream
+from hfast.obs.live import LiveView
 from hfast.obs.profile import Observability
-from hfast.obs.stream import EventBus, StreamForwardSink
+from hfast.obs.stream import EventBus
 from hfast.pipeline import Cell, run_pipeline
 from hfast.sched.faults import FAULT_ENV_VAR
-from hfast.sched.scheduler import SchedulerConfig, run_stealing
+from hfast.sched.scheduler import run_stealing
 from hfast.spec import ExecOptions
 
 APPS = ["cactus", "gtc", "lbmhd", "paratec"]
 SCALES = {app: [8] for app in APPS}
 CELL_ORDER = ["cactus_p8", "gtc_p8", "lbmhd_p8", "paratec_p8"]
 
-
-@pytest.fixture(autouse=True)
-def _clean_channel():
-    """Worker-channel state is process-local; never leak between tests."""
-    stream.clear_worker_channel()
-    yield
-    stream.clear_worker_channel()
+#: Every event kind a pipeline run publishes on its bus.
+BUS_EVENTS = {"run_start", "cell_state", "worker_lost", "anomaly", "run_end"}
 
 
 # ---------------------------------------------------------------------------
@@ -66,46 +63,7 @@ def test_bus_unsubscribe_and_duplicate_subscribe():
     bus.subscribe(seen.append)
     bus.subscribe(seen.append)  # idempotent
     bus.publish({"event": "x"})
-    bus.unsubscribe(seen.append)
-    bus.publish({"event": "y"})
     assert [e["event"] for e in seen] == ["x"]
-
-
-# ---------------------------------------------------------------------------
-# Worker channel + forward sink
-
-
-def test_forward_sink_stamps_context_without_mutating_original():
-    sent = []
-    sink = StreamForwardSink(sent.append, {"run_id": "r1", "cell": "gtc_p8", "worker": 3})
-    original = {"event": "span", "name": "x"}
-    sink.emit(original)
-    assert sent == [{"event": "span", "name": "x", "run_id": "r1", "cell": "gtc_p8", "worker": 3}]
-    assert original == {"event": "span", "name": "x"}  # annotated copies only
-
-
-def test_forward_sink_drops_none_context_and_never_raises():
-    sink = StreamForwardSink(lambda ev: (_ for _ in ()).throw(OSError("torn pipe")),
-                             {"run_id": None, "cell": "c", "worker": None})
-    assert sink.context == {"cell": "c"}
-    sink.emit({"event": "span"})  # must not raise
-    sink.flush()
-    sink.close()
-
-
-def test_forward_sink_for_requires_live_payload_and_channel():
-    payload = {"live": True, "ctx": {"run_id": "r", "cell": "gtc_p8"}, "attempt": 2}
-    assert stream.forward_sink_for(payload) is None  # no channel registered
-    sent = []
-    stream.set_worker_channel(sent.append, worker_id=7)
-    assert stream.forward_sink_for({"live": False}) is None  # live off
-    sink = stream.forward_sink_for(payload)
-    sink.emit({"event": "cell_start"})
-    assert sent == [
-        {"event": "cell_start", "run_id": "r", "cell": "gtc_p8", "worker": 7, "attempt": 2}
-    ]
-    stream.clear_worker_channel()
-    assert stream.worker_channel() is None and stream.worker_id() is None
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +99,8 @@ def _payload(cell, attempt):
 
 def test_run_stealing_emits_live_events_and_keeps_prior_attempts():
     events = []
-    cfg = SchedulerConfig(workers=2, max_retries=2, retry_backoff=0.01, poll_interval=0.01)
-    results, stats = run_stealing(_cells(), _payload, _toy_execute, cfg, on_event=events.append)
+    options = ExecOptions(scheduler="stealing", workers=2, max_retries=2, retry_backoff=0.01)
+    results, stats = run_stealing(_cells(), _payload, _toy_execute, options, on_event=events.append)
 
     gtc = results[1]
     assert gtc["ok"] and gtc["attempts"] == 2
@@ -165,8 +123,8 @@ def test_run_stealing_emits_live_events_and_keeps_prior_attempts():
 
 
 def test_run_stealing_without_on_event_is_silent():
-    cfg = SchedulerConfig(workers=2, poll_interval=0.01)
-    results, _ = run_stealing(_cells(), _payload, _toy_execute, cfg)
+    options = ExecOptions(scheduler="stealing", workers=2)
+    results, _ = run_stealing(_cells(), _payload, _toy_execute, options)
     assert len(results) == 4  # no bus, no crash: live path fully optional
 
 
@@ -196,21 +154,15 @@ def test_serial_live_stream_carries_trace_context(tmp_path):
     assert run_id
     assert [c["cell"] for c in received[0]["cells"]] == CELL_ORDER
 
-    starts = [e for e in received if e["event"] == "cell_start"]
-    assert [s["cell"] for s in starts] == CELL_ORDER
-    assert all(s["run_id"] == run_id and s["worker"] == 0 for s in starts)
-
-    # Worker span/app_summary events stream live, stamped with context.
-    live_spans = [e for e in received if e["event"] == "span"]
-    assert live_spans
-    assert all(e["run_id"] == run_id and e["cell"] in CELL_ORDER for e in live_spans)
-    assert sum(1 for e in received if e["event"] == "app_summary") == 4
+    running = [e for e in received if e["event"] == "cell_state" and e["state"] == "running"]
+    assert [e["cell"] for e in running] == CELL_ORDER
+    assert all(e["worker"] == 0 and e["attempt"] == 1 for e in running)
 
     done = [e for e in received if e["event"] == "cell_state" and e["state"] == "done"]
     assert [e["cell"] for e in done] == CELL_ORDER
-    assert received[-1]["failed_cells"] == []
+    assert received[-1]["failed_cells"] == [] and received[-1]["run_id"] == run_id
 
-    # Side-channel contract: nothing context-stamped leaks into the buffer.
+    # Side-channel contract: the live run id stays out of the buffer.
     assert all("run_id" not in e and "cell" not in e for e in obs.events)
     assert "run_id" not in out["manifest"].get("scheduler", {})
 
@@ -223,9 +175,39 @@ def test_stealing_live_stream_reports_cell_states(tmp_path):
     states = [(e["cell"], e["state"]) for e in received if e["event"] == "cell_state"]
     for key in CELL_ORDER:
         assert (key, "running") in states and (key, "done") in states
-    starts = [e for e in received if e["event"] == "cell_start"]
-    assert sorted(s["cell"] for s in starts) == sorted(CELL_ORDER)
-    assert all(s["run_id"] == run_id for s in starts)
+
+
+@pytest.mark.parametrize(
+    "scheduler,workers,fault,gtc_attempts",
+    [("static", 1, None, 1), ("stealing", 2, "flaky:gtc_p8:1", 2)],
+    ids=["serial", "stealing-flaky"],
+)
+def test_bus_carries_only_scheduling_events(
+    tmp_path, monkeypatch, scheduler, workers, fault, gtc_attempts
+):
+    """The parent publishes the run's scheduling facts and nothing from
+    inside a cell, and the live view tracks every cell from them alone."""
+    if fault is not None:
+        monkeypatch.setenv(FAULT_ENV_VAR, fault)
+    view = LiveView(out=io.StringIO(), force_tty=False)
+    bus = EventBus()
+    kinds = []
+    bus.subscribe(lambda ev: kinds.append(ev["event"]))
+    bus.subscribe(view.handle)
+    run_pipeline(
+        apps=APPS, scales=SCALES, cache_dir=str(tmp_path / "c"), obs=Observability(enabled=True),
+        argv=["test"], bus=bus,
+        options=ExecOptions(scheduler=scheduler, workers=workers, retry_backoff=0.01,
+                            bench_dir=None),
+    )
+    assert set(kinds) <= BUS_EVENTS
+    assert kinds[0] == "run_start" and kinds[-1] == "run_end"
+
+    snap = view.snapshot()
+    assert snap["done"] and snap["order"] == CELL_ORDER
+    assert {k: c["state"] for k, c in snap["cells"].items()} == dict.fromkeys(CELL_ORDER, "done")
+    assert all(c["worker"] is not None for c in snap["cells"].values())
+    assert snap["cells"]["gtc_p8"]["attempts"] == gtc_attempts
 
 
 # ---------------------------------------------------------------------------

@@ -60,17 +60,32 @@ def test_set_attr_inside_span():
     assert sink.events[0]["attrs"]["bytes"] == 42
 
 
-def test_traced_decorator():
+def test_graft_remaps_a_child_trace_under_a_parent_span():
+    child = SpanTracer(sink=ListSink())
+    with child.span("outer"):
+        with child.span("inner"):
+            pass
+    child.emit_event("app_summary", {"app": "gtc"})
     sink = ListSink()
     tracer = SpanTracer(sink=sink)
+    parent_id = tracer.reserve_ids(1)
+    tracer.graft(child.sink.events, parent_id, depth=2, attrs={"attempt": 3})
+    tracer.graft([], parent_id, depth=2)  # an empty batch reserves no ids
+    with tracer.span("next"):
+        pass
 
-    @tracer.traced("work", kind="unit")
-    def work(x):
-        return x * 2
-
-    assert work(21) == 42
-    assert sink.events[0]["name"] == "work"
-    assert sink.events[0]["attrs"] == {"kind": "unit"}
+    inner, outer, summary, after = sink.events
+    assert (outer["span_id"], outer["parent_id"], outer["depth"]) == (3, parent_id, 2)
+    assert outer["attrs"] == {"attempt": 3}
+    assert (inner["span_id"], inner["parent_id"], inner["depth"]) == (4, 3, 3)
+    assert inner["attrs"] == {}
+    assert summary == {"event": "app_summary", "app": "gtc", "parent_id": parent_id}
+    assert after["span_id"] == 5
+    # The child's own events are left as they were.
+    assert [(e.get("span_id"), e.get("parent_id")) for e in child.sink.events] == [
+        (2, 1), (1, None), (None, None)
+    ]
+    assert child.sink.events[1]["attrs"] == {}
 
 
 def test_disabled_tracer_emits_nothing():

@@ -19,8 +19,8 @@ from hfast.sched.cost import (
 )
 from hfast.sched.faults import FAULT_ENV_VAR, FaultSpecError, maybe_inject, parse_fault_spec
 from hfast.sched.journal import JournalError, RunJournal, build_fingerprint, new_run_id
-from hfast.sched.scheduler import SchedulerConfig, run_stealing
-from hfast.spec import RunSpec
+from hfast.sched.scheduler import beat_interval, run_stealing
+from hfast.spec import ExecOptions, RunSpec
 
 # ---------------------------------------------------------------------------
 # Cost model
@@ -236,8 +236,8 @@ def _payload(cell, attempt):
 
 def test_run_stealing_returns_results_in_cell_order():
     cells = _cells()
-    cfg = SchedulerConfig(workers=2, poll_interval=0.01)
-    results, stats = run_stealing(cells, _payload, _toy_execute, cfg)
+    options = ExecOptions(scheduler="stealing", workers=2)
+    results, stats = run_stealing(cells, _payload, _toy_execute, options)
     assert [r["index"] for r in results] == [0, 1, 2, 3]
     assert all(r["ok"] and r["attempts"] == 1 for r in results)
     assert stats["tasks_dispatched"] == 4
@@ -246,8 +246,8 @@ def test_run_stealing_returns_results_in_cell_order():
 
 
 def test_run_stealing_retries_transient_failure():
-    cfg = SchedulerConfig(workers=2, max_retries=2, retry_backoff=0.01, poll_interval=0.01)
-    results, stats = run_stealing(_cells(), _payload, _fail_first_attempt_gtc, cfg)
+    options = ExecOptions(scheduler="stealing", workers=2, max_retries=2, retry_backoff=0.01)
+    results, stats = run_stealing(_cells(), _payload, _fail_first_attempt_gtc, options)
     gtc = results[1]
     assert gtc["ok"] and gtc["attempts"] == 2
     assert stats["retries"] == 1
@@ -255,8 +255,8 @@ def test_run_stealing_retries_transient_failure():
 
 
 def test_run_stealing_reports_exhausted_retries():
-    cfg = SchedulerConfig(workers=2, max_retries=1, retry_backoff=0.01, poll_interval=0.01)
-    results, stats = run_stealing(_cells(), _payload, _always_fail_gtc, cfg)
+    options = ExecOptions(scheduler="stealing", workers=2, max_retries=1, retry_backoff=0.01)
+    results, stats = run_stealing(_cells(), _payload, _always_fail_gtc, options)
     gtc = results[1]
     assert not gtc["ok"] and gtc["attempts"] == 2 and "boom" in gtc["error"]
     assert stats["retries"] == 1
@@ -264,13 +264,13 @@ def test_run_stealing_reports_exhausted_retries():
 
 
 def test_run_stealing_replays_journal(tmp_path):
-    cfg = SchedulerConfig(workers=2, poll_interval=0.01)
+    options = ExecOptions(scheduler="stealing", workers=2)
     journal = RunJournal.create(tmp_path, "r1", {"k": 1})
-    results, _ = run_stealing(_cells(), _payload, _toy_execute, cfg, journal=journal)
+    results, _ = run_stealing(_cells(), _payload, _toy_execute, options, journal=journal)
     assert not journal.complete  # the runner marks it after its last batch
 
     resumed = RunJournal.load(tmp_path, "r1")
-    replayed, stats = run_stealing(_cells(), _payload, _toy_execute, cfg, journal=resumed)
+    replayed, stats = run_stealing(_cells(), _payload, _toy_execute, options, journal=resumed)
     assert stats["cells_from_journal"] == 4
     assert stats["workers_spawned"] == 0  # nothing left to execute
     assert all(r["from_journal"] for r in replayed)
@@ -278,6 +278,5 @@ def test_run_stealing_replays_journal(tmp_path):
 
 
 def test_beat_interval_tracks_timeout():
-    assert SchedulerConfig(heartbeat_timeout=30.0).beat_interval == 1.0
-    assert SchedulerConfig(heartbeat_timeout=0.2).beat_interval == pytest.approx(0.05)
-    assert SchedulerConfig(heartbeat_interval=0.3).beat_interval == 0.3
+    assert beat_interval(30.0) == 1.0
+    assert beat_interval(0.2) == pytest.approx(0.05)
